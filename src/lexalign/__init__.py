@@ -25,7 +25,7 @@ from .maps import (LinearMap, PairedMatrices, build_paired_matrices,
 from .align import (AlignedSpace, MultiSpace, align_multistep, align_orthogonal,
                     apply_map, meemi_bilingual, meemi_multilingual, replay_maps)
 from .induction import (EvalReport, cosine_scores, induce, precision_at_k,
-                        rank_by_score, render_report, reports_from_json)
+                        rank_by_score, render_report, reports_from_json, topk)
 from .pipeline import PipelineConfig, run_pipeline
 
 __all__ = [
@@ -45,6 +45,6 @@ __all__ = [
     "AlignedSpace", "MultiSpace", "apply_map", "replay_maps",
     "align_orthogonal", "align_multistep", "meemi_bilingual", "meemi_multilingual",
     "EvalReport", "induce", "precision_at_k", "render_report", "reports_from_json",
-    "cosine_scores", "rank_by_score",
+    "cosine_scores", "rank_by_score", "topk",
     "PipelineConfig", "run_pipeline",
 ]

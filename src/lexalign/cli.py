@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     except ExternalServiceError as exc:
         logger.error("%s", exc)
         return EXIT_SERVICE
-    except (LexalignError, OSError, json.JSONDecodeError) as exc:
+    except (LexalignError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         logger.error("%s", exc)
         return EXIT_DATA
 

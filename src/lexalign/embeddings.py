@@ -106,6 +106,7 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
         rows: list[np.ndarray] = []
         index: dict[str, int] = {}
         folded = 0
+        line_no = 1
         for line_no, line in enumerate(fh, start=2):
             if len(words) >= limit:
                 break
@@ -133,6 +134,10 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
             index[word] = len(words)
             words.append(word)
             rows.append(vec)
+    if len(words) + folded < count and len(words) < limit:
+        raise EmbeddingParseError(f"header promises {count} rows, file has "
+                                  f"{len(words) + folded}", code="truncated",
+                                  line=line_no + 1)
     if not words:
         raise EmbeddingParseError("no embedding rows", code="empty", line=1)
     if folded:

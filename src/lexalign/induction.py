@@ -15,6 +15,7 @@ logger = logging.getLogger(__name__)
 
 _EPS = 1e-12
 _BLOCK_ROWS = 8192
+_QUERY_BLOCK = 64
 
 
 def _embedding_of(space):
@@ -53,6 +54,57 @@ def rank_by_score(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
+def _first_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """rank_by_score(row)[:k] for every row of a 2-d score array.
+
+    argpartition finds k candidates; when exactly k targets score at least the
+    k-th candidate's score, those k are the ranked prefix and only they are
+    sorted. Otherwise (a tie straddles the k-th place, or a NaN) the row falls
+    back to a full stable sort, so the tie rule always holds.
+    """
+    top = np.empty((scores.shape[0], k), dtype=np.intp)
+    cut = scores.shape[1] - k
+    for r, row in enumerate(scores):
+        cand = np.sort(np.argpartition(row, cut)[cut:])
+        if np.count_nonzero(row >= row[cand].min()) == k:
+            top[r] = cand[rank_by_score(row[cand])]
+        else:
+            top[r] = rank_by_score(row)[:k]
+    return top
+
+
+def topk(queries: np.ndarray, unit_targets: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k targets nearest each query row by cosine, best first.
+
+    Row i is rank_by_score(cosine_scores(queries[i], unit_targets))[:k], with
+    the scores computed by GEMM instead of one product per query, so they may
+    differ from cosine_scores in the last bit. Queries are scored
+    _QUERY_BLOCK rows at a time, the last block zero-padded: BLAS picks its
+    kernel by the number of rows, so a fixed block keeps results bitwise
+    reproducible whatever the query count. The score buffer holds one block
+    against every target, never every query against every target.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != unit_targets.shape[1]:
+        raise DataError(f"queries of shape {queries.shape} do not match targets of "
+                        f"dimension {unit_targets.shape[1]}")
+    n, size = queries.shape[0], unit_targets.shape[0]
+    if not 1 <= k <= size:
+        raise DataError(f"k must be in [1, {size}], got {k}")
+    top = np.empty((n, k), dtype=np.intp)
+    block = np.empty((_QUERY_BLOCK, queries.shape[1]))
+    scores = np.empty((_QUERY_BLOCK, size))
+    for start in range(0, n, _QUERY_BLOCK):
+        rows = min(_QUERY_BLOCK, n - start)
+        block[:rows] = _unit_rows(queries[start:start + rows])
+        block[rows:] = 0.0
+        for t in range(0, size, _BLOCK_ROWS):
+            np.matmul(block, unit_targets[t:t + _BLOCK_ROWS].T,
+                      out=scores[:, t:t + _BLOCK_ROWS])
+        top[start:start + rows] = _first_k(scores[:rows], k)
+    return top
+
+
 def induce(query, target_space, k: int, backend: str = "blocked"):
     """The k nearest target words to `query` by cosine, best first.
 
@@ -70,7 +122,7 @@ def induce(query, target_space, k: int, backend: str = "blocked"):
     if not 1 <= k <= len(emb):
         raise DataError(f"k must be in [1, {len(emb)}], got {k}")
     scores = cosine_scores(q, _unit_rows(emb.matrix), backend=backend)
-    order = rank_by_score(scores)[:k]
+    order = _first_k(scores[None, :], k)[0]
     return [(emb.words[i], float(scores[i])) for i in order]
 
 
@@ -147,11 +199,10 @@ def precision_at_k(src_space, tgt_space, test: "DictionaryPairs", ks=(1, 5, 10),
         evaluated = len(golds)
 
     depth = min(max(ks), len(tgt_emb))
-    tgt_unit = _unit_rows(tgt_emb.matrix)
+    queries = src_emb.matrix[[src_emb.word_index[w] for w in in_vocab]]
+    tops = topk(queries, _unit_rows(tgt_emb.matrix), depth)
     hits = {k: 0 for k in ks}
-    for word in in_vocab:
-        scores = cosine_scores(src_emb.vector(word), tgt_unit)
-        top = rank_by_score(scores)[:depth]
+    for word, top in zip(in_vocab, tops):
         position = {tgt_emb.words[i]: rank for rank, i in enumerate(top)}
         best = min((position[t] for t in golds[word] if t in position), default=None)
         if best is None:

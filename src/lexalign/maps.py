@@ -251,9 +251,11 @@ def load_maps(path) -> list[LinearMap]:
             pos += 1
             continue
         header = lines[pos].split()
-        if len(header) != 3:
-            raise DataError(f"bad map header at line {pos + 1}: {lines[pos]!r}")
-        kind, d_in, d_out = header[0], int(header[1]), int(header[2])
+        try:
+            kind, d_in, d_out = header
+            d_in, d_out = int(d_in), int(d_out)
+        except ValueError:
+            raise DataError(f"bad map header at line {pos + 1}: {lines[pos]!r}") from None
         block = lines[pos + 1: pos + 1 + d_in]
         if len(block) != d_in:
             raise DataError(f"map block at line {pos + 1} is truncated")

@@ -143,8 +143,11 @@ class HttpTranslationClient:
                     translation = resp.json()["translation"]
                 except (ValueError, KeyError, TypeError) as exc:
                     raise TranslationError(f"malformed response for {word!r}: {exc}")
+                if not isinstance(translation, str):
+                    raise TranslationError(f"malformed response for {word!r}: "
+                                           f"translation is {translation!r}")
                 # keep the cache file format valid
-                translation = str(translation).replace("\t", " ").replace("\n", " ")
+                translation = translation.replace("\t", " ").replace("\n", " ")
                 with self._lock:
                     self._cache[key] = translation
                     if self.cache_path is not None:

@@ -79,6 +79,19 @@ class TestLoad:
             load_embeddings(p)
         assert err.value.code == "value"
 
+    def test_truncated_file(self, tmp_path):
+        p = write(tmp_path / "en.vec", "5 2\na 1 2\nb 3 4\n")
+        with pytest.raises(EmbeddingParseError) as err:
+            load_embeddings(p)
+        assert err.value.code == "truncated"
+        assert err.value.line == 4
+        with pytest.raises(EmbeddingParseError):
+            load_embeddings(p, max_words=3)
+        # max_words explains the shortfall; folded duplicates count as rows read
+        assert load_embeddings(p, max_words=2).words == ("a", "b")
+        p = write(tmp_path / "en.vec", "3 1\nA 1\na 2\nb 3\n")
+        assert load_embeddings(p, lowercase=True).words == ("a", "b")
+
     def test_empty_vocabulary(self, tmp_path):
         p = write(tmp_path / "en.vec", "0 3\n")
         with pytest.raises(EmbeddingParseError) as err:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from lexalign import (DataError, DictionaryPairs, EvalReport, VocabEmbedding,
-                      align_orthogonal, induce, precision_at_k, render_report,
-                      reports_from_json)
+                      align_orthogonal, cosine_scores, induce, precision_at_k,
+                      rank_by_score, render_report, reports_from_json, topk)
+from lexalign.induction import _QUERY_BLOCK
 
-from conftest import identity_dict, make_embedding, random_orthogonal
+from conftest import (identity_dict, make_embedding, random_orthogonal,
+                      unit_rows)
 
 
 def triangle_space():
@@ -50,8 +52,9 @@ class TestInduce:
     def test_ties_break_toward_lower_index(self):
         emb = VocabEmbedding("tr", ("a", "b", "c"),
                              np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
-        result = induce(np.array([1.0, 0.0]), emb, k=3)
-        assert [w for w, _ in result] == ["a", "c", "b"]
+        for k, expected in ((1, ["a"]), (2, ["a", "c"]), (3, ["a", "c", "b"])):
+            result = induce(np.array([1.0, 0.0]), emb, k=k)
+            assert [w for w, _ in result] == expected
 
     def test_backends_agree(self):
         rng = np.random.default_rng(2)
@@ -76,6 +79,69 @@ class TestInduce:
             induce(np.ones(2), emb, k=4)
         with pytest.raises(ValueError):
             induce(np.ones(2), emb, k=1, backend="gpu")
+
+
+def reference_topk(queries, unit, k):
+    return np.array([rank_by_score(cosine_scores(q, unit, "exact"))[:k]
+                     for q in queries], dtype=np.intp).reshape(len(queries), k)
+
+
+# unit vectors with exactly representable coordinates: against a basis query
+# every cosine is one coordinate, bitwise equal whatever the product order
+EXACT_ROWS = np.array([[1.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0],
+                       [0.0, 0.6, 0.8, 0.0], [0.8, 0.0, 0.6, 0.0],
+                       [0.0, 0.0, 0.0, 1.0], [0.28, 0.96, 0.0, 0.0]])
+
+
+class TestTopk:
+    @pytest.mark.parametrize("n", [1, _QUERY_BLOCK, _QUERY_BLOCK + 1])
+    def test_matches_reference_ranking(self, n):
+        rng = np.random.default_rng(n)
+        unit = unit_rows(rng.normal(size=(300, 12)))
+        queries = rng.normal(size=(n, 12))
+        for k in (1, 7, 300):
+            assert np.array_equal(topk(queries, unit, k),
+                                  reference_topk(queries, unit, k))
+
+    def test_target_blocks(self, monkeypatch):
+        monkeypatch.setattr("lexalign.induction._BLOCK_ROWS", 16)
+        rng = np.random.default_rng(11)
+        unit = unit_rows(rng.normal(size=(100, 6)))
+        queries = rng.normal(size=(5, 6))
+        assert np.array_equal(topk(queries, unit, 10), reference_topk(queries, unit, 10))
+
+    @pytest.mark.parametrize("n", [1, _QUERY_BLOCK, _QUERY_BLOCK + 1])
+    def test_ties_straddling_kth_place(self, n):
+        rng = np.random.default_rng(100 + n)
+        # 200 rows drawn from 6: every score is shared by many rows
+        unit = EXACT_ROWS[rng.integers(0, len(EXACT_ROWS), size=200)]
+        queries = np.eye(4)[rng.integers(0, 4, size=n)] * rng.uniform(0.5, 2.0, (n, 1))
+        queries[0] = [0.0, 0.0, 0.0, 2.0]
+        for k in (1, 2, 5, 37, 199, 200):
+            assert np.array_equal(topk(queries, unit, k),
+                                  reference_topk(queries, unit, k))
+
+    def test_repeat_calls_bitwise_identical(self):
+        rng = np.random.default_rng(9)
+        unit = unit_rows(rng.normal(size=(2000, 16)))
+        queries = rng.normal(size=(_QUERY_BLOCK + 3, 16))
+        assert np.array_equal(topk(queries, unit, 10), topk(queries, unit, 10))
+
+    def test_zero_query_ranks_by_index(self):
+        unit = unit_rows(np.random.default_rng(4).normal(size=(20, 3)))
+        assert topk(np.zeros((1, 3)), unit, 4)[0].tolist() == [0, 1, 2, 3]
+
+    def test_validation(self):
+        unit = np.eye(3)
+        with pytest.raises(DataError):
+            topk(np.ones((2, 2)), unit, 1)
+        with pytest.raises(DataError):
+            topk(np.ones(3), unit, 1)
+        with pytest.raises(DataError):
+            topk(np.ones((2, 3)), unit, 0)
+        with pytest.raises(DataError):
+            topk(np.ones((2, 3)), unit, 4)
+        assert topk(np.ones((0, 3)), unit, 2).shape == (0, 2)
 
 
 def eval_fixture(seed=3, n=30, d=6):

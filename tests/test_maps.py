@@ -71,6 +71,13 @@ class TestMapIO:
         with pytest.raises(DataError):
             load_map(path)
 
+    def test_bad_header(self, tmp_path):
+        path = tmp_path / "bad.map"
+        for header in ("orthogonal two 2", "orthogonal 2", "orthogonal 2 2 2"):
+            path.write_text(f"{header}\n1 0\n0 1\n", encoding="utf-8")
+            with pytest.raises(DataError, match="bad map header at line 1"):
+                load_maps(path)
+
     def test_truncated_block(self, tmp_path):
         path = tmp_path / "bad.map"
         path.write_text("orthogonal 2 2\n1 0\n", encoding="utf-8")

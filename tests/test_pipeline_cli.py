@@ -273,6 +273,15 @@ class TestCli:
         bad.write_text("not a header\n", encoding="utf-8")
         assert self.run("induce", "--space", str(bad), "--word", "x") == 2
 
+    def test_non_utf8_input_exits_two(self, rotation_files, capsys):
+        binary = rotation_files["tmp"] / "binary.vec"
+        binary.write_bytes(b"2 2\n\xff\xfe 1 0\nb 0 1\n")
+        code = self.run("eval", "--src", str(binary), "--tgt", str(rotation_files["ref"]),
+                        "--src-lang", "xx", "--tgt-lang", "zz",
+                        "--test", str(rotation_files["dict"]))
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_align_multi_and_meemi_multi(self, tmp_path):
         rng = np.random.default_rng(22)
         n, d = 30, 6

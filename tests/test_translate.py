@@ -234,6 +234,18 @@ class TestHttpClient:
         with pytest.raises(TranslationError, match="malformed"):
             client.translate("a", "en", "uz")
 
+    def test_null_translation_raises_and_is_not_cached(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        session = FakeSession([FakeResponse(200, {"translation": None}),
+                               FakeResponse(200, {"translation": "yaxshi"})])
+        client = HttpTranslationClient("http://svc", api_key="k", session=session,
+                                       cache_path=path, sleep=lambda s: None)
+        with pytest.raises(TranslationError, match="malformed"):
+            client.translate("good", "en", "uz")
+        assert not path.exists() or load_cache(path) == {}
+        assert client.translate("good", "en", "uz") == "yaxshi"
+        assert len(session.calls) == 2
+
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv("LEXALIGN_TRANSLATE_KEY", "envkey")
         session = FakeSession([FakeResponse(200, {"translation": "ok"})])
