@@ -24,7 +24,7 @@ from .errors import DataError, ExternalServiceError, LexalignError, PipelineStag
 from .induction import induce, precision_at_k, render_report
 from .maps import save_maps
 from .pipeline import PipelineConfig, run_pipeline
-from .translate import HttpTranslationClient, ReplayClient, reverse_filter, \
+from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
     translate_wordlist
 
 logger = logging.getLogger(__name__)
@@ -55,6 +55,17 @@ def _parse_ks(text: str) -> tuple:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise _UsageError(f"bad k list {text!r}, expected comma-separated integers") from None
+
+
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if not 1 <= workers <= MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"expected an integer from 1 to {MAX_WORKERS}, "
+                                         f"got {text!r}")
+    return workers
 
 
 def _load_space(path, lang, steps, max_words=None, lowercase=False):
@@ -321,7 +332,7 @@ def build_parser() -> _Parser:
                    help="translation cache file (replayed when no endpoint is given)")
     p.add_argument("--rps", type=float, default=None)
     p.add_argument("--retries", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--no-reverse", action="store_true",
                    help="skip the round-trip filter")
     p.add_argument("--fold-case", action="store_true")

@@ -77,6 +77,46 @@ def _language_from_path(path) -> str:
     return token or "und"
 
 
+# Rows per np.loadtxt call in load_embeddings, and values per formatted block
+# in save_embeddings: enough to amortize each numpy call, few enough that the
+# writer's temporaries stay in cache and the reader's a few MB.
+_READ_ROWS = 1024
+_WRITE_VALUES = 1 << 14
+# Characters str.isspace() accepts that np.loadtxt strips around a field but
+# numpy's str -> float64 cast rejects; a chunk holding one is parsed row by row.
+_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+_EXACT_INT = 2.0 ** 52
+
+
+def _parse_bodies(bodies: list[str], line_nos: list[int], dim: int) -> np.ndarray:
+    """Parse row bodies ("v1 ... v_dim") into a (len(bodies), dim) matrix.
+
+    One np.loadtxt call does the work. If it fails, returns the wrong shape or a
+    non-finite value, the chunk is parsed again row by row with the reference
+    np.array(tokens, dtype=float64): that names the first bad line, and it
+    accepts the tokens float() takes but loadtxt refuses ("1_0", non-ASCII
+    digits). Where loadtxt accepts a row, its values are bitwise the reference's.
+    """
+    text = "\n".join(bodies)
+    if not any(c in text for c in _LOADTXT_ONLY_SPACE):
+        try:
+            block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if block.shape == (len(bodies), dim) and np.isfinite(block).all():
+                return block
+    block = np.empty((len(bodies), dim))
+    for i, (body, line_no) in enumerate(zip(bodies, line_nos)):
+        try:
+            block[i] = np.array(body.split(" "), dtype=np.float64)
+        except ValueError as exc:
+            raise EmbeddingParseError(str(exc), code="value", line=line_no) from None
+        if not np.isfinite(block[i]).all():
+            raise EmbeddingParseError("non-finite value", code="value", line=line_no)
+    return block
+
+
 def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
                     language: str | None = None) -> VocabEmbedding:
     """Read a text-format embedding file.
@@ -84,7 +124,10 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
     max_words keeps at most that many entries (a prefix of the file).
     lowercase folds words on ingestion; on a collision the first occurrence
     wins and the number of folded entries is logged. language defaults to the
-    first dot-separated token of the file name.
+    first dot-separated token of the file name. Every row read, kept or
+    folded, counts against the header: a row past the count is a "header"
+    error and a file with fewer rows is "truncated", unless max_words stops
+    reading first. With several defects the earliest line is reported.
     """
     if max_words is not None and max_words < 1:
         raise DataError("max_words must be positive")
@@ -101,59 +144,141 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
                                       code="header", line=1) from None
         if count < 0 or dim < 1:
             raise EmbeddingParseError(f"bad header counts {count} {dim}", code="header", line=1)
-        limit = count if max_words is None else min(count, max_words)
         words: list[str] = []
-        rows: list[np.ndarray] = []
-        index: dict[str, int] = {}
-        folded = 0
+        seen: set[str] = set()
+        blocks: list[np.ndarray] = []
+        bodies: list[str] = []
+        body_lines: list[int] = []
+        read = 0
         line_no = 1
-        for line_no, line in enumerate(fh, start=2):
-            if len(words) >= limit:
-                break
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            parts = line.rstrip(" ").split(" ")
-            if len(parts) != dim + 1:
-                raise EmbeddingParseError(f"expected {dim + 1} fields, found {len(parts)}",
-                                          code="arity", line=line_no)
-            word = parts[0]
-            if not word or word.split() != [word]:
-                raise EmbeddingParseError(f"bad word field {word!r}", code="arity", line=line_no)
-            if lowercase:
-                word = word.lower()
-            if word in index:
-                folded += 1
-                continue
-            try:
-                vec = np.array(parts[1:], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingParseError(str(exc), code="value", line=line_no) from None
-            if not np.isfinite(vec).all():
-                raise EmbeddingParseError("non-finite value", code="value", line=line_no)
-            index[word] = len(words)
-            words.append(word)
-            rows.append(vec)
-    if len(words) + folded < count and len(words) < limit:
-        raise EmbeddingParseError(f"header promises {count} rows, file has "
-                                  f"{len(words) + folded}", code="truncated",
-                                  line=line_no + 1)
+        error = None
+
+        def flush():
+            if bodies:
+                blocks.append(_parse_bodies(bodies, body_lines, dim))
+                bodies.clear()
+                body_lines.clear()
+
+        try:
+            for line_no, line in enumerate(fh, start=2):
+                if max_words is not None and len(words) >= max_words:
+                    break
+                # text mode turns every line break into a single trailing "\n"
+                line = line.rstrip("\n").rstrip(" ")
+                if not line or line.isspace():
+                    continue
+                word, _, body = line.partition(" ")
+                if read == count:
+                    error = EmbeddingParseError(f"more rows than the header's {count}",
+                                                code="header", line=line_no)
+                elif line.count(" ") != dim:
+                    error = EmbeddingParseError(
+                        f"expected {dim + 1} fields, found {line.count(' ') + 1}",
+                        code="arity", line=line_no)
+                elif not word or word.split() != [word]:
+                    error = EmbeddingParseError(f"bad word field {word!r}", code="arity",
+                                                line=line_no)
+                if error is not None:
+                    break
+                read += 1
+                if lowercase:
+                    word = word.lower()
+                if word in seen:
+                    continue
+                seen.add(word)
+                words.append(word)
+                bodies.append(body)
+                body_lines.append(line_no)
+                if len(bodies) == _READ_ROWS:
+                    flush()
+        except UnicodeDecodeError as exc:
+            error = exc
+        flush()  # a bad value on an earlier row is the earlier defect
+        if error is not None:
+            raise error
+    if read < count and (max_words is None or len(words) < max_words):
+        raise EmbeddingParseError(f"header promises {count} rows, file has {read}",
+                                  code="truncated", line=line_no + 1)
     if not words:
         raise EmbeddingParseError("no embedding rows", code="empty", line=1)
-    if folded:
-        logger.info("%s: dropped %d duplicate words, first occurrence kept", path, folded)
-    return VocabEmbedding(language=language, words=tuple(words), matrix=np.array(rows))
+    if read > len(words):
+        logger.info("%s: dropped %d duplicate words, first occurrence kept",
+                    path, read - len(words))
+    return VocabEmbedding(language=language, words=tuple(words),
+                          matrix=np.concatenate(blocks))
+
+
+def _format_block(block: np.ndarray, decimals: int) -> list[bytes | None]:
+    """Each row of block as ASCII bytes "v1 ... v_d\n", every value formatted as
+    "%.{decimals}f" % v would; None for a row left to Python's formatter.
+
+    Requires 0 <= decimals and 10**decimals < 2**52. Why this is exact: for a
+    value x let X = |x| * 10**decimals (a real number; 10**decimals is an exact
+    double) and a = fl(X), so |a - X| <= spacing(a) / 2 <= a * 2**-53. Python's
+    "%f" is correctly rounded, half to even: it prints the sign bit of x, then
+    the integer nearest X with a point `decimals` digits from the right. Below
+    2**52, a - floor(a) - 0.5 is exact wherever it is near 0, and when it
+    exceeds a * 2**-51 (>= 2 * spacing(a)) in magnitude, X lies on the same
+    side of the half-integer nearest a as a does: rint(a) is the integer
+    nearest X, and X is no tie. Rows with a value inside that band (exact ties
+    included), with a >= 2**52 or not finite, go to Python.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(block) * 10.0 ** decimals
+        python = ~(a < _EXACT_INT) | (np.abs(a - np.floor(a) - 0.5) <= a * 2.0 ** -51)
+    a = np.rint(a, out=a)
+    a[python] = 0.0
+    n = a.astype(np.int64)
+    int_digits = len(str(int(n.max()) // 10 ** decimals))
+    point = 1 if decimals else 0
+    # per value: sign, integer digits, point, fraction digits, separator;
+    # zero bytes mark the sign of a positive value and leading integer zeros
+    width = 1 + int_digits + point + decimals + 1
+    buf = np.empty(block.shape + (width,), dtype=np.uint8)
+    buf[..., 0] = np.signbit(block)
+    buf[..., 0] *= ord("-")
+    if decimals:
+        buf[..., width - 2 - decimals] = ord(".")
+    for p in range(int_digits + decimals):  # p-th digit from the right
+        col = width - 2 - p - (point if p >= decimals else 0)
+        q = n // 10
+        digit = n - q * 10
+        digit += ord("0")
+        if p > decimals:
+            digit[n == 0] = 0
+        buf[..., col] = digit
+        n = q
+    buf[..., -1] = ord(" ")
+    buf[:, -1, -1] = ord("\n")
+    flat = buf.reshape(len(block), -1)
+    keep = flat != 0
+    data = flat[keep].tobytes()
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    return [None if bad else data[start:end]
+            for bad, start, end in zip(python.any(axis=1).tolist(), [0] + ends, ends)]
 
 
 def save_embeddings(emb: VocabEmbedding, path, decimals: int = 6) -> None:
-    """Write emb in the text format, values with `decimals` fractional digits."""
+    """Write emb in the text format, values with `decimals` fractional digits.
+
+    The bytes are those of "%.{decimals}f" % v per value; see _format_block.
+    """
     if len(emb) == 0:
         raise DataError("refusing to write an empty vocabulary")
-    fmt = f"%.{decimals}f"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(emb)} {emb.dim}\n")
-        for word, row in zip(emb.words, emb.matrix):
-            fh.write(word + " " + " ".join(fmt % v for v in row) + "\n")
+    row_fmt = " ".join([f"%.{decimals}f"] * emb.dim) + "\n"
+    vectorized = decimals >= 0 and 10 ** decimals < 2 ** 52
+    step = max(1, _WRITE_VALUES // emb.dim)
+    with open(path, "wb") as fh:
+        fh.write(f"{len(emb)} {emb.dim}\n".encode())
+        for start in range(0, len(emb), step):
+            block = emb.matrix[start:start + step]
+            texts = _format_block(block, decimals) if vectorized else [None] * len(block)
+            out = []
+            for word, row, text in zip(emb.words[start:start + step], block, texts):
+                if text is None:
+                    text = (row_fmt % tuple(row.tolist())).encode("ascii")
+                out += (word.encode("utf-8"), b" ", text)
+            fh.write(b"".join(out))
 
 
 def normalize(emb: VocabEmbedding, steps) -> VocabEmbedding:

@@ -19,8 +19,9 @@ class DataError(LexalignError):
 class EmbeddingParseError(DataError):
     """A text embedding file could not be parsed.
 
-    code is one of "header", "arity", "value", "empty", "truncated" (fewer
-    rows than the header promises); line is 1-based.
+    code is one of "header" (a bad header line, or a row past the count it
+    promises), "arity", "value", "empty", "truncated" (fewer rows than the
+    header promises); line is 1-based.
     """
 
     def __init__(self, message: str, code: str, line: int):

@@ -233,8 +233,9 @@ def save_maps(maps, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for m in maps:
             fh.write(f"{m.kind} {m.d_in} {m.d_out}\n")
-            for row in m.matrix:
-                fh.write(" ".join("%.17g" % v for v in row) + "\n")
+            row_fmt = " ".join(["%.17g"] * m.d_out) + "\n"
+            for row in m.matrix.tolist():
+                fh.write(row_fmt % tuple(row))
 
 
 def save_map(m: LinearMap, path) -> None:

@@ -21,14 +21,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol
 
-import requests
-
 from .dictionary import DictionaryPairs
 from .errors import DataError, TranslationError
 
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV = "LEXALIGN_TRANSLATE_KEY"
+# Lookups wait on the network, so threads beyond a few dozen only add
+# connections and throttling; the cap keeps a typo from starting thousands.
+MAX_WORKERS = 64
 
 
 class TranslationClient(Protocol):
@@ -92,6 +93,10 @@ class HttpTranslationClient:
             raise ValueError("max_retries must be >= 0")
         if rps is not None and rps <= 0:
             raise ValueError("rps must be positive")
+        # imported here, not at module level: requests and urllib3 take a
+        # noticeable share of every CLI start, and only this client needs them
+        import requests
+        self._request_error = requests.RequestException
         self.endpoint = endpoint
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.rps = rps
@@ -135,7 +140,7 @@ class HttpTranslationClient:
             try:
                 resp = self._session.post(self.endpoint, json=payload,
                                           headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+            except self._request_error as exc:
                 last_error = exc
                 continue
             if resp.status_code == 200:
@@ -180,7 +185,13 @@ class ReverseSummary:
 
 
 def _translate_many(client, jobs, workers: int):
-    """Run (word, from, to) jobs, returning (ok, value_or_message) in input order."""
+    """Run (word, from, to) jobs, returning (ok, value_or_message) in input order.
+
+    workers threads run lookups concurrently, 1 <= workers <= MAX_WORKERS.
+    """
+    if not 1 <= workers <= MAX_WORKERS:
+        raise DataError(f"workers must be between 1 and {MAX_WORKERS}, got {workers}")
+
     def one(job):
         try:
             return True, client.translate(*job)

@@ -3,6 +3,7 @@ import pytest
 
 from lexalign import (DataError, EmbeddingParseError, VocabEmbedding,
                       load_embeddings, normalize, save_embeddings)
+from lexalign import embeddings
 
 from conftest import make_embedding
 
@@ -195,3 +196,91 @@ class TestNormalize:
         emb = VocabEmbedding("en", ("a",), np.ones((1, 2)))
         with pytest.raises(ValueError):
             normalize(emb, ["scale"])
+
+
+class TestHeaderCount:
+    def test_rows_past_the_header_count_rejected(self, tmp_path):
+        p = write(tmp_path / "en.vec", "2 1\na 1\nb 2\nc 3\n")
+        with pytest.raises(EmbeddingParseError) as err:
+            load_embeddings(p)
+        assert (err.value.code, err.value.line) == ("header", 4)
+
+    def test_folded_rows_count_against_the_header(self, tmp_path):
+        p = write(tmp_path / "en.vec", "2 1\na 1\nA 2\nb 3\nc 4\n")
+        with pytest.raises(EmbeddingParseError) as err:
+            load_embeddings(p, lowercase=True)
+        assert (err.value.code, err.value.line) == ("header", 4)
+
+    def test_max_words_stops_before_the_excess(self, tmp_path):
+        p = write(tmp_path / "en.vec", "2 1\na 1\nb 2\nc 3\n")
+        assert load_embeddings(p, max_words=2).words == ("a", "b")
+        with pytest.raises(EmbeddingParseError) as err:
+            load_embeddings(p, max_words=3)
+        assert err.value.code == "header"
+
+    def test_trailing_blank_lines_are_not_rows(self, tmp_path):
+        p = write(tmp_path / "en.vec", "2 1\na 1\nb 2\n\n \n")
+        assert load_embeddings(p).words == ("a", "b")
+
+
+class TestChunkedParse:
+    def test_float_only_tokens_fall_back_row_by_row(self, tmp_path):
+        # np.loadtxt refuses these, float() takes them
+        p = write(tmp_path / "en.vec", "2 2\na 1_0 2\nb ١ 3\n")
+        np.testing.assert_array_equal(load_embeddings(p).matrix, [[10, 2], [1, 3]])
+
+    def test_loadtxt_only_whitespace_rejected(self, tmp_path):
+        # loadtxt strips \x1c around a field, numpy's float cast does not
+        p = write(tmp_path / "en.vec", "2 2\na 1 2\nb 3\x1c 4\n")
+        with pytest.raises(EmbeddingParseError) as err:
+            load_embeddings(p)
+        assert (err.value.code, err.value.line) == ("value", 3)
+
+    def test_chunks_join_in_order(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_READ_ROWS", 3)
+        rng = np.random.default_rng(7)
+        emb = make_embedding("en", 11, 4, rng)
+        save_embeddings(emb, tmp_path / "en.vec")
+        back = load_embeddings(tmp_path / "en.vec")
+        assert back.words == emb.words
+        np.testing.assert_allclose(back.matrix, emb.matrix, atol=1e-6)
+
+    def test_earlier_non_finite_beats_later_excess_row(self, tmp_path):
+        p = write(tmp_path / "en.vec", "2 1\na inf\nb 2\nc 3\n")
+        with pytest.raises(EmbeddingParseError) as err:
+            load_embeddings(p)
+        assert (err.value.code, err.value.line) == ("value", 2)
+
+    def test_earlier_value_error_beats_later_bad_utf8(self, tmp_path):
+        # the bad bytes lie past the text reader's first decoded block
+        rows = [f"w{i} 0.5 0.25" for i in range(1000)]
+        rows[1] = "w1 0.5 oops"
+        data = ("1001 2\n" + "\n".join(rows) + "\n").encode() + b"\xff 1 2\n"
+        p = tmp_path / "en.vec"
+        p.write_bytes(data)
+        with pytest.raises(EmbeddingParseError) as err:
+            load_embeddings(p)
+        assert (err.value.code, err.value.line) == ("value", 3)
+
+
+class TestFormattedSave:
+    def test_ties_round_half_to_even_like_percent_f(self, tmp_path):
+        values = [2.0 ** -7, -2.0 ** -7, 0.5, 1.5, 2.5, -0.0, 1e-9, -1e-9, 0.0000005]
+        emb = VocabEmbedding("en", ("a",), np.array([values]))
+        for decimals in (0, 1, 6, 7):
+            save_embeddings(emb, tmp_path / "en.vec", decimals=decimals)
+            expected = "1 9\na " + " ".join(f"%.{decimals}f" % v for v in values) + "\n"
+            assert (tmp_path / "en.vec").read_bytes() == expected.encode()
+
+    def test_non_finite_and_huge_rows_use_python_format(self, tmp_path):
+        matrix = np.array([[np.nan, 1.0], [-np.inf, 2.0], [1e300, -3.5], [0.25, 0.125]])
+        emb = VocabEmbedding("en", ("a", "b", "c", "d"), matrix)
+        save_embeddings(emb, tmp_path / "en.vec", decimals=2)
+        expected = "4 2\n" + "".join(
+            f"{w} {'%.2f' % x} {'%.2f' % y}\n" for w, (x, y) in zip(emb.words, matrix))
+        assert (tmp_path / "en.vec").read_bytes() == expected.encode()
+
+    def test_utf8_words(self, tmp_path):
+        emb = VocabEmbedding("tr", ("çay", "ağaç"), np.array([[1.0], [-2.0]]))
+        save_embeddings(emb, tmp_path / "tr.vec", decimals=1)
+        assert (tmp_path / "tr.vec").read_text(encoding="utf-8") == "2 1\nçay 1.0\nağaç -2.0\n"

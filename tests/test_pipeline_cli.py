@@ -7,6 +7,7 @@ from lexalign import (DictionaryPairs, PipelineConfig, PipelineStageError,
                       VocabEmbedding, load_dictionary, load_embeddings, load_maps,
                       run_pipeline, save_dictionary, save_embeddings)
 from lexalign.cli import main
+from lexalign.translate import MAX_WORKERS
 
 from conftest import identity_dict, random_orthogonal
 
@@ -354,3 +355,14 @@ class TestCli:
         a = load_embeddings(tmp_path / "xx.meemi.vec", language="xx")
         b = load_embeddings(tmp_path / "zz.meemi.vec", language="zz")
         assert np.abs(a.matrix - b.matrix).max() <= 1e-4
+
+
+@pytest.mark.parametrize("workers", ["0", str(MAX_WORKERS + 1), "1000000", "two"])
+def test_dict_build_workers_out_of_range_exits_one(tmp_path, workers):
+    words = tmp_path / "words.txt"
+    words.write_text("good\n", encoding="utf-8")
+    code = main(["dict-build", "--words", str(words), "--src-lang", "en", "--tgt-lang", "uz",
+                 "--out", str(tmp_path / "d.tsv"), "--cache", str(tmp_path / "c.tsv"),
+                 "--workers", workers])
+    assert code == 1
+    assert not (tmp_path / "d.tsv").exists()

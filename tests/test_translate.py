@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import requests
 import pytest
 
+from lexalign import translate
 from lexalign import (DataError, DictionaryPairs, HttpTranslationClient,
                       ReplayClient, TranslationError, append_cache, load_cache,
                       reverse_filter, translate_wordlist)
@@ -253,3 +258,50 @@ class TestHttpClient:
                                        sleep=lambda s: None)
         client.translate("a", "en", "uz")
         assert session.calls[0]["headers"]["Authorization"] == "Bearer envkey"
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Record every thread pool's size; run its jobs inline, start no threads."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(translate, "ThreadPoolExecutor", InlinePool)
+        return sizes
+
+    def test_cap_is_accepted(self, pools):
+        client = ReplayClient(forward_table({"a": "x", "b": "y"}))
+        pairs, _ = translate_wordlist(client, ["a", "b"], "en", "uz",
+                                      workers=translate.MAX_WORKERS)
+        assert pairs.pairs == (("a", "x"), ("b", "y"))
+        assert pools == [translate.MAX_WORKERS]
+
+    @pytest.mark.parametrize("workers", [0, -1, translate.MAX_WORKERS + 1, 10 ** 9])
+    def test_out_of_range_rejected_before_any_pool(self, pools, workers):
+        client = ReplayClient(forward_table({"a": "x", "b": "y"}))
+        with pytest.raises(DataError, match="workers"):
+            translate_wordlist(client, ["a", "b"], "en", "uz", workers=workers)
+        d = DictionaryPairs("en", "uz", (("a", "x"), ("b", "y")))
+        with pytest.raises(DataError, match="workers"):
+            reverse_filter(client, d, workers=workers)
+        assert pools == []
+
+
+def test_importing_the_cli_does_not_import_requests():
+    code = "import sys, lexalign.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
