@@ -8,6 +8,7 @@ One executable, subcommands for each operation. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -174,27 +175,28 @@ def cmd_dict_build(args) -> int:
         raise _UsageError("dict-build needs --endpoint or --cache")
     with open(args.words, "r", encoding="utf-8") as fh:
         words = [line.strip() for line in fh if line.strip()]
-    if args.endpoint:
-        client = HttpTranslationClient(args.endpoint, rps=args.rps,
-                                       cache_path=args.cache,
-                                       max_retries=args.retries)
-    else:
-        client = ReplayClient(args.cache)
-    pairs, forward = translate_wordlist(client, words, args.src_lang, args.tgt_lang,
-                                        workers=args.workers)
-    summary = {"requested": forward.requested, "translated": forward.kept,
-               "dropped_multi_token": forward.dropped_multi_token,
-               "dropped_empty": forward.dropped_empty,
-               "failed": len(forward.failed)}
-    if forward.requested and len(forward.failed) == forward.requested:
-        raise TranslationError(f"all {forward.requested} translation requests failed")
-    if not args.no_reverse:
-        pairs, backward = reverse_filter(client, pairs, fold_case=args.fold_case,
-                                         workers=args.workers)
-        summary.update({"round_trip_checked": backward.checked,
-                        "round_trip_kept": backward.kept,
-                        "round_trip_mismatched": backward.mismatched,
-                        "round_trip_failed": len(backward.failed)})
+    with contextlib.ExitStack() as stack:
+        if args.endpoint:
+            client = stack.enter_context(HttpTranslationClient(
+                args.endpoint, rps=args.rps, cache_path=args.cache,
+                max_retries=args.retries))
+        else:
+            client = ReplayClient(args.cache)
+        pairs, forward = translate_wordlist(client, words, args.src_lang, args.tgt_lang,
+                                            workers=args.workers)
+        summary = {"requested": forward.requested, "translated": forward.kept,
+                   "dropped_multi_token": forward.dropped_multi_token,
+                   "dropped_empty": forward.dropped_empty,
+                   "failed": len(forward.failed)}
+        if forward.requested and len(forward.failed) == forward.requested:
+            raise TranslationError(f"all {forward.requested} translation requests failed")
+        if not args.no_reverse:
+            pairs, backward = reverse_filter(client, pairs, fold_case=args.fold_case,
+                                             workers=args.workers)
+            summary.update({"round_trip_checked": backward.checked,
+                            "round_trip_kept": backward.kept,
+                            "round_trip_mismatched": backward.mismatched,
+                            "round_trip_failed": len(backward.failed)})
     save_dictionary(pairs, args.out)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK

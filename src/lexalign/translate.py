@@ -13,6 +13,7 @@ and tests are fully offline.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import threading
@@ -53,9 +54,24 @@ def load_cache(path) -> dict:
     return table
 
 
+def _cache_line(word: str, from_lang: str, to_lang: str, translation: str) -> str:
+    return f"{word}\t{from_lang}\t{to_lang}\t{translation}\n"
+
+
 def append_cache(path, word: str, from_lang: str, to_lang: str, translation: str) -> None:
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{word}\t{from_lang}\t{to_lang}\t{translation}\n")
+        fh.write(_cache_line(word, from_lang, to_lang, translation))
+
+
+def _retry_after(resp) -> float:
+    """Seconds a Retry-After header asks for; 0 when it is absent or not a
+    whole number of seconds (the HTTP-date form is ignored)."""
+    value = (getattr(resp, "headers", None) or {}).get("Retry-After")
+    if isinstance(value, str):
+        value = value.strip()
+        if value.isascii() and value.isdigit():
+            return float(value)
+    return 0.0
 
 
 class ReplayClient:
@@ -80,9 +96,15 @@ class HttpTranslationClient:
     second cap, and a write-through cache.
 
     Retries cover connection failures, 5xx responses and 429; other 4xx
-    statuses fail immediately. The session, sleep and clock are injectable so
-    tests run without a network or a wall clock. The API key falls back to
-    the LEXALIGN_TRANSLATE_KEY environment variable.
+    statuses fail immediately. A 429 or 503 with a Retry-After of whole
+    seconds waits at least that long, at most timeout, before the next try.
+    The session, sleep and clock are injectable so tests run without a
+    network or a wall clock. The API key falls back to the
+    LEXALIGN_TRANSLATE_KEY environment variable.
+
+    The cache file is opened on the first new entry and kept open; each
+    entry is flushed before translate returns. close() (or leaving a with
+    block) closes it, and the session when the client created it.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, rps: float | None = None,
@@ -104,14 +126,30 @@ class HttpTranslationClient:
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
-        self._session = session if session is not None else requests.Session()
+        self._owns_session = session is None
+        self._session = requests.Session() if self._owns_session else session
         self._sleep = sleep
         self._clock = clock
         self._lock = threading.Lock()
         self._next_slot = 0.0
         self._cache = {}
+        self._cache_file = None
         if cache_path is not None and os.path.exists(cache_path):
             self._cache = load_cache(cache_path)
+
+    def close(self) -> None:
+        with self._lock:
+            if self._cache_file is not None:
+                self._cache_file.close()
+                self._cache_file = None
+        if self._owns_session:
+            self._session.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _throttle(self) -> None:
         if not self.rps:
@@ -133,15 +171,18 @@ class HttpTranslationClient:
             headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {"q": word, "source": from_lang, "target": to_lang}
         last_error = None
+        retry_after = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt:
-                self._sleep(self.backoff * 2 ** (attempt - 1))
+                self._sleep(max(self.backoff * 2 ** (attempt - 1),
+                                min(retry_after, self.timeout)))
             self._throttle()
             try:
                 resp = self._session.post(self.endpoint, json=payload,
                                           headers=headers, timeout=self.timeout)
             except self._request_error as exc:
                 last_error = exc
+                retry_after = 0.0
                 continue
             if resp.status_code == 200:
                 try:
@@ -156,10 +197,17 @@ class HttpTranslationClient:
                 with self._lock:
                     self._cache[key] = translation
                     if self.cache_path is not None:
-                        append_cache(self.cache_path, word, from_lang, to_lang, translation)
+                        if self._cache_file is None:
+                            self._cache_file = open(self.cache_path, "a", encoding="utf-8",
+                                                    newline="\n")
+                        self._cache_file.write(_cache_line(word, from_lang, to_lang,
+                                                           translation))
+                        self._cache_file.flush()
                 return translation
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = TranslationError(f"HTTP {resp.status_code}")
+                retry_after = (_retry_after(resp) if resp.status_code in (429, 503)
+                               else 0.0)
                 continue
             raise TranslationError(
                 f"HTTP {resp.status_code} translating {word!r} {from_lang}->{to_lang}")
@@ -187,21 +235,42 @@ class ReverseSummary:
 def _translate_many(client, jobs, workers: int):
     """Run (word, from, to) jobs, returning (ok, value_or_message) in input order.
 
-    workers threads run lookups concurrently, 1 <= workers <= MAX_WORKERS.
+    Each distinct job is looked up once and its outcome copied to every
+    repeat. min(workers, distinct jobs) loops, 1 <= workers <= MAX_WORKERS,
+    claim job indices from one shared counter, so no future is made per
+    lookup. An exception other than TranslationError stops every loop and
+    propagates.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise DataError(f"workers must be between 1 and {MAX_WORKERS}, got {workers}")
+    outcomes = dict.fromkeys(jobs)
+    unique = list(outcomes)
+    # next() on a count is one C call, so no two loops get the same index
+    claim = itertools.count()
+    stop = threading.Event()
 
-    def one(job):
+    def drain(_slot):
         try:
-            return True, client.translate(*job)
-        except TranslationError as exc:
-            return False, str(exc)
+            while not stop.is_set():
+                i = next(claim)
+                if i >= len(unique):
+                    return
+                job = unique[i]
+                try:
+                    outcomes[job] = True, client.translate(*job)
+                except TranslationError as exc:
+                    outcomes[job] = False, str(exc)
+        except BaseException:
+            stop.set()
+            raise
 
-    if workers > 1 and len(jobs) > 1:
+    loops = min(workers, len(unique))
+    if loops > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, jobs))
-    return [one(job) for job in jobs]
+            list(pool.map(drain, range(loops)))
+    else:
+        drain(0)
+    return [outcomes[job] for job in jobs]
 
 
 def translate_wordlist(client, words, src_lang: str, tgt_lang: str, workers: int = 1):

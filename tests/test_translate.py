@@ -1,9 +1,14 @@
+import gc
 import os
 import subprocess
 import sys
+import threading
+import time
+import warnings
 
 import requests
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexalign import translate
 from lexalign import (DataError, DictionaryPairs, HttpTranslationClient,
@@ -305,3 +310,243 @@ def test_importing_the_cli_does_not_import_requests():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+
+class HeaderResponse(FakeResponse):
+    def __init__(self, status_code, headers, payload=None):
+        super().__init__(status_code, payload)
+        self.headers = headers
+
+
+class CountingSession:
+    """Answers every POST with a fixed translation after a short wait,
+    counting the requests; safe to share between threads."""
+
+    def __init__(self, answer, delay=0.01):
+        self.answer = answer
+        self.delay = delay
+        self.posts = 0
+        self._lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        time.sleep(self.delay)
+        with self._lock:
+            self.posts += 1
+        return FakeResponse(200, {"translation": self.answer})
+
+
+class TestDistinctLookups:
+    def test_repeated_job_posts_and_caches_once(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        session = CountingSession("syn0")
+        with HttpTranslationClient("http://svc", api_key="k", session=session,
+                                   cache_path=path, sleep=lambda s: None) as client:
+            results = translate._translate_many(client, [("same", "uz", "en")] * 20, 4)
+        assert results == [(True, "syn0")] * 20
+        assert session.posts == 1
+        assert path.read_text(encoding="utf-8") == "same\tuz\ten\tsyn0\n"
+
+
+class TestRetryAfter:
+    def run(self, status, headers, timeout=30.0):
+        session = FakeSession([HeaderResponse(status, headers),
+                               FakeResponse(200, {"translation": "ok"})])
+        sleeps = []
+        client = HttpTranslationClient("http://svc", api_key="k", session=session,
+                                       sleep=sleeps.append, timeout=timeout)
+        assert client.translate("a", "en", "uz") == "ok"
+        return sleeps
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_seconds_value_waited(self, status):
+        assert self.run(status, {"Retry-After": "3"}) == [3.0]
+
+    def test_value_above_timeout_capped(self):
+        assert self.run(429, {"Retry-After": "120"}, timeout=7.0) == [7.0]
+
+    def test_value_below_backoff_keeps_backoff(self):
+        assert self.run(429, {"Retry-After": "0"}) == [0.5]
+
+    @pytest.mark.parametrize("value", ["soon", "1.5", "-3",
+                                       "Wed, 21 Oct 2015 07:28:00 GMT"])
+    def test_non_numeric_value_ignored(self, value):
+        assert self.run(429, {"Retry-After": value}) == [0.5]
+
+    def test_missing_header_uses_backoff(self):
+        assert self.run(429, {}) == [0.5]
+
+    def test_other_server_errors_ignore_header(self):
+        assert self.run(500, {"Retry-After": "3"}) == [0.5]
+
+    def test_case_insensitive_headers_from_requests(self):
+        headers = requests.structures.CaseInsensitiveDict({"retry-after": "2"})
+        assert self.run(503, headers) == [2.0]
+
+
+class ExplodingClient:
+    def translate(self, word, from_lang, to_lang):
+        raise RuntimeError(f"boom {word}")
+
+
+class TestErrorPropagation:
+    def test_translate_wordlist_raises_and_joins_threads(self):
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="boom"):
+            translate_wordlist(ExplodingClient(), [f"w{i}" for i in range(50)],
+                               "en", "uz", workers=2)
+        assert threading.active_count() == before
+
+    def test_reverse_filter_raises_and_joins_threads(self):
+        before = threading.active_count()
+        fwd = DictionaryPairs("en", "uz", tuple((f"w{i}", f"t{i}") for i in range(50)))
+        with pytest.raises(RuntimeError, match="boom"):
+            reverse_filter(ExplodingClient(), fwd, workers=2)
+        assert threading.active_count() == before
+
+    def test_other_loops_stop_after_an_error(self):
+        calls = []
+
+        class FailsFirst:
+            def translate(self, word, from_lang, to_lang):
+                calls.append(word)
+                if word == "w10":
+                    raise RuntimeError("boom")
+                time.sleep(0.001)
+                return word
+
+        with pytest.raises(RuntimeError, match="boom"):
+            translate._translate_many(FailsFirst(), [(f"w{i}", "en", "uz")
+                                                     for i in range(1000)], 2)
+        assert len(calls) < 1000
+
+
+class RecordingClient:
+    def __init__(self, table):
+        self.replay = ReplayClient(table)
+        self.calls = []
+        self._lock = threading.Lock()
+
+    def translate(self, word, from_lang, to_lang):
+        with self._lock:
+            self.calls.append((word, from_lang, to_lang))
+        return self.replay.translate(word, from_lang, to_lang)
+
+
+class TestDispatch:
+    @settings(max_examples=60, deadline=None)
+    @given(words=st.lists(st.sampled_from([f"w{i}" for i in range(12)]), max_size=40),
+           known=st.sets(st.sampled_from([f"w{i}" for i in range(12)])))
+    def test_matches_serial_loop(self, words, known):
+        client = ReplayClient({(w, "en", "uz"): f"t-{w}" for w in known})
+        jobs = [(w, "en", "uz") for w in words]
+        expected = []
+        for job in jobs:
+            try:
+                expected.append((True, client.translate(*job)))
+            except TranslationError as exc:
+                expected.append((False, str(exc)))
+        for workers in (1, 2, 8):
+            assert translate._translate_many(client, jobs, workers) == expected
+
+    def test_each_job_claimed_once_under_contention(self):
+        table = {(f"w{i}", "en", "uz"): f"t{i}" for i in range(3000)}
+        jobs = list(table) + [("missing", "en", "uz")]
+        client = RecordingClient(table)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = translate._translate_many(client, jobs, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(client.calls) == sorted(jobs)
+        assert results[:-1] == [(True, f"t{i}") for i in range(3000)]
+        assert results[-1][0] is False
+
+
+class TestCacheWriteThrough:
+    def test_entry_readable_as_soon_as_translate_returns(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        session = FakeSession([FakeResponse(200, {"translation": f"t{i}"})
+                               for i in range(3)])
+        client = HttpTranslationClient("http://svc", api_key="k", session=session,
+                                       cache_path=path, sleep=lambda s: None)
+        for i in range(3):
+            client.translate(f"w{i}", "en", "uz")
+            assert load_cache(path) == {(f"w{j}", "en", "uz"): f"t{j}"
+                                        for j in range(i + 1)}
+        client.close()
+        client.close()
+        assert load_cache(path) == {(f"w{j}", "en", "uz"): f"t{j}" for j in range(3)}
+
+    def test_appends_to_an_existing_cache(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        append_cache(path, "old", "en", "uz", "eski")
+        session = FakeSession([FakeResponse(200, {"translation": "yangi"})])
+        with HttpTranslationClient("http://svc", api_key="k", session=session,
+                                   cache_path=path, sleep=lambda s: None) as client:
+            assert client.translate("old", "en", "uz") == "eski"
+            assert client.translate("new", "en", "uz") == "yangi"
+        assert path.read_text(encoding="utf-8") == ("old\ten\tuz\teski\n"
+                                                    "new\ten\tuz\tyangi\n")
+
+    def test_no_file_opened_without_new_entries(self, tmp_path):
+        path = tmp_path / "cache.tsv"
+        with HttpTranslationClient("http://svc", api_key="k", session=FakeSession([]),
+                                   cache_path=path, sleep=lambda s: None):
+            pass
+        assert not path.exists()
+
+
+class EchoSession:
+    """Answers {"q": w} with w + "x" one way and strips the "x" back."""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        q = json["q"]
+        answer = q[:-1] if json["source"] == "uz" else q + "x"
+        return FakeResponse(200, {"translation": answer})
+
+    def close(self):
+        pass
+
+
+
+def test_close_closes_only_a_session_it_created(monkeypatch):
+    class OwnSession(EchoSession):
+        def __init__(self):
+            self.closed = False
+
+        def close(self):
+            self.closed = True
+
+    created = []
+
+    def make_session():
+        created.append(OwnSession())
+        return created[-1]
+
+    monkeypatch.setattr(requests, "Session", make_session)
+    with HttpTranslationClient("http://svc", api_key="k"):
+        pass
+    assert [s.closed for s in created] == [True]
+    injected = OwnSession()
+    HttpTranslationClient("http://svc", api_key="k", session=injected).close()
+    assert not injected.closed
+
+def test_dict_build_endpoint_leaves_no_open_cache(tmp_path, monkeypatch, capsys):
+    from lexalign.cli import main
+
+    monkeypatch.setattr(requests, "Session", EchoSession)
+    words = tmp_path / "words.txt"
+    words.write_text("good\nbad\n", encoding="utf-8")
+    cache = tmp_path / "cache.tsv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["dict-build", "--words", str(words), "--src-lang", "en",
+                     "--tgt-lang", "uz", "--out", str(tmp_path / "d.tsv"),
+                     "--endpoint", "http://svc/translate", "--cache", str(cache),
+                     "--workers", "2"])
+        gc.collect()
+    assert code == 0
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert load_cache(cache) == {("good", "en", "uz"): "goodx", ("bad", "en", "uz"): "badx",
+                                 ("goodx", "uz", "en"): "good", ("badx", "uz", "en"): "bad"}
