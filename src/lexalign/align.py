@@ -12,12 +12,12 @@ a hub language.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .dictionary import DictionaryPairs, transpose
+from .dictionary import DictionaryPairs, orient
 from .embeddings import VocabEmbedding
 from .errors import DataError
 from .maps import (LinearMap, PairedMatrices, build_paired_matrices,
@@ -91,16 +91,6 @@ def replay_maps(emb: VocabEmbedding, maps) -> np.ndarray:
     return out
 
 
-def _oriented(pairs: DictionaryPairs, src_lang: str, tgt_lang: str) -> DictionaryPairs:
-    """Return pairs as src_lang -> tgt_lang, transposing when stored the other way."""
-    if (pairs.src_lang, pairs.tgt_lang) == (src_lang, tgt_lang):
-        return pairs
-    if (pairs.src_lang, pairs.tgt_lang) == (tgt_lang, src_lang):
-        return transpose(pairs)
-    raise DataError(f"dictionary covers {pairs.src_lang}->{pairs.tgt_lang}, "
-                    f"needed {src_lang}->{tgt_lang}")
-
-
 def _check_alignable(reference: VocabEmbedding, other: VocabEmbedding) -> None:
     if reference.language == other.language:
         raise DataError("reference and other space share a language code")
@@ -116,9 +106,9 @@ def align_orthogonal(reference: VocabEmbedding, other: VocabEmbedding,
     """Rotate `other` onto `reference` with the closed-form orthogonal map
     fitted on dictionary rows. The reference matrix is left untouched."""
     _check_alignable(reference, other)
-    oriented = _oriented(pairs, other.language, reference.language)
+    oriented = orient(pairs, other.language, reference.language)
     pm = build_paired_matrices(other, reference, oriented)
-    w = replace(procrustes(pm), assumes_norm=other.norm_recipe)
+    w = procrustes(pm)
     logger.info("orthogonal %s->%s: pairs_used=%d oov_src=%d oov_tgt=%d",
                 other.language, reference.language, len(pm), pm.oov_src, pm.oov_tgt)
     moved = AlignedSpace(apply_map(other, w), maps_applied=(w,),
@@ -143,7 +133,7 @@ def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
     d = reference.dim
     if reduce_dim is not None and not 1 <= reduce_dim <= d:
         raise DataError(f"reduce_dim must be in [1, {d}], got {reduce_dim}")
-    oriented = _oriented(pairs, other.language, reference.language)
+    oriented = orient(pairs, other.language, reference.language)
     pm = build_paired_matrices(other, reference, oriented)
 
     wx = whitening_transform(pm.X)
@@ -156,10 +146,8 @@ def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
     dewhite_ref = LinearMap(u.T @ spd_inverse(wx.matrix) @ u, "composite")
 
     chains = {
-        other.language: [replace(wx, assumes_norm=other.norm_recipe),
-                         LinearMap(u, "orthogonal"), scale, dewhite_other],
-        reference.language: [replace(wz, assumes_norm=reference.norm_recipe),
-                             LinearMap(v, "orthogonal"), scale, dewhite_ref],
+        other.language: [wx, LinearMap(u, "orthogonal"), scale, dewhite_other],
+        reference.language: [wz, LinearMap(v, "orthogonal"), scale, dewhite_ref],
     }
     if reduce_dim is not None and reduce_dim < d:
         truncate = LinearMap(np.eye(d)[:, :reduce_dim], "composite")
@@ -247,7 +235,7 @@ def meemi_multilingual(hub: AlignedSpace, others, source_set,
     hub_order: list[str] = []
     seen_hub = set()
     for space, pairs in others:
-        oriented = _oriented(pairs, hub_lang, space.language)
+        oriented = orient(pairs, hub_lang, space.language)
         table: dict[str, list[str]] = {}
         emb = space.embedding
         for h, t in oriented.pairs:

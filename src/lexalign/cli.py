@@ -15,16 +15,15 @@ import os
 import sys
 
 from . import __version__
-from .align import align_multistep, align_orthogonal, AlignedSpace, meemi_bilingual, \
-    meemi_multilingual, MultiSpace
+from .align import AlignedSpace, meemi_bilingual, MultiSpace
 from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
                          save_dictionary, split_dictionary)
-from .embeddings import DEFAULT_NORMALIZE, load_embeddings, normalize, save_embeddings
+from .embeddings import DEFAULT_NORMALIZE, load_embeddings
 from .errors import DataError, ExternalServiceError, LexalignError, PipelineStageError, \
     TranslationError
 from .induction import induce, precision_at_k, render_report
-from .maps import save_maps
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import (check_method, fit_method, load_space, PipelineConfig, run_pipeline,
+                       write_space)
 from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
     translate_wordlist
 
@@ -69,15 +68,8 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def _load_space(path, lang, steps, max_words=None, lowercase=False):
-    emb = load_embeddings(path, max_words=max_words, lowercase=lowercase, language=lang)
-    return normalize(emb, steps) if steps else emb
-
-
 def _write_space(space: AlignedSpace, vec_path) -> None:
-    save_embeddings(space.embedding, vec_path)
-    if space.maps_applied:
-        save_maps(space.maps_applied, f"{os.fspath(vec_path)}.map")
+    write_space(space, vec_path, f"{os.fspath(vec_path)}.map")
 
 
 def cmd_align(args) -> int:
@@ -85,50 +77,38 @@ def cmd_align(args) -> int:
     if args.method in ("multistep", "meemi") and not args.out_ref:
         raise _UsageError(f"method {args.method} moves the reference space too; "
                           f"pass --out-ref")
-    reference = _load_space(args.ref, args.ref_lang, steps, args.max_words, args.lowercase)
-    other = _load_space(args.other, args.other_lang, steps, args.max_words, args.lowercase)
-    langs = (reference.language, other.language) if args.dict_direction == "ref2other" \
-        else (other.language, reference.language)
+    reference = load_space(args.ref, args.ref_lang, steps, args.max_words, args.lowercase)
+    other = load_space(args.other, args.other_lang, steps, args.max_words, args.lowercase)
+    ref_lang, lang = reference.language, other.language
+    check_method(args.method, ref_lang, [lang], [])
+    langs = (ref_lang, lang) if args.dict_direction == "ref2other" else (lang, ref_lang)
     pairs = load_dictionary(args.dict, *langs)
-    if args.method == "orthogonal":
-        ms = align_orthogonal(reference, other, pairs)
-    elif args.method == "multistep":
-        ms = align_multistep(reference, other, pairs, reweight_p=args.reweight_p,
-                             reduce_dim=args.reduce_dim)
-    else:
-        ms = meemi_bilingual(align_orthogonal(reference, other, pairs), pairs)
-    _write_space(ms[other.language], args.out)
+    spaces = fit_method(args.method, reference, {lang: (other, pairs)},
+                        args.reweight_p, args.reduce_dim)
+    _write_space(spaces[lang], args.out)
     if args.out_ref:
-        _write_space(ms[reference.language], args.out_ref)
+        _write_space(spaces[ref_lang], args.out_ref)
     return EXIT_OK
 
 
 def cmd_align_multi(args) -> int:
     steps = _parse_steps(args.normalize)
-    reference = _load_space(args.ref, args.ref_lang, steps, args.max_words, args.lowercase)
-    aligned = []
-    for pair_text in args.pair:
-        parts = pair_text.split(":")
+    pair_parts = [text.split(":") for text in args.pair]
+    for text, parts in zip(args.pair, pair_parts):
         if len(parts) != 3:
-            raise _UsageError(f"bad --pair {pair_text!r}, expected LANG:VEC:DICT")
-        lang, vec_path, dict_path = parts
-        other = _load_space(vec_path, lang, steps, args.max_words, args.lowercase)
-        pairs = load_dictionary(dict_path, reference.language, lang)
-        ms = align_orthogonal(reference, other, pairs)
-        aligned.append((ms[lang], pairs))
-    if args.method == "meemi-multi":
-        sources = set(args.sources.split(",")) if args.sources else set()
-        sources.add(reference.language)
-        hub_space = AlignedSpace(reference, (), reference.language)
-        result = meemi_multilingual(hub_space, aligned, sources,
-                                    all_combinations=args.all_combinations)
-    else:
-        merged = {reference.language: AlignedSpace(reference, (), reference.language)}
-        merged.update((space.language, space) for space, _ in aligned)
-        result = MultiSpace(merged, hub=reference.language)
+            raise _UsageError(f"bad --pair {text!r}, expected LANG:VEC:DICT")
+    reference = load_space(args.ref, args.ref_lang, steps, args.max_words, args.lowercase)
+    sources = check_method(args.method, reference.language,
+                           [lang for lang, _, _ in pair_parts],
+                           args.sources.split(",") if args.sources else [])
+    targets = {lang: (load_space(vec_path, lang, steps, args.max_words, args.lowercase),
+                      load_dictionary(dict_path, reference.language, lang))
+               for lang, vec_path, dict_path in pair_parts}
+    spaces = fit_method(args.method, reference, targets, sources=sources,
+                        all_combinations=args.all_combinations)
     os.makedirs(args.out_dir, exist_ok=True)
-    for lang in result.languages():
-        _write_space(result[lang], os.path.join(args.out_dir, f"{lang}.aligned.vec"))
+    for lang in spaces.languages():
+        _write_space(spaces[lang], os.path.join(args.out_dir, f"{lang}.aligned.vec"))
     return EXIT_OK
 
 
@@ -234,6 +214,9 @@ def cmd_dict_split(args) -> int:
 def cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise DataError(f"{args.config}: the config must be a JSON object, "
+                        f"got {type(raw).__name__}")
     for override in args.set or []:
         if "=" not in override:
             raise _UsageError(f"bad --set {override!r}, expected KEY=VALUE")

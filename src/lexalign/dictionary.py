@@ -41,7 +41,18 @@ def transpose(d: DictionaryPairs) -> DictionaryPairs:
                            tuple((t, s) for s, t in d.pairs), d.provenance)
 
 
-def _single_token(word: str) -> bool:
+def orient(d: DictionaryPairs, src_lang: str, tgt_lang: str) -> DictionaryPairs:
+    """Return d as src_lang -> tgt_lang, transposing when stored the other way."""
+    if (d.src_lang, d.tgt_lang) == (src_lang, tgt_lang):
+        return d
+    if (d.src_lang, d.tgt_lang) == (tgt_lang, src_lang):
+        return transpose(d)
+    raise DataError(f"dictionary covers {d.src_lang}->{d.tgt_lang}, "
+                    f"needed {src_lang}->{tgt_lang}")
+
+
+def single_token(word: str) -> bool:
+    """True for a non-empty word with no whitespace in it."""
     return bool(word) and word.split() == [word]
 
 
@@ -54,7 +65,7 @@ def clean_dictionary(d: DictionaryPairs) -> DictionaryPairs:
         if pair in seen:
             continue
         seen.add(pair)
-        if _single_token(pair[0]) and _single_token(pair[1]):
+        if single_token(pair[0]) and single_token(pair[1]):
             kept.append(pair)
     return replace(d, pairs=tuple(kept))
 
@@ -75,7 +86,7 @@ def merge_dictionaries(a: DictionaryPairs, b: DictionaryPairs,
         if pair in seen:
             continue
         seen.add(pair)
-        if reapply_token_filter and not (_single_token(pair[0]) and _single_token(pair[1])):
+        if reapply_token_filter and not (single_token(pair[0]) and single_token(pair[1])):
             continue
         merged.append(pair)
     return DictionaryPairs(a.src_lang, a.tgt_lang, tuple(merged), provenance="merged")

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .dictionary import single_token
 from .errors import DataError, EmbeddingParseError
 
 logger = logging.getLogger(__name__)
@@ -45,9 +46,11 @@ class VocabEmbedding:
             raise DataError(f"{len(self.words)} words but {matrix.shape[0]} matrix rows")
         if matrix.shape[1] < 1:
             raise DataError("embedding dimension must be positive")
-        for w in self.words:
-            if not w or w.split() != [w]:
-                raise DataError(f"invalid word {w!r}: empty or contains whitespace")
+        # one split over the joined vocabulary gives back the words exactly
+        # when every word is a single token, without a call per word
+        if " ".join(self.words).split() != list(self.words):
+            bad = next(w for w in self.words if not single_token(w))
+            raise DataError(f"invalid word {bad!r}: empty or contains whitespace")
         if len(set(self.words)) != len(self.words):
             raise DataError("duplicate words in vocabulary")
 
@@ -175,7 +178,7 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
                     error = EmbeddingParseError(
                         f"expected {dim + 1} fields, found {line.count(' ') + 1}",
                         code="arity", line=line_no)
-                elif not word or word.split() != [word]:
+                elif not single_token(word):
                     error = EmbeddingParseError(f"bad word field {word!r}", code="arity",
                                                 line=line_no)
                 if error is not None:

@@ -24,20 +24,14 @@ RESIDUAL_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A right-multiplication map row -> row @ matrix, tagged by kind.
-
-    assumes_norm names the normalization recipe the input rows are expected
-    to carry; it is advisory and not serialized.
-    """
+    """A right-multiplication map row -> row @ matrix, tagged by kind."""
 
     matrix: np.ndarray
     kind: str
-    assumes_norm: tuple[str, ...] = ()
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=np.float64)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "assumes_norm", tuple(self.assumes_norm))
         if self.kind not in MAP_KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}, expected one of {MAP_KINDS}")
         if matrix.ndim != 2:

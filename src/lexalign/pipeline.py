@@ -1,5 +1,7 @@
 """Declarative end-to-end runs: dictionary preparation, alignment, evaluation,
-and a manifest that pins configuration and input hashes.
+and a manifest that pins configuration and input hashes. The fitting path
+(check_method, fit_method, load_space, write_space) is shared with the
+align and align-multi commands.
 
 A run is deterministic: the same configuration over the same inputs writes
 byte-identical artifacts. While a run is in flight an INCOMPLETE marker file
@@ -14,7 +16,7 @@ import json
 import logging
 import platform
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +24,8 @@ import scipy
 
 from .align import (AlignedSpace, MultiSpace, align_multistep, align_orthogonal,
                     meemi_bilingual, meemi_multilingual)
-from .dictionary import (DictionaryPairs, clean_dictionary, load_dictionary,
-                         split_dictionary, transpose)
+from .dictionary import (DictionaryPairs, clean_dictionary, load_dictionary, orient,
+                         split_dictionary)
 from .embeddings import DEFAULT_NORMALIZE, NORM_STEPS, load_embeddings, normalize, save_embeddings
 from .errors import DataError, PipelineStageError
 from .induction import precision_at_k, render_report
@@ -56,28 +58,24 @@ class PipelineConfig:
     max_words: int | None = None
     clean_dicts: bool = True
 
-    _KEYS = ("reference", "targets", "out_dir", "method", "normalize", "reweight_p",
-             "reduce_dim", "sources", "split", "eval", "seed", "lowercase",
-             "max_words", "clean_dicts")
-
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        unknown = set(raw) - set(cls._KEYS)
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
         for key in ("reference", "targets", "out_dir"):
             if key not in raw:
                 raise DataError(f"config is missing required key {key!r}")
 
-        reference = dict(raw["reference"])
-        if set(reference) - {"lang", "path"} or not {"lang", "path"} <= set(reference):
+        reference = _json_object(raw["reference"], "reference")
+        if set(reference) != {"lang", "path"}:
             raise DataError("reference must have exactly the keys lang and path")
 
         targets = []
-        if not raw["targets"]:
+        if not isinstance(raw["targets"], list) or not raw["targets"]:
             raise DataError("targets must be a non-empty list")
         for entry in raw["targets"]:
-            entry = dict(entry)
+            entry = _json_object(entry, "a target entry")
             extra = set(entry) - {"lang", "path", "dict", "dict_direction"}
             if extra or not {"lang", "path", "dict"} <= set(entry):
                 raise DataError(f"target entry needs lang, path, dict "
@@ -85,18 +83,11 @@ class PipelineConfig:
             entry.setdefault("dict_direction", "ref2other")
             if entry["dict_direction"] not in DICT_DIRECTIONS:
                 raise DataError(f"dict_direction must be one of {DICT_DIRECTIONS}")
-            if entry["lang"] == reference["lang"]:
-                raise DataError("a target repeats the reference language")
             targets.append(entry)
-        if len({t["lang"] for t in targets}) != len(targets):
-            raise DataError("duplicate target languages")
 
         method = raw.get("method", "orthogonal")
-        if method not in METHODS:
-            raise DataError(f"method must be one of {METHODS}, got {method!r}")
-        if method in ("multistep", "meemi") and len(targets) > 1:
-            raise DataError(f"method {method!r} aligns one language pair per run; "
-                            f"use meemi-multi for several targets")
+        sources = check_method(method, reference["lang"], [t["lang"] for t in targets],
+                               raw.get("sources") or [])
 
         steps = tuple(raw.get("normalize", DEFAULT_NORMALIZE))
         bad = [s for s in steps if s not in NORM_STEPS]
@@ -115,7 +106,7 @@ class PipelineConfig:
         seed = raw.get("seed")
         split = raw.get("split")
         if split is not None:
-            split = dict(split)
+            split = _json_object(split, "split")
             if set(split) - {"test_size", "seed"} or "test_size" not in split:
                 raise DataError("split needs test_size (optional seed)")
             if int(split["test_size"]) < 1:
@@ -129,7 +120,7 @@ class PipelineConfig:
 
         evaluation = raw.get("eval")
         if evaluation is not None:
-            evaluation = dict(evaluation)
+            evaluation = _json_object(evaluation, "eval")
             extra = set(evaluation) - {"test", "ks", "oov_policy", "label"}
             if extra:
                 raise DataError(f"unknown eval keys: {sorted(extra)}")
@@ -145,16 +136,6 @@ class PipelineConfig:
             if evaluation["test"] is None and split is None:
                 raise DataError("eval needs either a test dictionary or a split")
 
-        sources = list(raw.get("sources") or [])
-        if method == "meemi-multi":
-            known = {reference["lang"], *(t["lang"] for t in targets)}
-            bad = set(sources) - known
-            if bad:
-                raise DataError(f"sources name unknown languages: {sorted(bad)}")
-            sources = sorted(set(sources) | {reference["lang"]})
-        elif sources:
-            raise DataError("sources only applies to method meemi-multi")
-
         max_words = raw.get("max_words")
         if max_words is not None and int(max_words) < 1:
             raise DataError("max_words must be positive")
@@ -169,22 +150,81 @@ class PipelineConfig:
 
     def canonical(self) -> dict:
         """Fully resolved configuration, suitable for hashing."""
-        return {
-            "reference": self.reference,
-            "targets": self.targets,
-            "out_dir": self.out_dir,
-            "method": self.method,
-            "normalize": list(self.normalize),
-            "reweight_p": self.reweight_p,
-            "reduce_dim": self.reduce_dim,
-            "sources": self.sources,
-            "split": self.split,
-            "eval": self.eval,
-            "seed": self.seed,
-            "lowercase": self.lowercase,
-            "max_words": self.max_words,
-            "clean_dicts": self.clean_dicts,
-        }
+        return {**asdict(self), "normalize": list(self.normalize)}
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DataError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
+def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
+    """Validate a fitting method against the reference language, the target
+    languages and the languages named as meemi-multi sources. Returns the
+    sources as fit_method takes them: sorted with the reference added for
+    meemi-multi, empty otherwise. Raises DataError."""
+    if method not in METHODS:
+        raise DataError(f"method must be one of {METHODS}, got {method!r}")
+    if ref_lang in langs:
+        raise DataError("a target repeats the reference language")
+    if len(set(langs)) != len(langs):
+        raise DataError("duplicate target languages")
+    if method in ("multistep", "meemi") and len(langs) > 1:
+        raise DataError(f"method {method!r} aligns one language pair per run; "
+                        f"use meemi-multi for several targets")
+    sources = set(sources)
+    if method != "meemi-multi":
+        if sources:
+            raise DataError("sources only applies to method meemi-multi")
+        return []
+    bad = sources - {ref_lang, *langs}
+    if bad:
+        raise DataError(f"sources name unknown languages: {sorted(bad)}")
+    return sorted(sources | {ref_lang})
+
+
+def fit_method(method: str, reference, targets: dict, reweight_p: float = 0.5,
+               reduce_dim: int | None = None, sources=(),
+               all_combinations: bool = False) -> MultiSpace:
+    """Align every target onto the reference with one method, after
+    check_method has accepted it. targets maps each language to its
+    (embedding, training dictionary); the dictionary may run either way.
+    multistep takes reweight_p and reduce_dim, meemi-multi the checked
+    sources and all_combinations."""
+    ref_lang = reference.language
+    if method == "multistep":
+        (other, pairs), = targets.values()
+        return align_multistep(reference, other, pairs, reweight_p=reweight_p,
+                               reduce_dim=reduce_dim)
+    rotated = {lang: (align_orthogonal(reference, other, pairs), pairs)
+               for lang, (other, pairs) in targets.items()}
+    if method == "meemi":
+        (spaces, pairs), = rotated.values()
+        return meemi_bilingual(spaces, pairs)
+    hub = AlignedSpace(reference, (), ref_lang)
+    if method == "meemi-multi":
+        return meemi_multilingual(hub, [(spaces[lang], pairs)
+                                        for lang, (spaces, pairs) in rotated.items()],
+                                  set(sources), all_combinations=all_combinations)
+    return MultiSpace({ref_lang: hub, **{lang: spaces[lang]
+                                         for lang, (spaces, _) in rotated.items()}},
+                      hub=ref_lang)
+
+
+def load_space(path, lang, steps, max_words=None, lowercase=False):
+    """Load an embedding file and apply the normalization steps, if any."""
+    emb = load_embeddings(path, max_words, lowercase, language=lang)
+    return normalize(emb, steps) if steps else emb
+
+
+def write_space(space: AlignedSpace, vec_path, map_path) -> bool:
+    """Write the aligned vectors, and the map chain when maps moved them;
+    return whether a map file was written."""
+    save_embeddings(space.embedding, vec_path)
+    if space.maps_applied:
+        save_maps(space.maps_applied, map_path)
+    return bool(space.maps_applied)
 
 
 def _sha256_file(path) -> str:
@@ -210,15 +250,6 @@ def _stage(name: str):
         logger.error("stage=%s status=failed error=%s", name, exc)
         raise PipelineStageError(name, exc) from exc
     logger.info("stage=%s status=done", name)
-
-
-def _oriented_ref_first(pairs: DictionaryPairs, ref_lang: str, other_lang: str):
-    if (pairs.src_lang, pairs.tgt_lang) == (ref_lang, other_lang):
-        return pairs
-    if (pairs.src_lang, pairs.tgt_lang) == (other_lang, ref_lang):
-        return transpose(pairs)
-    raise DataError(f"dictionary covers {pairs.src_lang}->{pairs.tgt_lang}, "
-                    f"needed {ref_lang}<->{other_lang}")
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
@@ -262,43 +293,18 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             else:
                 train_dicts[lang] = pairs
 
-    spaces: MultiSpace
     with _stage("align"):
-        reference = normalize(load_embeddings(cfg.reference["path"], cfg.max_words,
-                                              cfg.lowercase, language=ref_lang),
-                              cfg.normalize)
-        others = {t["lang"]: normalize(load_embeddings(t["path"], cfg.max_words,
-                                                       cfg.lowercase,
-                                                       language=t["lang"]),
-                                       cfg.normalize)
-                  for t in cfg.targets}
-        if cfg.method == "orthogonal":
-            merged = {ref_lang: AlignedSpace(reference, (), ref_lang)}
-            for lang, emb in others.items():
-                ms = align_orthogonal(reference, emb, train_dicts[lang])
-                merged[lang] = ms[lang]
-            spaces = MultiSpace(merged, hub=ref_lang)
-        elif cfg.method == "multistep":
-            (lang, emb), = others.items()
-            spaces = align_multistep(reference, emb, train_dicts[lang],
-                                     reweight_p=cfg.reweight_p,
-                                     reduce_dim=cfg.reduce_dim)
-        elif cfg.method == "meemi":
-            (lang, emb), = others.items()
-            ms = align_orthogonal(reference, emb, train_dicts[lang])
-            spaces = meemi_bilingual(ms, train_dicts[lang])
-        else:
-            aligned = []
-            for lang, emb in others.items():
-                ms = align_orthogonal(reference, emb, train_dicts[lang])
-                aligned.append((ms[lang], train_dicts[lang]))
-            hub_space = AlignedSpace(reference, (), ref_lang)
-            spaces = meemi_multilingual(hub_space, aligned, set(cfg.sources))
+        reference = load_space(cfg.reference["path"], ref_lang, cfg.normalize,
+                               cfg.max_words, cfg.lowercase)
+        targets = {t["lang"]: (load_space(t["path"], t["lang"], cfg.normalize,
+                                          cfg.max_words, cfg.lowercase),
+                               train_dicts[t["lang"]])
+                   for t in cfg.targets}
+        spaces = fit_method(cfg.method, reference, targets, cfg.reweight_p,
+                            cfg.reduce_dim, cfg.sources)
         for lang in spaces.languages():
-            space = spaces[lang]
-            save_embeddings(space.embedding, emit(f"{lang}.aligned.vec"))
-            if space.maps_applied:
-                save_maps(space.maps_applied, emit(f"{lang}.map"))
+            if write_space(spaces[lang], emit(f"{lang}.aligned.vec"), out / f"{lang}.map"):
+                emit(f"{lang}.map")
 
     if cfg.eval:
         with _stage("eval"):
@@ -311,7 +317,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                     test = load_dictionary(cfg.eval["test"], *langs)
                 else:
                     test = test_dicts[lang]
-                test = _oriented_ref_first(test, ref_lang, lang)
+                test = orient(test, ref_lang, lang)
                 reports.append(precision_at_k(spaces[ref_lang], spaces[lang], test,
                                               ks=cfg.eval["ks"],
                                               oov_policy=cfg.eval["oov_policy"],

@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .dictionary import DictionaryPairs
+from .dictionary import DictionaryPairs, single_token
 from .errors import DataError, TranslationError
 
 logger = logging.getLogger(__name__)
@@ -284,7 +284,7 @@ def translate_wordlist(client, words, src_lang: str, tgt_lang: str, workers: int
     if not words:
         raise DataError("empty word list")
     for w in words:
-        if not _word_ok(w):
+        if not single_token(w):
             raise DataError(f"word list entries must be single tokens, got {w!r}")
     summary = TranslateSummary(requested=len(words))
     results = _translate_many(client, [(w, src_lang, tgt_lang) for w in words], workers)
@@ -296,7 +296,7 @@ def translate_wordlist(client, words, src_lang: str, tgt_lang: str, workers: int
         translation = value.strip()
         if not translation:
             summary.dropped_empty += 1
-        elif len(translation.split()) != 1:
+        elif not single_token(translation):
             summary.dropped_multi_token += 1
         else:
             pairs.append((word, translation))
@@ -334,7 +334,3 @@ def reverse_filter(client, d: DictionaryPairs, fold_case: bool = False, workers:
                 summary.mismatched, len(summary.failed))
     return DictionaryPairs(d.src_lang, d.tgt_lang, tuple(kept),
                            provenance="round-trip"), summary
-
-
-def _word_ok(word: str) -> bool:
-    return bool(word) and word.split() == [word]

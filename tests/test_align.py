@@ -73,7 +73,6 @@ class TestAlignOrthogonal:
         oth_n = normalize(other, ("unit", "center", "unit"))
         ms = align_orthogonal(ref_n, oth_n, pairs)
         assert ms["xx"].embedding.norm_recipe == ("unit", "center", "unit")
-        assert ms["xx"].maps_applied[0].assumes_norm == ("unit", "center", "unit")
 
     def test_recipe_mismatch_rejected(self):
         reference, other, pairs, _ = rotation_fixture(6)

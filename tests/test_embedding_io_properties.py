@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lexalign import EmbeddingParseError, VocabEmbedding, embeddings, load_embeddings, \
-    save_embeddings
+from lexalign import DataError, EmbeddingParseError, VocabEmbedding, embeddings, \
+    load_embeddings, save_embeddings
 
 PROPERTY = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -169,3 +169,19 @@ def test_defects_of_every_kind_in_one_file(tmp_path, monkeypatch, read_rows):
     assert load_rows(tmp_path / "en.vec", 2, rows) == ("value", 4)
     rows[2] = "c 5 6"
     assert load_rows(tmp_path / "en.vec", 2, rows) == ("arity", 5)
+
+
+
+# ---------------------------------------------------------------- vocabulary
+
+@PROPERTY
+@given(words=st.lists(st.text(st.sampled_from("ab \t\n\x1c\x85\u3000\u200b"), max_size=3),
+                      max_size=6, unique=True))
+def test_vocabulary_check_matches_the_per_word_check(words):
+    bad = [w for w in words if not (w and w.split() == [w])]
+    if not bad:
+        VocabEmbedding("en", words, np.zeros((len(words), 1)))
+        return
+    with pytest.raises(DataError, match="empty or contains whitespace") as err:
+        VocabEmbedding("en", words, np.zeros((len(words), 1)))
+    assert repr(bad[0]) in str(err.value)

@@ -335,6 +335,38 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert self.run("run", "--config", str(cfg_path)) == 2
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda cfg: None, "config must be a JSON object, got NoneType"),
+        (lambda cfg: {**cfg, "reference": "en.vec"}, "reference must be a JSON object"),
+        (lambda cfg: {**cfg, "targets": 5}, "targets must be a non-empty list"),
+        (lambda cfg: {**cfg, "targets": ["x"]}, "a target entry must be a JSON object"),
+    ], ids=["null", "reference-string", "targets-number", "target-string"])
+    def test_run_config_of_wrong_shape_exits_two(self, rotation_files, tmp_path, caplog,
+                                                 change, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(change(base_config(rotation_files, tmp_path / "x"))),
+                            encoding="utf-8")
+        assert self.run("run", "--config", str(cfg_path), "--set", "seed=1") == 2
+        assert message in caplog.text
+
+    def test_align_multi_repeated_language_exits_two(self, rotation_files, tmp_path):
+        files = rotation_files
+        code = self.run("align-multi", "--ref", str(files["ref"]),
+                        "--pair", f"xx:{files['other']}:{files['dict']}",
+                        "--pair", f"xx:{files['ref']}:{files['dict']}",
+                        "--out-dir", str(tmp_path / "multi"))
+        assert code == 2
+        assert not (tmp_path / "multi").exists()
+
+    def test_align_multi_sources_need_meemi_multi(self, rotation_files, tmp_path):
+        files = rotation_files
+        code = self.run("align-multi", "--ref", str(files["ref"]),
+                        "--pair", f"xx:{files['other']}:{files['dict']}",
+                        "--method", "orthogonal", "--sources", "xx",
+                        "--out-dir", str(tmp_path / "multi"))
+        assert code == 2
+        assert not (tmp_path / "multi").exists()
+
     def test_meemi_subcommand(self, rotation_files, tmp_path):
         # orthogonal alignment first, meemi refit over the aligned files
         aligned = tmp_path / "xx.aligned.vec"
@@ -366,3 +398,54 @@ def test_dict_build_workers_out_of_range_exits_one(tmp_path, workers):
                  "--workers", workers])
     assert code == 1
     assert not (tmp_path / "d.tsv").exists()
+
+
+@pytest.mark.parametrize("command, method", [
+    ("align", "orthogonal"), ("align", "multistep"), ("align", "meemi"),
+    ("align-multi", "orthogonal"), ("align-multi", "meemi-multi"),
+])
+def test_align_commands_write_the_bytes_run_writes(tmp_path, command, method):
+    """align and align-multi fit through the same path as run: the aligned
+    vectors and map chains match byte for byte (run cleans, but the
+    dictionaries here are already clean)."""
+    rng = np.random.default_rng(23)
+    n, d = 40, 8
+    words = tuple(f"w{i}" for i in range(n))
+    base = rng.normal(size=(n, d))
+    langs = ("xx",) if command == "align" else ("xx", "yy")
+    paths = {}
+    for lang in ("zz",) + langs:
+        paths[lang] = tmp_path / f"{lang}.vec"
+        noisy = base @ random_orthogonal(rng, d) + 0.1 * rng.normal(size=(n, d))
+        save_embeddings(VocabEmbedding(lang, words, noisy), paths[lang])
+        if lang != "zz":
+            save_dictionary(identity_dict(words[::2], "zz", lang), tmp_path / f"zz-{lang}.tsv")
+
+    cli_dir = tmp_path / "cli"
+    cli_dir.mkdir()
+    if command == "align":
+        assert main(["align", "--method", method, "--reweight-p", "0.25",
+                     "--ref", str(paths["zz"]), "--other", str(paths["xx"]),
+                     "--dict", str(tmp_path / "zz-xx.tsv"),
+                     "--out", str(cli_dir / "xx.aligned.vec"),
+                     "--out-ref", str(cli_dir / "zz.aligned.vec")]) == 0
+    else:
+        assert main(["align-multi", "--method", method, "--ref", str(paths["zz"]),
+                     *[arg for lang in langs for arg in
+                       ("--pair", f"{lang}:{paths[lang]}:{tmp_path / f'zz-{lang}.tsv'}")],
+                     "--out-dir", str(cli_dir)]) == 0
+
+    run_dir = tmp_path / "run"
+    run_pipeline(PipelineConfig.from_dict({
+        "reference": {"lang": "zz", "path": str(paths["zz"])},
+        "targets": [{"lang": lang, "path": str(paths[lang]),
+                     "dict": str(tmp_path / f"zz-{lang}.tsv")} for lang in langs],
+        "out_dir": str(run_dir), "method": method, "reweight_p": 0.25}))
+
+    for lang in ("zz",) + langs:
+        cli_vec = cli_dir / f"{lang}.aligned.vec"
+        assert cli_vec.read_bytes() == (run_dir / f"{lang}.aligned.vec").read_bytes()
+        cli_map, run_map = cli_dir / f"{lang}.aligned.vec.map", run_dir / f"{lang}.map"
+        assert cli_map.exists() == run_map.exists()
+        if run_map.exists():
+            assert cli_map.read_bytes() == run_map.read_bytes()

@@ -216,13 +216,13 @@ class TestHttpClient:
     def test_write_through_cache(self, tmp_path):
         path = tmp_path / "cache.tsv"
         session = FakeSession([FakeResponse(200, {"translation": "yaxshi"})])
-        client = HttpTranslationClient("http://svc", api_key="k", session=session,
-                                       cache_path=path, sleep=lambda s: None)
-        assert client.translate("good", "en", "uz") == "yaxshi"
-        # second lookup is served from memory, no extra post
-        assert client.translate("good", "en", "uz") == "yaxshi"
-        assert len(session.calls) == 1
-        assert load_cache(path) == {("good", "en", "uz"): "yaxshi"}
+        with HttpTranslationClient("http://svc", api_key="k", session=session,
+                                   cache_path=path, sleep=lambda s: None) as client:
+            assert client.translate("good", "en", "uz") == "yaxshi"
+            # second lookup is served from memory, no extra post
+            assert client.translate("good", "en", "uz") == "yaxshi"
+            assert len(session.calls) == 1
+            assert load_cache(path) == {("good", "en", "uz"): "yaxshi"}
         # a fresh client replays the file without a session call
         replay = HttpTranslationClient("http://svc", api_key="k",
                                        session=FakeSession([]), cache_path=path,
@@ -232,10 +232,10 @@ class TestHttpClient:
     def test_tabs_in_translation_sanitized(self, tmp_path):
         path = tmp_path / "cache.tsv"
         session = FakeSession([FakeResponse(200, {"translation": "a\tb"})])
-        client = HttpTranslationClient("http://svc", api_key="k", session=session,
-                                       cache_path=path, sleep=lambda s: None)
-        assert client.translate("x", "en", "uz") == "a b"
-        assert load_cache(path) == {("x", "en", "uz"): "a b"}
+        with HttpTranslationClient("http://svc", api_key="k", session=session,
+                                   cache_path=path, sleep=lambda s: None) as client:
+            assert client.translate("x", "en", "uz") == "a b"
+            assert load_cache(path) == {("x", "en", "uz"): "a b"}
 
     def test_malformed_body_raises(self):
         session = FakeSession([FakeResponse(200, {"nope": 1})])
@@ -248,13 +248,13 @@ class TestHttpClient:
         path = tmp_path / "cache.tsv"
         session = FakeSession([FakeResponse(200, {"translation": None}),
                                FakeResponse(200, {"translation": "yaxshi"})])
-        client = HttpTranslationClient("http://svc", api_key="k", session=session,
-                                       cache_path=path, sleep=lambda s: None)
-        with pytest.raises(TranslationError, match="malformed"):
-            client.translate("good", "en", "uz")
-        assert not path.exists() or load_cache(path) == {}
-        assert client.translate("good", "en", "uz") == "yaxshi"
-        assert len(session.calls) == 2
+        with HttpTranslationClient("http://svc", api_key="k", session=session,
+                                   cache_path=path, sleep=lambda s: None) as client:
+            with pytest.raises(TranslationError, match="malformed"):
+                client.translate("good", "en", "uz")
+            assert not path.exists() or load_cache(path) == {}
+            assert client.translate("good", "en", "uz") == "yaxshi"
+            assert len(session.calls) == 2
 
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv("LEXALIGN_TRANSLATE_KEY", "envkey")
