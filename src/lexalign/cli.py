@@ -18,7 +18,7 @@ from . import __version__
 from .align import AlignedSpace, meemi_bilingual, MultiSpace
 from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
                          save_dictionary, split_dictionary)
-from .embeddings import DEFAULT_NORMALIZE, load_embeddings
+from .embeddings import DEFAULT_NORMALIZE, check_steps, load_embeddings
 from .errors import DataError, ExternalServiceError, LexalignError, PipelineStageError, \
     TranslationError
 from .induction import induce, precision_at_k, render_report
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_steps(text: str) -> tuple:
     if text in ("", "none"):
         return ()
-    return tuple(part.strip() for part in text.split(","))
+    return check_steps(part.strip() for part in text.split(","))
 
 
 def _parse_ks(text: str) -> tuple:

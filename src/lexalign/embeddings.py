@@ -21,6 +21,9 @@ logger = logging.getLogger(__name__)
 
 NORM_STEPS = ("unit", "center")
 DEFAULT_NORMALIZE = ("unit", "center", "unit")
+# rows per np.linalg.norm call in row_norms: the x*x temporary stays this
+# small, and each row's sum does not depend on the block it is in
+NORM_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -284,6 +287,24 @@ def save_embeddings(emb: VocabEmbedding, path, decimals: int = 6) -> None:
             fh.write(b"".join(out))
 
 
+def check_steps(steps) -> tuple:
+    """steps as a tuple, or DataError when one is not in NORM_STEPS."""
+    steps = tuple(steps)
+    bad = [s for s in steps if s not in NORM_STEPS]
+    if bad:
+        raise DataError(f"unknown normalization steps {bad}, expected some of {NORM_STEPS}")
+    return steps
+
+
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(matrix, axis=1), computed NORM_ROWS rows at a time so no
+    full-size temporary exists; the bits are those of the one-call form."""
+    norms = np.empty(matrix.shape[0])
+    for start in range(0, matrix.shape[0], NORM_ROWS):
+        norms[start:start + NORM_ROWS] = np.linalg.norm(matrix[start:start + NORM_ROWS], axis=1)
+    return norms
+
+
 def normalize(emb: VocabEmbedding, steps) -> VocabEmbedding:
     """Apply "unit" (rows to length 1) and "center" (subtract the column mean)
     steps in order, returning a new embedding with an extended norm_recipe."""
@@ -294,7 +315,7 @@ def normalize(emb: VocabEmbedding, steps) -> VocabEmbedding:
     matrix = np.array(emb.matrix, dtype=np.float64, copy=True)
     for step in steps:
         if step == "unit":
-            norms = np.linalg.norm(matrix, axis=1)
+            norms = row_norms(matrix)
             zero = np.flatnonzero(norms == 0.0)
             if zero.size:
                 raise DataError(

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import AlignedSpace
+from .embeddings import NORM_ROWS, row_norms
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -23,8 +24,8 @@ def _embedding_of(space):
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return matrix / np.maximum(norms, _EPS)
+    """matrix / max(row norm, _EPS): the result is the only full-size array."""
+    return matrix / np.maximum(row_norms(matrix)[:, None], _EPS)
 
 
 def cosine_scores(query: np.ndarray, unit_matrix: np.ndarray,
@@ -109,7 +110,11 @@ def induce(query, target_space, k: int, backend: str = "blocked"):
     """The k nearest target words to `query` by cosine, best first.
 
     Returns (word, score) tuples. Ties break toward the earlier vocabulary
-    index, so results are reproducible across runs and backends.
+    index, so results are reproducible across runs and backends. backend
+    "blocked" normalizes and scores NORM_ROWS target rows at a time and never
+    holds a normalized copy of the whole target; "exact" is the full-matrix
+    reference. Each row's norm and product are the same in a block as in the
+    whole matrix, so both return the same bits.
     """
     emb = _embedding_of(target_space)
     q = np.asarray(query, dtype=np.float64).reshape(-1)
@@ -121,7 +126,13 @@ def induce(query, target_space, k: int, backend: str = "blocked"):
         raise DataError("query vector is zero")
     if not 1 <= k <= len(emb):
         raise DataError(f"k must be in [1, {len(emb)}], got {k}")
-    scores = cosine_scores(q, _unit_rows(emb.matrix), backend=backend)
+    if backend == "blocked":
+        q = q / max(np.linalg.norm(q), _EPS)
+        scores = np.empty(len(emb))
+        for start in range(0, len(emb), NORM_ROWS):
+            scores[start:start + NORM_ROWS] = _unit_rows(emb.matrix[start:start + NORM_ROWS]) @ q
+    else:
+        scores = cosine_scores(q, _unit_rows(emb.matrix), backend=backend)
     order = _first_k(scores[None, :], k)[0]
     return [(emb.words[i], float(scores[i])) for i in order]
 

@@ -26,7 +26,8 @@ from .align import (AlignedSpace, MultiSpace, align_multistep, align_orthogonal,
                     meemi_bilingual, meemi_multilingual)
 from .dictionary import (DictionaryPairs, clean_dictionary, load_dictionary, orient,
                          split_dictionary)
-from .embeddings import DEFAULT_NORMALIZE, NORM_STEPS, load_embeddings, normalize, save_embeddings
+from .embeddings import (DEFAULT_NORMALIZE, check_steps, load_embeddings, normalize,
+                         save_embeddings)
 from .errors import DataError, PipelineStageError
 from .induction import precision_at_k, render_report
 from .maps import save_maps
@@ -89,17 +90,14 @@ class PipelineConfig:
         sources = check_method(method, reference["lang"], [t["lang"] for t in targets],
                                raw.get("sources") or [])
 
-        steps = tuple(raw.get("normalize", DEFAULT_NORMALIZE))
-        bad = [s for s in steps if s not in NORM_STEPS]
-        if bad:
-            raise DataError(f"unknown normalization steps {bad}")
+        steps = check_steps(_typed("normalize", tuple, raw.get("normalize", DEFAULT_NORMALIZE)))
 
-        reweight_p = float(raw.get("reweight_p", 0.5))
+        reweight_p = _typed("reweight_p", float, raw.get("reweight_p", 0.5))
         if reweight_p < 0.0:
             raise DataError("reweight_p must be >= 0")
         reduce_dim = raw.get("reduce_dim")
         if reduce_dim is not None:
-            reduce_dim = int(reduce_dim)
+            reduce_dim = _typed("reduce_dim", int, reduce_dim)
             if reduce_dim < 1:
                 raise DataError("reduce_dim must be positive")
 
@@ -109,14 +107,14 @@ class PipelineConfig:
             split = _json_object(split, "split")
             if set(split) - {"test_size", "seed"} or "test_size" not in split:
                 raise DataError("split needs test_size (optional seed)")
-            if int(split["test_size"]) < 1:
+            split["test_size"] = _typed("split.test_size", int, split["test_size"])
+            if split["test_size"] < 1:
                 raise DataError("split test_size must be positive")
-            split["test_size"] = int(split["test_size"])
             if split.get("seed") is None:
                 if seed is None:
                     raise DataError("a split is configured but no seed is given")
                 split["seed"] = seed
-            split["seed"] = int(split["seed"])
+            split["seed"] = _typed("split.seed", int, split["seed"])
 
         evaluation = raw.get("eval")
         if evaluation is not None:
@@ -128,7 +126,8 @@ class PipelineConfig:
             evaluation.setdefault("ks", [1, 5, 10])
             evaluation.setdefault("oov_policy", "skip")
             evaluation.setdefault("label", method)
-            evaluation["ks"] = sorted({int(k) for k in evaluation["ks"]})
+            evaluation["ks"] = _typed("eval.ks", lambda ks: sorted({int(k) for k in ks}),
+                                      evaluation["ks"])
             if not evaluation["ks"] or evaluation["ks"][0] < 1:
                 raise DataError("eval ks must be positive integers")
             if evaluation["oov_policy"] not in ("skip", "fail"):
@@ -137,20 +136,30 @@ class PipelineConfig:
                 raise DataError("eval needs either a test dictionary or a split")
 
         max_words = raw.get("max_words")
-        if max_words is not None and int(max_words) < 1:
-            raise DataError("max_words must be positive")
+        if max_words is not None:
+            max_words = _typed("max_words", int, max_words)
+            if max_words < 1:
+                raise DataError("max_words must be positive")
 
         return cls(reference=reference, targets=targets, out_dir=str(raw["out_dir"]),
                    method=method, normalize=steps, reweight_p=reweight_p,
                    reduce_dim=reduce_dim, sources=sources, split=split,
                    eval=evaluation, seed=seed,
                    lowercase=bool(raw.get("lowercase", False)),
-                   max_words=None if max_words is None else int(max_words),
+                   max_words=max_words,
                    clean_dicts=bool(raw.get("clean_dicts", True)))
 
     def canonical(self) -> dict:
         """Fully resolved configuration, suitable for hashing."""
         return {**asdict(self), "normalize": list(self.normalize)}
+
+
+def _typed(key: str, convert, value):
+    """convert(value), or DataError naming the config key when it fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"config key {key} has a value of the wrong type: {value!r}") from None
 
 
 def _json_object(value, what: str) -> dict:

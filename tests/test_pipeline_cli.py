@@ -349,6 +349,36 @@ class TestCli:
         assert self.run("run", "--config", str(cfg_path), "--set", "seed=1") == 2
         assert message in caplog.text
 
+    @pytest.mark.parametrize("change, key", [
+        (lambda cfg: {**cfg, "reweight_p": "abc"}, "reweight_p"),
+        (lambda cfg: {**cfg, "eval": {**cfg["eval"], "ks": 5}}, "eval.ks"),
+        (lambda cfg: {**cfg, "reduce_dim": "x"}, "reduce_dim"),
+        (lambda cfg: {**cfg, "max_words": "x"}, "max_words"),
+        (lambda cfg: {**cfg, "split": {"test_size": "x"}}, "split.test_size"),
+        (lambda cfg: {**cfg, "normalize": 5}, "normalize"),
+    ], ids=["reweight_p", "eval-ks", "reduce_dim", "max_words", "split-test_size",
+            "normalize"])
+    def test_run_config_scalar_of_wrong_type_exits_two(self, rotation_files, tmp_path,
+                                                       caplog, capsys, change, key):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(change(base_config(rotation_files, tmp_path / "x"))),
+                            encoding="utf-8")
+        assert self.run("run", "--config", str(cfg_path), "--set", "seed=1") == 2
+        assert f"config key {key} has a value of the wrong type" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["align", "align-multi"])
+    def test_unknown_normalize_step_exits_two(self, rotation_files, tmp_path, caplog, command):
+        files, out = rotation_files, tmp_path / "out"
+        inputs = (["--other", str(files["other"]), "--dict", str(files["dict"]), "--out", str(out)]
+                  if command == "align" else
+                  ["--pair", f"xx:{files['other']}:{files['dict']}", "--out-dir", str(out)])
+        code = self.run(command, "--ref", str(files["ref"]), "--normalize", "unit,foo", *inputs)
+        assert code == 2
+        assert "unknown normalization steps ['foo']" in caplog.text
+        assert not out.exists()
+
     def test_align_multi_repeated_language_exits_two(self, rotation_files, tmp_path):
         files = rotation_files
         code = self.run("align-multi", "--ref", str(files["ref"]),
