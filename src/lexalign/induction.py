@@ -28,6 +28,17 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / np.maximum(row_norms(matrix)[:, None], _EPS)
 
 
+def _row_blocks(n: int, size: int):
+    """(start, stop) of the row blocks of at most `size` rows that cover
+    range(n). A last block of one row joins the block before it: numpy scores
+    a one-row matrix with a dot product, whose bits can differ from those the
+    matrix-vector product gives the same row in a larger block."""
+    stops = list(range(size, n, size))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    return zip([0] + stops, stops + [n])
+
+
 def cosine_scores(query: np.ndarray, unit_matrix: np.ndarray,
                   backend: str = "blocked") -> np.ndarray:
     """Cosine of `query` against every row of a row-normalized matrix.
@@ -44,8 +55,7 @@ def cosine_scores(query: np.ndarray, unit_matrix: np.ndarray,
     if backend != "blocked":
         raise ValueError(f"unknown backend {backend!r}")
     out = np.empty(unit_matrix.shape[0])
-    for start in range(0, unit_matrix.shape[0], _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, unit_matrix.shape[0])
+    for start, stop in _row_blocks(unit_matrix.shape[0], _BLOCK_ROWS):
         out[start:stop] = unit_matrix[start:stop] @ q
     return out
 
@@ -114,7 +124,9 @@ def induce(query, target_space, k: int, backend: str = "blocked"):
     "blocked" normalizes and scores NORM_ROWS target rows at a time and never
     holds a normalized copy of the whole target; "exact" is the full-matrix
     reference. Each row's norm and product are the same in a block as in the
-    whole matrix, so both return the same bits.
+    whole matrix, so both return the same bits, unless a multi-threaded BLAS
+    splits the whole-matrix product at a row that is not a block boundary:
+    the rows there can then differ in the last bit.
     """
     emb = _embedding_of(target_space)
     q = np.asarray(query, dtype=np.float64).reshape(-1)
@@ -129,8 +141,8 @@ def induce(query, target_space, k: int, backend: str = "blocked"):
     if backend == "blocked":
         q = q / max(np.linalg.norm(q), _EPS)
         scores = np.empty(len(emb))
-        for start in range(0, len(emb), NORM_ROWS):
-            scores[start:start + NORM_ROWS] = _unit_rows(emb.matrix[start:start + NORM_ROWS]) @ q
+        for start, stop in _row_blocks(len(emb), NORM_ROWS):
+            scores[start:stop] = _unit_rows(emb.matrix[start:stop]) @ q
     else:
         scores = cosine_scores(q, _unit_rows(emb.matrix), backend=backend)
     order = _first_k(scores[None, :], k)[0]
