@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError
 
@@ -165,6 +164,10 @@ def least_squares_map(A, B, min_norm_fallback: bool = True) -> LinearMap:
         raise DataError("least squares needs at least one row")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise DataError("non-finite values in least-squares inputs")
+    # imported here, not at module level: scipy.linalg takes most of a CLI
+    # start, and only this solve needs it
+    import scipy.linalg
+
     ata = A.T @ A
     atb = A.T @ B
     W = None

@@ -14,13 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import platform
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .align import (AlignedSpace, MultiSpace, align_multistep, align_orthogonal,
                     meemi_bilingual, meemi_multilingual)
@@ -90,31 +90,34 @@ class PipelineConfig:
         sources = check_method(method, reference["lang"], [t["lang"] for t in targets],
                                raw.get("sources") or [])
 
-        steps = check_steps(_typed("normalize", tuple, raw.get("normalize", DEFAULT_NORMALIZE)))
+        steps = check_steps(_typed("normalize", _items(_strict(str)),
+                                   raw.get("normalize", DEFAULT_NORMALIZE)))
 
-        reweight_p = _typed("reweight_p", float, raw.get("reweight_p", 0.5))
+        reweight_p = _typed("reweight_p", _finite_float, raw.get("reweight_p", 0.5))
         if reweight_p < 0.0:
             raise DataError("reweight_p must be >= 0")
         reduce_dim = raw.get("reduce_dim")
         if reduce_dim is not None:
-            reduce_dim = _typed("reduce_dim", int, reduce_dim)
+            reduce_dim = _typed("reduce_dim", _strict(int), reduce_dim)
             if reduce_dim < 1:
                 raise DataError("reduce_dim must be positive")
 
         seed = raw.get("seed")
+        if seed is not None:
+            seed = _typed("seed", _strict(int), seed)
         split = raw.get("split")
         if split is not None:
             split = _json_object(split, "split")
             if set(split) - {"test_size", "seed"} or "test_size" not in split:
                 raise DataError("split needs test_size (optional seed)")
-            split["test_size"] = _typed("split.test_size", int, split["test_size"])
+            split["test_size"] = _typed("split.test_size", _strict(int), split["test_size"])
             if split["test_size"] < 1:
                 raise DataError("split test_size must be positive")
             if split.get("seed") is None:
                 if seed is None:
                     raise DataError("a split is configured but no seed is given")
                 split["seed"] = seed
-            split["seed"] = _typed("split.seed", int, split["seed"])
+            split["seed"] = _typed("split.seed", _strict(int), split["seed"])
 
         evaluation = raw.get("eval")
         if evaluation is not None:
@@ -126,8 +129,8 @@ class PipelineConfig:
             evaluation.setdefault("ks", [1, 5, 10])
             evaluation.setdefault("oov_policy", "skip")
             evaluation.setdefault("label", method)
-            evaluation["ks"] = _typed("eval.ks", lambda ks: sorted({int(k) for k in ks}),
-                                      evaluation["ks"])
+            evaluation["ks"] = sorted(set(_typed("eval.ks", _items(_strict(int)),
+                                                 evaluation["ks"])))
             if not evaluation["ks"] or evaluation["ks"][0] < 1:
                 raise DataError("eval ks must be positive integers")
             if evaluation["oov_policy"] not in ("skip", "fail"):
@@ -137,7 +140,7 @@ class PipelineConfig:
 
         max_words = raw.get("max_words")
         if max_words is not None:
-            max_words = _typed("max_words", int, max_words)
+            max_words = _typed("max_words", _strict(int), max_words)
             if max_words < 1:
                 raise DataError("max_words must be positive")
 
@@ -145,9 +148,10 @@ class PipelineConfig:
                    method=method, normalize=steps, reweight_p=reweight_p,
                    reduce_dim=reduce_dim, sources=sources, split=split,
                    eval=evaluation, seed=seed,
-                   lowercase=bool(raw.get("lowercase", False)),
+                   lowercase=_typed("lowercase", _strict(bool), raw.get("lowercase", False)),
                    max_words=max_words,
-                   clean_dicts=bool(raw.get("clean_dicts", True)))
+                   clean_dicts=_typed("clean_dicts", _strict(bool),
+                                      raw.get("clean_dicts", True)))
 
     def canonical(self) -> dict:
         """Fully resolved configuration, suitable for hashing."""
@@ -160,6 +164,32 @@ def _typed(key: str, convert, value):
         return convert(value)
     except (TypeError, ValueError, OverflowError):
         raise DataError(f"config key {key} has a value of the wrong type: {value!r}") from None
+
+
+def _strict(kind):
+    """A converter that passes a value of type kind through unchanged and
+    raises TypeError for anything else; a bool is not an int here."""
+    def convert(value):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise TypeError(value)
+        return value
+    return convert
+
+
+def _items(convert):
+    """A converter for a list (a JSON array) whose items each pass convert."""
+    def convert_items(value):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(value)
+        return [convert(item) for item in value]
+    return convert_items
+
+
+def _finite_float(value) -> float:
+    """float(value) for a finite int or float that is not a bool."""
+    if not math.isfinite(_strict((int, float))(value)):
+        raise ValueError(value)
+    return float(value)
 
 
 def _json_object(value, what: str) -> dict:
@@ -335,6 +365,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                                            encoding="utf-8")
             emit("report.txt").write_text(render_report(reports, "table"),
                                           encoding="utf-8")
+
+    # imported here, not at module level: a run without a Meemi fit needs
+    # scipy only for this version string
+    import scipy
 
     canonical = cfg.canonical()
     config_json = json.dumps(canonical, sort_keys=True)

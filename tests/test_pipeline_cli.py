@@ -356,8 +356,22 @@ class TestCli:
         (lambda cfg: {**cfg, "max_words": "x"}, "max_words"),
         (lambda cfg: {**cfg, "split": {"test_size": "x"}}, "split.test_size"),
         (lambda cfg: {**cfg, "normalize": 5}, "normalize"),
+        (lambda cfg: {**cfg, "reweight_p": float("nan")}, "reweight_p"),
+        (lambda cfg: {**cfg, "reweight_p": float("inf")}, "reweight_p"),
+        (lambda cfg: {**cfg, "reweight_p": True}, "reweight_p"),
+        (lambda cfg: {**cfg, "reduce_dim": 2.9}, "reduce_dim"),
+        (lambda cfg: {**cfg, "max_words": True}, "max_words"),
+        (lambda cfg: {**cfg, "eval": {**cfg["eval"], "ks": [1.7]}}, "eval.ks"),
+        (lambda cfg: {**cfg, "eval": {**cfg["eval"], "ks": ["2"]}}, "eval.ks"),
+        (lambda cfg: {**cfg, "split": {"test_size": 5, "seed": "1"}}, "split.seed"),
+        (lambda cfg: {**cfg, "normalize": "unit"}, "normalize"),
+        (lambda cfg: {**cfg, "lowercase": "false"}, "lowercase"),
+        (lambda cfg: {**cfg, "clean_dicts": "no"}, "clean_dicts"),
     ], ids=["reweight_p", "eval-ks", "reduce_dim", "max_words", "split-test_size",
-            "normalize"])
+            "normalize", "reweight_p-nan", "reweight_p-inf", "reweight_p-bool",
+            "reduce_dim-fraction", "max_words-bool", "eval-ks-fraction", "eval-ks-string",
+            "split-seed-string", "normalize-string", "lowercase-string",
+            "clean_dicts-string"])
     def test_run_config_scalar_of_wrong_type_exits_two(self, rotation_files, tmp_path,
                                                        caplog, capsys, change, key):
         cfg_path = tmp_path / "config.json"
@@ -367,6 +381,27 @@ class TestCli:
         assert f"config key {key} has a value of the wrong type" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_run_config_seed_of_wrong_type_exits_two(self, rotation_files, tmp_path, caplog):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(base_config(rotation_files, tmp_path / "x")),
+                            encoding="utf-8")
+        assert self.run("run", "--config", str(cfg_path), "--set", "seed=1.5") == 2
+        assert "config key seed has a value of the wrong type: 1.5" in caplog.text
+        assert not (tmp_path / "x").exists()
+
+    def test_valid_config_values_keep_their_canonical_form(self, rotation_files, tmp_path):
+        cfg = {**base_config(rotation_files, tmp_path / "x"), "reweight_p": 1, "reduce_dim": 3,
+               "normalize": ["unit"], "lowercase": True, "clean_dicts": False,
+               "max_words": 30, "seed": 4, "split": {"test_size": 5}}
+        cfg["eval"] = {**cfg["eval"], "ks": [10, 1, 5, 1]}
+        canonical = PipelineConfig.from_dict(cfg).canonical()
+        assert json.dumps({key: canonical[key] for key in (
+            "reweight_p", "reduce_dim", "normalize", "lowercase", "clean_dicts",
+            "max_words", "seed", "split")}, sort_keys=True) == (
+            '{"clean_dicts": false, "lowercase": true, "max_words": 30, "normalize": ["unit"], '
+            '"reduce_dim": 3, "reweight_p": 1.0, "seed": 4, "split": {"seed": 4, "test_size": 5}}')
+        assert canonical["eval"]["ks"] == [1, 5, 10]
 
     @pytest.mark.parametrize("command", ["align", "align-multi"])
     def test_unknown_normalize_step_exits_two(self, rotation_files, tmp_path, caplog, command):

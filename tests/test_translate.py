@@ -305,11 +305,45 @@ class TestWorkerCap:
         assert pools == []
 
 
-def test_importing_the_cli_does_not_import_requests():
-    code = "import sys, lexalign.cli; print('requests' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+STARTUPS = {
+    "import": "import lexalign.cli",
+    "version": ("import runpy\n"
+                "sys.argv = ['lexalign', '--version']\n"
+                "try:\n"
+                "    runpy.run_module('lexalign.cli', run_name='__main__')\n"
+                "except SystemExit:\n"
+                "    pass"),
+}
+
+MEEMI_FIT = """
+import numpy as np
+from lexalign import DictionaryPairs, VocabEmbedding, align_orthogonal, meemi_bilingual
+words = tuple("abcdef")
+x = np.random.default_rng(0).normal(size=(6, 4))
+pairs = DictionaryPairs("zz", "xx", tuple(zip(words, words)))
+aligned = align_orthogonal(VocabEmbedding("zz", words, x), VocabEmbedding("xx", words, x[:, ::-1]),
+                           pairs)
+assert "scipy.linalg" not in sys.modules
+meemi_bilingual(aligned, pairs)
+"""
+
+
+def modules_after(code):
+    """The names in sys.modules of a fresh interpreter that has run code."""
+    script = f"import sys\n{code}\nprint(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("startup", sorted(STARTUPS))
+@pytest.mark.parametrize("module", ["requests", "scipy.linalg"])
+def test_cli_startup_does_not_import(module, startup):
+    assert module not in modules_after(STARTUPS[startup])
+
+
+def test_meemi_fit_imports_scipy_linalg():
+    assert "scipy.linalg" in modules_after(MEEMI_FIT)
 
 
 class HeaderResponse(FakeResponse):
