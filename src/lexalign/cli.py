@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -21,9 +22,9 @@ from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
 from .embeddings import DEFAULT_NORMALIZE, check_steps, load_embeddings
 from .errors import DataError, ExternalServiceError, LexalignError, PipelineStageError, \
     TranslationError
-from .induction import induce, precision_at_k, render_report
-from .pipeline import (check_method, fit_method, load_space, PipelineConfig, run_pipeline,
-                       write_space)
+from .induction import induce, OOV_POLICIES, precision_at_k, render_report
+from .pipeline import (check_method, DICT_DIRECTIONS, fit_method, load_space, PipelineConfig,
+                       run_pipeline, write_space)
 from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
     translate_wordlist
 
@@ -57,15 +58,23 @@ def _parse_ks(text: str) -> tuple:
         raise _UsageError(f"bad k list {text!r}, expected comma-separated integers") from None
 
 
-def _worker_count(text: str) -> int:
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if not 1 <= workers <= MAX_WORKERS:
-        raise argparse.ArgumentTypeError(f"expected an integer from 1 to {MAX_WORKERS}, "
-                                         f"got {text!r}")
-    return workers
+def _bounded(kind, low, high, what: str):
+    """An argparse type: the text read as kind, accepted from low to high;
+    anything else, NaN included, is a usage error that says what."""
+    def check(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return check
+
+
+_worker_count = _bounded(int, 1, MAX_WORKERS, f"an integer from 1 to {MAX_WORKERS}")
+_rate = _bounded(float, sys.float_info.min, sys.float_info.max, "a finite number above 0")
+_retry_count = _bounded(int, 0, math.inf, "an integer of 0 or more")
 
 
 def _write_space(space: AlignedSpace, vec_path) -> None:
@@ -254,8 +263,7 @@ def build_parser() -> _Parser:
                    default="orthogonal")
     p.add_argument("--ref-lang", default=None)
     p.add_argument("--other-lang", default=None)
-    p.add_argument("--dict-direction", choices=["ref2other", "other2ref"],
-                   default="ref2other")
+    p.add_argument("--dict-direction", choices=DICT_DIRECTIONS, default="ref2other")
     p.add_argument("--reweight-p", type=float, default=0.5)
     p.add_argument("--reduce-dim", type=int, default=None)
     common_space_args(p)
@@ -301,7 +309,7 @@ def build_parser() -> _Parser:
     p.add_argument("--src-lang", default=None)
     p.add_argument("--tgt-lang", default=None)
     p.add_argument("--ks", default="1,5,10")
-    p.add_argument("--oov-policy", choices=["skip", "fail"], default="skip")
+    p.add_argument("--oov-policy", choices=OOV_POLICIES, default="skip")
     p.add_argument("--format", choices=["json", "tsv", "table"], default="table")
     p.add_argument("--label", default="")
     p.add_argument("--out", default=None)
@@ -315,8 +323,8 @@ def build_parser() -> _Parser:
     p.add_argument("--endpoint", default=None)
     p.add_argument("--cache", default=None,
                    help="translation cache file (replayed when no endpoint is given)")
-    p.add_argument("--rps", type=float, default=None)
-    p.add_argument("--retries", type=int, default=3)
+    p.add_argument("--rps", type=_rate, default=None)
+    p.add_argument("--retries", type=_retry_count, default=3)
     p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--no-reverse", action="store_true",
                    help="skip the round-trip filter")

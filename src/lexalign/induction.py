@@ -14,6 +14,7 @@ from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
+OOV_POLICIES = ("skip", "fail")
 _EPS = 1e-12
 _BLOCK_ROWS = 8192
 _QUERY_BLOCK = 64
@@ -194,8 +195,8 @@ def precision_at_k(src_space, tgt_space, test: "DictionaryPairs", ks=(1, 5, 10),
     removes out-of-vocabulary source words from the denominator (they are
     counted in skipped_oov_src); "fail" keeps them as guaranteed misses.
     """
-    if oov_policy not in ("skip", "fail"):
-        raise ValueError(f"oov_policy must be 'skip' or 'fail', got {oov_policy!r}")
+    if oov_policy not in OOV_POLICIES:
+        raise ValueError(f"oov_policy must be one of {OOV_POLICIES}, got {oov_policy!r}")
     src_emb = _embedding_of(src_space)
     tgt_emb = _embedding_of(tgt_space)
     if (test.src_lang, test.tgt_lang) != (src_emb.language, tgt_emb.language):

@@ -14,11 +14,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import platform
+import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .dictionary import (DictionaryPairs, clean_dictionary, load_dictionary, ori
 from .embeddings import (DEFAULT_NORMALIZE, check_steps, load_embeddings, normalize,
                          save_embeddings)
 from .errors import DataError, PipelineStageError
-from .induction import precision_at_k, render_report
+from .induction import OOV_POLICIES, precision_at_k, render_report
 from .maps import save_maps
 
 logger = logging.getLogger(__name__)
@@ -41,19 +42,49 @@ INCOMPLETE_MARKER = "INCOMPLETE"
 
 
 @dataclass
-class PipelineConfig:
-    """Validated run configuration; build one with from_dict."""
+class Reference:
+    lang: str
+    path: str
 
-    reference: dict
-    targets: list
+
+@dataclass
+class Target:
+    lang: str
+    path: str
+    dict: str
+    dict_direction: str = "ref2other"
+
+
+@dataclass
+class Split:
+    test_size: int
+    seed: int | None = None
+
+
+@dataclass
+class Eval:
+    test: str | None = None
+    ks: list[int] = field(default_factory=lambda: [1, 5, 10])
+    oov_policy: str = "skip"
+    label: str | None = None
+
+
+@dataclass
+class PipelineConfig:
+    """Validated run configuration; build one with from_dict. The field
+    annotations, nested dataclasses included, are the JSON schema of a run
+    config: from_dict checks every key against them."""
+
+    reference: Reference
+    targets: list[Target]
     out_dir: str
     method: str = "orthogonal"
-    normalize: tuple = DEFAULT_NORMALIZE
+    normalize: list[str] = field(default_factory=lambda: list(DEFAULT_NORMALIZE))
     reweight_p: float = 0.5
     reduce_dim: int | None = None
-    sources: list = field(default_factory=list)
-    split: dict | None = None
-    eval: dict | None = None
+    sources: list[str] | None = field(default_factory=list)
+    split: Split | None = None
+    eval: Eval | None = None
     seed: int | None = None
     lowercase: bool = False
     max_words: int | None = None
@@ -61,141 +92,79 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise DataError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("reference", "targets", "out_dir"):
-            if key not in raw:
-                raise DataError(f"config is missing required key {key!r}")
-
-        reference = _json_object(raw["reference"], "reference")
-        if set(reference) != {"lang", "path"}:
-            raise DataError("reference must have exactly the keys lang and path")
-
-        targets = []
-        if not isinstance(raw["targets"], list) or not raw["targets"]:
-            raise DataError("targets must be a non-empty list")
-        for entry in raw["targets"]:
-            entry = _json_object(entry, "a target entry")
-            extra = set(entry) - {"lang", "path", "dict", "dict_direction"}
-            if extra or not {"lang", "path", "dict"} <= set(entry):
-                raise DataError(f"target entry needs lang, path, dict "
-                                f"(optional dict_direction); got {sorted(entry)}")
-            entry.setdefault("dict_direction", "ref2other")
-            if entry["dict_direction"] not in DICT_DIRECTIONS:
-                raise DataError(f"dict_direction must be one of {DICT_DIRECTIONS}")
-            targets.append(entry)
-
-        method = raw.get("method", "orthogonal")
-        sources = check_method(method, reference["lang"], [t["lang"] for t in targets],
-                               raw.get("sources") or [])
-
-        steps = check_steps(_typed("normalize", _items(_strict(str)),
-                                   raw.get("normalize", DEFAULT_NORMALIZE)))
-
-        reweight_p = _typed("reweight_p", _finite_float, raw.get("reweight_p", 0.5))
-        if reweight_p < 0.0:
+        """Check raw against the annotations, then the rules a type cannot
+        state. raw is not modified. Raises DataError."""
+        if isinstance(raw, dict) and "targets" in raw:
+            if not isinstance(raw["targets"], list) or not raw["targets"]:
+                raise DataError("targets must be a non-empty list")
+            if not all(isinstance(entry, dict) for entry in raw["targets"]):
+                raise DataError("a target entry must be a JSON object")
+        cfg = _convert(cls, raw, "")
+        if any(t.dict_direction not in DICT_DIRECTIONS for t in cfg.targets):
+            raise DataError(f"dict_direction must be one of {DICT_DIRECTIONS}")
+        cfg.sources = check_method(cfg.method, cfg.reference.lang,
+                                   [t.lang for t in cfg.targets], cfg.sources or [])
+        cfg.normalize = list(check_steps(cfg.normalize))
+        if cfg.reweight_p < 0.0:
             raise DataError("reweight_p must be >= 0")
-        reduce_dim = raw.get("reduce_dim")
-        if reduce_dim is not None:
-            reduce_dim = _typed("reduce_dim", _strict(int), reduce_dim)
-            if reduce_dim < 1:
-                raise DataError("reduce_dim must be positive")
-
-        seed = raw.get("seed")
-        if seed is not None:
-            seed = _typed("seed", _strict(int), seed)
-        split = raw.get("split")
-        if split is not None:
-            split = _json_object(split, "split")
-            if set(split) - {"test_size", "seed"} or "test_size" not in split:
-                raise DataError("split needs test_size (optional seed)")
-            split["test_size"] = _typed("split.test_size", _strict(int), split["test_size"])
-            if split["test_size"] < 1:
+        if cfg.reduce_dim is not None and cfg.reduce_dim < 1:
+            raise DataError("reduce_dim must be positive")
+        if cfg.max_words is not None and cfg.max_words < 1:
+            raise DataError("max_words must be positive")
+        if cfg.split:
+            if cfg.split.test_size < 1:
                 raise DataError("split test_size must be positive")
-            if split.get("seed") is None:
-                if seed is None:
+            if cfg.split.seed is None:
+                if cfg.seed is None:
                     raise DataError("a split is configured but no seed is given")
-                split["seed"] = seed
-            split["seed"] = _typed("split.seed", _strict(int), split["seed"])
-
-        evaluation = raw.get("eval")
-        if evaluation is not None:
-            evaluation = _json_object(evaluation, "eval")
-            extra = set(evaluation) - {"test", "ks", "oov_policy", "label"}
-            if extra:
-                raise DataError(f"unknown eval keys: {sorted(extra)}")
-            evaluation.setdefault("test", None)
-            evaluation.setdefault("ks", [1, 5, 10])
-            evaluation.setdefault("oov_policy", "skip")
-            evaluation.setdefault("label", method)
-            evaluation["ks"] = sorted(set(_typed("eval.ks", _items(_strict(int)),
-                                                 evaluation["ks"])))
-            if not evaluation["ks"] or evaluation["ks"][0] < 1:
+                cfg.split.seed = cfg.seed
+        if cfg.eval:
+            if "label" not in raw["eval"]:
+                cfg.eval.label = cfg.method
+            cfg.eval.ks = sorted(set(cfg.eval.ks))
+            if not cfg.eval.ks or cfg.eval.ks[0] < 1:
                 raise DataError("eval ks must be positive integers")
-            if evaluation["oov_policy"] not in ("skip", "fail"):
-                raise DataError("eval oov_policy must be 'skip' or 'fail'")
-            if evaluation["test"] is None and split is None:
+            if cfg.eval.oov_policy not in OOV_POLICIES:
+                raise DataError(f"eval oov_policy must be one of {OOV_POLICIES}")
+            if cfg.eval.test is None and cfg.split is None:
                 raise DataError("eval needs either a test dictionary or a split")
-
-        max_words = raw.get("max_words")
-        if max_words is not None:
-            max_words = _typed("max_words", _strict(int), max_words)
-            if max_words < 1:
-                raise DataError("max_words must be positive")
-
-        return cls(reference=reference, targets=targets, out_dir=str(raw["out_dir"]),
-                   method=method, normalize=steps, reweight_p=reweight_p,
-                   reduce_dim=reduce_dim, sources=sources, split=split,
-                   eval=evaluation, seed=seed,
-                   lowercase=_typed("lowercase", _strict(bool), raw.get("lowercase", False)),
-                   max_words=max_words,
-                   clean_dicts=_typed("clean_dicts", _strict(bool),
-                                      raw.get("clean_dicts", True)))
+        return cfg
 
     def canonical(self) -> dict:
         """Fully resolved configuration, suitable for hashing."""
-        return {**asdict(self), "normalize": list(self.normalize)}
+        return asdict(self)
 
 
-def _typed(key: str, convert, value):
-    """convert(value), or DataError naming the config key when it fails."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DataError(f"config key {key} has a value of the wrong type: {value!r}") from None
-
-
-def _strict(kind):
-    """A converter that passes a value of type kind through unchanged and
-    raises TypeError for anything else; a bool is not an int here."""
-    def convert(value):
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise TypeError(value)
+def _convert(kind, value, key: str):
+    """value checked against the annotation kind and built into it: X | None
+    (X written first), list[X], a config dataclass (a JSON object with no
+    unknown and no missing key), a finite float (an int widens) or an exact
+    int, str or bool (a bool is not an int). key names value in the
+    DataError raised on a mismatch; list items share their list's key."""
+    args = get_args(kind)
+    if type(None) in args:
+        return None if value is None else _convert(args[0], value, key)
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise DataError(f"{key or 'the config'} must be a JSON object, "
+                            f"got {type(value).__name__}")
+        prefix = f"{key}." if key else ""
+        unknown = set(value) - {f.name for f in fields(kind)}
+        if unknown:
+            raise DataError(f"unknown config keys: {sorted(prefix + name for name in unknown)}")
+        for f in fields(kind):
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise DataError(f"config is missing required key {prefix + f.name!r}")
+        hints = get_type_hints(kind)
+        return kind(**{f.name: _convert(hints[f.name], value[f.name], prefix + f.name)
+                       for f in fields(kind) if f.name in value})
+    if get_origin(kind) is list and isinstance(value, list):
+        return [_convert(args[0], item, key) for item in value]
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind in (int, str, bool) and type(value) is kind:
         return value
-    return convert
-
-
-def _items(convert):
-    """A converter for a list (a JSON array) whose items each pass convert."""
-    def convert_items(value):
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(value)
-        return [convert(item) for item in value]
-    return convert_items
-
-
-def _finite_float(value) -> float:
-    """float(value) for a finite int or float that is not a bool."""
-    if not math.isfinite(_strict((int, float))(value)):
-        raise ValueError(value)
-    return float(value)
-
-
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise DataError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return dict(value)
+    raise DataError(f"config key {key} has a value of the wrong type: {value!r}")
 
 
 def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
@@ -300,12 +269,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     marker = out / INCOMPLETE_MARKER
     marker.write_text("run started; artifacts may be partial\n", encoding="utf-8")
 
-    ref_lang = cfg.reference["lang"]
-    input_paths = {cfg.reference["path"]}
-    input_paths.update(t["path"] for t in cfg.targets)
-    input_paths.update(t["dict"] for t in cfg.targets)
-    if cfg.eval and cfg.eval["test"]:
-        input_paths.add(cfg.eval["test"])
+    ref_lang = cfg.reference.lang
+    input_paths = {cfg.reference.path}
+    input_paths.update(t.path for t in cfg.targets)
+    input_paths.update(t.dict for t in cfg.targets)
+    if cfg.eval and cfg.eval.test:
+        input_paths.add(cfg.eval.test)
     artifact_names: list[str] = []
 
     def emit(name: str):
@@ -316,15 +285,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     test_dicts: dict[str, DictionaryPairs] = {}
     with _stage("dict"):
         for target in cfg.targets:
-            lang = target["lang"]
-            langs = (ref_lang, lang) if target["dict_direction"] == "ref2other" \
+            lang = target.lang
+            langs = (ref_lang, lang) if target.dict_direction == "ref2other" \
                 else (lang, ref_lang)
-            pairs = load_dictionary(target["dict"], *langs)
+            pairs = load_dictionary(target.dict, *langs)
             if cfg.clean_dicts:
                 pairs = clean_dictionary(pairs)
             if cfg.split:
-                train, test = split_dictionary(pairs, cfg.split["test_size"],
-                                               cfg.split["seed"])
+                train, test = split_dictionary(pairs, cfg.split.test_size, cfg.split.seed)
                 from .dictionary import save_dictionary
                 save_dictionary(train, emit(f"{ref_lang}-{lang}.train.tsv"))
                 save_dictionary(test, emit(f"{ref_lang}-{lang}.test.tsv"))
@@ -333,11 +301,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 train_dicts[lang] = pairs
 
     with _stage("align"):
-        reference = load_space(cfg.reference["path"], ref_lang, cfg.normalize,
+        reference = load_space(cfg.reference.path, ref_lang, cfg.normalize,
                                cfg.max_words, cfg.lowercase)
-        targets = {t["lang"]: (load_space(t["path"], t["lang"], cfg.normalize,
-                                          cfg.max_words, cfg.lowercase),
-                               train_dicts[t["lang"]])
+        targets = {t.lang: (load_space(t.path, t.lang, cfg.normalize,
+                                       cfg.max_words, cfg.lowercase),
+                            train_dicts[t.lang])
                    for t in cfg.targets}
         spaces = fit_method(cfg.method, reference, targets, cfg.reweight_p,
                             cfg.reduce_dim, cfg.sources)
@@ -349,18 +317,18 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         with _stage("eval"):
             reports = []
             for target in cfg.targets:
-                lang = target["lang"]
-                if cfg.eval["test"]:
-                    langs = (ref_lang, lang) if target["dict_direction"] == "ref2other" \
+                lang = target.lang
+                if cfg.eval.test:
+                    langs = (ref_lang, lang) if target.dict_direction == "ref2other" \
                         else (lang, ref_lang)
-                    test = load_dictionary(cfg.eval["test"], *langs)
+                    test = load_dictionary(cfg.eval.test, *langs)
                 else:
                     test = test_dicts[lang]
                 test = orient(test, ref_lang, lang)
                 reports.append(precision_at_k(spaces[ref_lang], spaces[lang], test,
-                                              ks=cfg.eval["ks"],
-                                              oov_policy=cfg.eval["oov_policy"],
-                                              method_label=cfg.eval["label"]))
+                                              ks=cfg.eval.ks,
+                                              oov_policy=cfg.eval.oov_policy,
+                                              method_label=cfg.eval.label))
             emit("report.json").write_text(render_report(reports, "json"),
                                            encoding="utf-8")
             emit("report.txt").write_text(render_report(reports, "table"),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import os
 import threading
 import time
@@ -113,8 +114,8 @@ class HttpTranslationClient:
                  clock=time.monotonic):
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if rps is not None and rps <= 0:
-            raise ValueError("rps must be positive")
+        if rps is not None and not 0 < rps < math.inf:
+            raise ValueError("rps must be finite and positive")
         # imported here, not at module level: requests and urllib3 take a
         # noticeable share of every CLI start, and only this client needs them
         import requests

@@ -390,6 +390,30 @@ class TestCli:
         assert "config key seed has a value of the wrong type: 1.5" in caplog.text
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("change, key", [
+        (lambda cfg: {**cfg, "out_dir": None}, "out_dir"),
+        (lambda cfg: {**cfg, "out_dir": 5}, "out_dir"),
+        (lambda cfg: {**cfg, "sources": 5}, "sources"),
+        (lambda cfg: {**cfg, "reference": {**cfg["reference"], "lang": 5}}, "reference.lang"),
+        (lambda cfg: {**cfg, "reference": {**cfg["reference"], "path": 0}}, "reference.path"),
+        (lambda cfg: {**cfg, "targets": [{**cfg["targets"][0], "dict": None}]}, "targets.dict"),
+        (lambda cfg: {**cfg, "eval": {**cfg["eval"], "test": 7}}, "eval.test"),
+        (lambda cfg: {**cfg, "eval": {**cfg["eval"], "label": 5}}, "eval.label"),
+    ], ids=["out_dir-null", "out_dir-number", "sources-number", "reference-lang-number",
+            "reference-path-number", "target-dict-null", "eval-test-number",
+            "eval-label-number"])
+    def test_run_config_path_or_name_of_wrong_type_exits_two(
+            self, rotation_files, tmp_path, monkeypatch, caplog, capsys, change, key):
+        # a relative out_dir such as "None" or "5" would land in tmp_path
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(change(base_config(rotation_files, tmp_path / "x"))),
+                            encoding="utf-8")
+        assert self.run("run", "--config", str(cfg_path)) == 2
+        assert f"config key {key} has a value of the wrong type" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not [path for path in tmp_path.iterdir() if path.is_dir()]
+
     def test_valid_config_values_keep_their_canonical_form(self, rotation_files, tmp_path):
         cfg = {**base_config(rotation_files, tmp_path / "x"), "reweight_p": 1, "reduce_dim": 3,
                "normalize": ["unit"], "lowercase": True, "clean_dicts": False,
@@ -462,6 +486,22 @@ def test_dict_build_workers_out_of_range_exits_one(tmp_path, workers):
                  "--out", str(tmp_path / "d.tsv"), "--cache", str(tmp_path / "c.tsv"),
                  "--workers", workers])
     assert code == 1
+    assert not (tmp_path / "d.tsv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rps", "0"), ("--rps", "-1"), ("--rps", "nan"), ("--rps", "inf"), ("--rps", "fast"),
+    ("--retries", "-1"), ("--retries", "1.5"), ("--retries", "many"),
+])
+def test_dict_build_rate_or_retries_out_of_range_exits_one(tmp_path, capsys, flag, value):
+    words = tmp_path / "words.txt"
+    words.write_text("good\n", encoding="utf-8")
+    code = main(["dict-build", "--words", str(words), "--src-lang", "en", "--tgt-lang", "uz",
+                 "--out", str(tmp_path / "d.tsv"),
+                 "--endpoint", "http://127.0.0.1:1/translate", flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
     assert not (tmp_path / "d.tsv").exists()
 
 

@@ -213,6 +213,11 @@ class TestHttpClient:
         # first call free, later calls wait for their 0.5 s slots
         assert sleeps == pytest.approx([0.5, 1.0])
 
+    @pytest.mark.parametrize("rps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rate_must_be_finite_and_positive(self, rps):
+        with pytest.raises(ValueError, match="rps"):
+            HttpTranslationClient("http://svc", rps=rps, session=FakeSession([]))
+
     def test_write_through_cache(self, tmp_path):
         path = tmp_path / "cache.tsv"
         session = FakeSession([FakeResponse(200, {"translation": "yaxshi"})])
