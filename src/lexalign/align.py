@@ -106,17 +106,26 @@ def align_orthogonal(reference: VocabEmbedding, other: VocabEmbedding,
     """Rotate `other` onto `reference` with the closed-form orthogonal map
     fitted on dictionary rows. The reference matrix is left untouched."""
     _check_alignable(reference, other)
-    oriented = orient(pairs, other.language, reference.language)
-    pm = build_paired_matrices(other, reference, oriented)
-    w = procrustes(pm)
-    logger.info("orthogonal %s->%s: pairs_used=%d oov_src=%d oov_tgt=%d",
-                other.language, reference.language, len(pm), pm.oov_src, pm.oov_tgt)
+    w = _orthogonal_map(reference, other, pairs)
     moved = AlignedSpace(apply_map(other, w), maps_applied=(w,),
                          reference_language=reference.language)
     fixed = AlignedSpace(reference, maps_applied=(),
                          reference_language=reference.language)
     return MultiSpace({reference.language: fixed, other.language: moved},
                       hub=reference.language)
+
+
+def _orthogonal_map(reference: VocabEmbedding, other: VocabEmbedding,
+                    pairs: DictionaryPairs) -> LinearMap:
+    """The Procrustes map that align_orthogonal applies. The paired rows
+    live only inside this call, so they are freed before the output is
+    allocated; the other fit helpers below work the same way."""
+    oriented = orient(pairs, other.language, reference.language)
+    pm = build_paired_matrices(other, reference, oriented)
+    w = procrustes(pm)
+    logger.info("orthogonal %s->%s: pairs_used=%d oov_src=%d oov_tgt=%d",
+                other.language, reference.language, len(pm), pm.oov_src, pm.oov_tgt)
+    return w
 
 
 def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
@@ -133,6 +142,22 @@ def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
     d = reference.dim
     if reduce_dim is not None and not 1 <= reduce_dim <= d:
         raise DataError(f"reduce_dim must be in [1, {d}], got {reduce_dim}")
+    chains = _multistep_chains(reference, other, pairs, reweight_p, reduce_dim)
+    spaces = {}
+    for emb, lang in ((other, other.language), (reference, reference.language)):
+        moved = emb
+        for m in chains[lang]:
+            moved = apply_map(moved, m)
+        spaces[lang] = AlignedSpace(moved, maps_applied=tuple(chains[lang]),
+                                    reference_language=reference.language)
+    return MultiSpace(spaces, hub=reference.language)
+
+
+def _multistep_chains(reference: VocabEmbedding, other: VocabEmbedding,
+                      pairs: DictionaryPairs, reweight_p: float,
+                      reduce_dim: int | None) -> dict[str, list[LinearMap]]:
+    """The map chain of each side for align_multistep, keyed by language."""
+    d = reference.dim
     oriented = orient(pairs, other.language, reference.language)
     pm = build_paired_matrices(other, reference, oriented)
 
@@ -155,15 +180,7 @@ def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
             chain.append(truncate)
     logger.info("multistep %s/%s: pairs_used=%d reweight_p=%g reduce_dim=%s",
                 other.language, reference.language, len(pm), reweight_p, reduce_dim)
-
-    spaces = {}
-    for emb, lang in ((other, other.language), (reference, reference.language)):
-        moved = emb
-        for m in chains[lang]:
-            moved = apply_map(moved, m)
-        spaces[lang] = AlignedSpace(moved, maps_applied=tuple(chains[lang]),
-                                    reference_language=reference.language)
-    return MultiSpace(spaces, hub=reference.language)
+    return chains
 
 
 def meemi_bilingual(ms: MultiSpace, pairs: DictionaryPairs,
@@ -176,15 +193,7 @@ def meemi_bilingual(ms: MultiSpace, pairs: DictionaryPairs,
     if {pairs.src_lang, pairs.tgt_lang} != set(ms.spaces):
         raise DataError(f"dictionary {pairs.src_lang}->{pairs.tgt_lang} does not "
                         f"match spaces {sorted(ms.spaces)}")
-    src_space = ms[pairs.src_lang]
-    tgt_space = ms[pairs.tgt_lang]
-    pm = build_paired_matrices(src_space.embedding, tgt_space.embedding, pairs)
-    mid = 0.5 * (pm.X + pm.Z)
-    fits = {
-        pairs.src_lang: least_squares_map(pm.X, mid, min_norm_fallback),
-        pairs.tgt_lang: least_squares_map(pm.Z, mid, min_norm_fallback),
-    }
-    logger.info("meemi %s/%s: pairs_used=%d", pairs.src_lang, pairs.tgt_lang, len(pm))
+    fits = _meemi_fits(ms, pairs, min_norm_fallback)
     spaces = {}
     for lang, space in ms.spaces.items():
         w = fits[lang]
@@ -192,6 +201,20 @@ def meemi_bilingual(ms: MultiSpace, pairs: DictionaryPairs,
                                     space.maps_applied + (w,),
                                     space.reference_language or ms.hub)
     return MultiSpace(spaces, hub=ms.hub)
+
+
+def _meemi_fits(ms: MultiSpace, pairs: DictionaryPairs,
+                min_norm_fallback: bool) -> dict[str, LinearMap]:
+    """The least-squares map of each side for meemi_bilingual."""
+    pm = build_paired_matrices(ms[pairs.src_lang].embedding, ms[pairs.tgt_lang].embedding,
+                               pairs)
+    mid = 0.5 * (pm.X + pm.Z)
+    fits = {
+        pairs.src_lang: least_squares_map(pm.X, mid, min_norm_fallback),
+        pairs.tgt_lang: least_squares_map(pm.Z, mid, min_norm_fallback),
+    }
+    logger.info("meemi %s/%s: pairs_used=%d", pairs.src_lang, pairs.tgt_lang, len(pm))
+    return fits
 
 
 def meemi_multilingual(hub: AlignedSpace, others, source_set,
@@ -229,7 +252,22 @@ def meemi_multilingual(hub: AlignedSpace, others, source_set,
         if space.reference_language and space.reference_language != hub_lang:
             raise DataError(f"space {space.language!r} is aligned to "
                             f"{space.reference_language!r}, not the hub {hub_lang!r}")
+    spaces_by_lang = {hub_lang: hub}
+    spaces_by_lang.update((space.language, space) for space, _ in others)
+    fits = _tuple_fits(spaces_by_lang, others, source_set, all_combinations,
+                       min_norm_fallback)
+    new_spaces = {lang: AlignedSpace(apply_map(space.embedding, fits[lang]),
+                                     space.maps_applied + (fits[lang],), hub_lang)
+                  for lang, space in spaces_by_lang.items()}
+    return MultiSpace(new_spaces, hub=hub_lang)
 
+
+def _tuple_fits(spaces_by_lang: dict[str, AlignedSpace], others, source_set: set,
+                all_combinations: bool, min_norm_fallback: bool) -> dict[str, LinearMap]:
+    """The least-squares map of each language for meemi_multilingual, keyed
+    by language; spaces_by_lang starts with the hub."""
+    hub_lang, hub = next(iter(spaces_by_lang.items()))
+    langs = [space.language for space, _ in others]
     # per-language translation tables over usable (in-vocabulary) pairs
     tables: dict[str, dict[str, list[str]]] = {}
     hub_order: list[str] = []
@@ -264,8 +302,6 @@ def meemi_multilingual(hub: AlignedSpace, others, source_set,
         raise DataError("no hub word forms a usable translation tuple")
     logger.info("meemi hub=%s: tuples=%d languages=%d", hub_lang, len(tuples), 1 + len(langs))
 
-    spaces_by_lang = {hub_lang: hub}
-    spaces_by_lang.update((space.language, space) for space, _ in others)
     means = np.empty((len(tuples), hub.dim))
     for ti, (h, members) in enumerate(tuples):
         vecs = [hub.embedding.vector(h)]
@@ -288,8 +324,4 @@ def meemi_multilingual(hub: AlignedSpace, others, source_set,
         if not rows:
             raise DataError(f"language {lang!r} participates in no tuple")
         fits[lang] = least_squares_map(np.array(rows), np.array(targets), min_norm_fallback)
-
-    new_spaces = {lang: AlignedSpace(apply_map(space.embedding, fits[lang]),
-                                     space.maps_applied + (fits[lang],), hub_lang)
-                  for lang, space in spaces_by_lang.items()}
-    return MultiSpace(new_spaces, hub=hub_lang)
+    return fits

@@ -91,9 +91,11 @@ def cmd_align(args) -> int:
     ref_lang, lang = reference.language, other.language
     check_method(args.method, ref_lang, [lang], [])
     langs = (ref_lang, lang) if args.dict_direction == "ref2other" else (lang, ref_lang)
-    pairs = load_dictionary(args.dict, *langs)
-    spaces = fit_method(args.method, reference, {lang: (other, pairs)},
-                        args.reweight_p, args.reduce_dim)
+    # fit_method consumes targets: with no other reference, the input goes
+    # as soon as its rotated copy exists
+    targets = {lang: (other, load_dictionary(args.dict, *langs))}
+    del other
+    spaces = fit_method(args.method, reference, targets, args.reweight_p, args.reduce_dim)
     _write_space(spaces[lang], args.out)
     if args.out_ref:
         _write_space(spaces[ref_lang], args.out_ref)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -150,9 +151,18 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
                                       code="header", line=1) from None
         if count < 0 or dim < 1:
             raise EmbeddingParseError(f"bad header counts {count} {dim}", code="header", line=1)
+        # one matrix for every kept row, parsed into in place: at most the
+        # rows the header and max_words allow, and for a regular file no more
+        # than its size can hold (a row takes at least 2 * dim + 2 bytes);
+        # anything else starts empty and grows as rows arrive. It is resized
+        # in place without a reference check (which a debugger holding this
+        # frame's locals would fail): no view of it outlives a statement.
+        limit = count if max_words is None else min(count, max_words)
+        info = os.fstat(fh.fileno())
+        rows = min(limit, info.st_size // (2 * dim + 2)) if stat.S_ISREG(info.st_mode) else 0
+        matrix = np.empty((rows, dim))
         words: list[str] = []
         seen: set[str] = set()
-        blocks: list[np.ndarray] = []
         bodies: list[str] = []
         body_lines: list[int] = []
         read = 0
@@ -161,7 +171,11 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
 
         def flush():
             if bodies:
-                blocks.append(_parse_bodies(bodies, body_lines, dim))
+                if len(words) > len(matrix):
+                    matrix.resize((min(limit, max(2 * len(matrix), len(words))), dim),
+                                  refcheck=False)
+                matrix[len(words) - len(bodies):len(words)] = \
+                    _parse_bodies(bodies, body_lines, dim)
                 bodies.clear()
                 body_lines.clear()
 
@@ -210,8 +224,9 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
     if read > len(words):
         logger.info("%s: dropped %d duplicate words, first occurrence kept",
                     path, read - len(words))
-    return VocabEmbedding(language=language, words=tuple(words),
-                          matrix=np.concatenate(blocks))
+    if len(matrix) > len(words):
+        matrix.resize((len(words), dim), refcheck=False)  # no view keeps the spare rows
+    return VocabEmbedding(language=language, words=tuple(words), matrix=matrix)
 
 
 def _format_block(block: np.ndarray, decimals: int) -> list[bytes | None]:
@@ -305,14 +320,20 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
     return norms
 
 
-def normalize(emb: VocabEmbedding, steps) -> VocabEmbedding:
+def normalize(emb: VocabEmbedding, steps, *, copy: bool = True) -> VocabEmbedding:
     """Apply "unit" (rows to length 1) and "center" (subtract the column mean)
-    steps in order, returning a new embedding with an extended norm_recipe."""
+    steps in order, returning a new embedding with an extended norm_recipe.
+
+    By default emb is left unchanged and the result owns a new matrix.
+    copy=False works on emb.matrix itself and the result shares it, so no
+    second full-size matrix exists; it is only for a matrix nobody else
+    holds, such as one just loaded, since emb's values no longer match its
+    recipe afterwards. The result's bits are the same either way."""
     steps = tuple(steps)
     for step in steps:
         if step not in NORM_STEPS:
             raise ValueError(f"unknown normalization step {step!r}, expected one of {NORM_STEPS}")
-    matrix = np.array(emb.matrix, dtype=np.float64, copy=True)
+    matrix = np.array(emb.matrix, copy=True) if copy else emb.matrix
     for step in steps:
         if step == "unit":
             norms = row_norms(matrix)

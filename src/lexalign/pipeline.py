@@ -100,6 +100,13 @@ class PipelineConfig:
             if not all(isinstance(entry, dict) for entry in raw["targets"]):
                 raise DataError("a target entry must be a JSON object")
         cfg = _convert(cls, raw, "")
+        for key, value in [("out_dir", cfg.out_dir), ("reference.lang", cfg.reference.lang),
+                           ("reference.path", cfg.reference.path),
+                           *[(f"targets.{name}", getattr(t, name)) for t in cfg.targets
+                             for name in ("lang", "path", "dict")],
+                           ("eval.test", cfg.eval and cfg.eval.test)]:
+            if value == "":
+                raise DataError(f"config key {key} must not be an empty string")
         if any(t.dict_direction not in DICT_DIRECTIONS for t in cfg.targets):
             raise DataError(f"dict_direction must be one of {DICT_DIRECTIONS}")
         cfg.sources = check_method(cfg.method, cfg.reference.lang,
@@ -199,14 +206,21 @@ def fit_method(method: str, reference, targets: dict, reweight_p: float = 0.5,
     check_method has accepted it. targets maps each language to its
     (embedding, training dictionary); the dictionary may run either way.
     multistep takes reweight_p and reduce_dim, meemi-multi the checked
-    sources and all_combinations."""
+    sources and all_combinations.
+
+    fit_method consumes targets: it removes each entry as that space is
+    fitted, so a caller that holds no other reference to a target's
+    embedding frees it as soon as its rotated copy exists, and targets is
+    empty on return."""
     ref_lang = reference.language
     if method == "multistep":
-        (other, pairs), = targets.values()
+        _, (other, pairs) = targets.popitem()
         return align_multistep(reference, other, pairs, reweight_p=reweight_p,
                                reduce_dim=reduce_dim)
-    rotated = {lang: (align_orthogonal(reference, other, pairs), pairs)
-               for lang, (other, pairs) in targets.items()}
+    rotated = {}
+    for lang in list(targets):
+        pairs = targets[lang][1]
+        rotated[lang] = (align_orthogonal(reference, targets.pop(lang)[0], pairs), pairs)
     if method == "meemi":
         (spaces, pairs), = rotated.values()
         return meemi_bilingual(spaces, pairs)
@@ -221,9 +235,10 @@ def fit_method(method: str, reference, targets: dict, reweight_p: float = 0.5,
 
 
 def load_space(path, lang, steps, max_words=None, lowercase=False):
-    """Load an embedding file and apply the normalization steps, if any."""
+    """Load an embedding file and apply the normalization steps, if any, in
+    place: nothing else holds the matrix just parsed."""
     emb = load_embeddings(path, max_words, lowercase, language=lang)
-    return normalize(emb, steps) if steps else emb
+    return normalize(emb, steps, copy=False) if steps else emb
 
 
 def write_space(space: AlignedSpace, vec_path, map_path) -> bool:
@@ -309,6 +324,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                    for t in cfg.targets}
         spaces = fit_method(cfg.method, reference, targets, cfg.reweight_p,
                             cfg.reduce_dim, cfg.sources)
+        del reference  # spaces holds it where the method keeps it unmoved
         for lang in spaces.languages():
             if write_space(spaces[lang], emit(f"{lang}.aligned.vec"), out / f"{lang}.map"):
                 emit(f"{lang}.map")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from lexalign import DictionaryPairs, VocabEmbedding
@@ -19,3 +21,14 @@ def identity_dict(words, src_lang, tgt_lang):
 
 def unit_rows(matrix):
     return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+
+
+def peak_bytes(call):
+    """The most memory Python's allocators held at once while call() ran,
+    counting only what it allocated."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,13 +1,18 @@
 """Property tests: the text embedding writer and reader against per-value
 reference implementations (the straightforward loops they replace)."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lexalign import DataError, EmbeddingParseError, VocabEmbedding, embeddings, \
-    load_embeddings, save_embeddings
+    load_embeddings, normalize, save_embeddings
+from lexalign.embeddings import NORM_STEPS
+from lexalign.pipeline import load_space
 
 PROPERTY = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -170,6 +175,118 @@ def test_defects_of_every_kind_in_one_file(tmp_path, monkeypatch, read_rows):
     rows[2] = "c 5 6"
     assert load_rows(tmp_path / "en.vec", 2, rows) == ("arity", 5)
 
+
+
+def block_list_load(lines, max_words, lowercase):
+    """The kept words and matrix as the reader assembled them before it
+    parsed into one preallocated matrix: _parse_bodies per chunk of kept
+    rows, then np.concatenate over the chunks."""
+    words, bodies, line_nos = [], [], []
+    for line_no, line in enumerate(lines, start=2):
+        if max_words is not None and len(words) >= max_words:
+            break
+        line = line.rstrip(" ")
+        if not line:
+            continue
+        word, _, body = line.partition(" ")
+        word = word.lower() if lowercase else word
+        if word not in words:
+            words.append(word)
+            bodies.append(body)
+            line_nos.append(line_no)
+    dim = bodies[0].count(" ") + 1
+    step = embeddings._READ_ROWS
+    return tuple(words), np.concatenate([
+        embeddings._parse_bodies(bodies[i:i + step], line_nos[i:i + step], dim)
+        for i in range(0, len(bodies), step)])
+
+
+def write_vectors(path, lines, dim, newline_at_end, fifo):
+    """Write a vector file with a header counting the non-blank lines; for
+    fifo, make path a named pipe and return the thread that feeds it."""
+    count = sum(1 for line in lines if line.strip(" "))
+    text = f"{count} {dim}\n" + "\n".join(lines) + ("\n" if newline_at_end else "")
+    if not fifo:
+        path.write_text(text, encoding="utf-8")
+        return None
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(text,), kwargs={"encoding": "utf-8"})
+    writer.start()
+    return writer
+
+
+@st.composite
+def vocabularies(draw):
+    """Rows over a few words that fold together under lowercase, some with
+    trailing spaces, among blank lines."""
+    dim = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 14))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "   "])))
+            continue
+        word = draw(st.sampled_from(["a", "A", "b", "B", "ab", "aB", "c"]))
+        values = draw(st.lists(good_tokens, min_size=dim, max_size=dim))
+        lines.append(" ".join([word] + values) + " " * draw(st.integers(0, 2)))
+    if not any(line.strip() for line in lines):
+        lines.append("z " + " ".join(["1"] * dim))
+    return dim, lines
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@PROPERTY
+@given(body=vocabularies(), lowercase=st.booleans(), max_words=st.none() | st.integers(1, 8),
+       read_rows=st.integers(1, 5), newline_at_end=st.booleans(), fifo=st.booleans(),
+       steps=st.lists(st.sampled_from(NORM_STEPS), max_size=3))
+def test_preallocated_reader_equals_the_block_list_reader(
+        tmp_path_factory, monkeypatch, body, lowercase, max_words, read_rows, newline_at_end,
+        fifo, steps):
+    monkeypatch.setattr(embeddings, "_READ_ROWS", read_rows)
+    dim, lines = body
+    words, matrix = block_list_load(lines, max_words, lowercase)
+    path = tmp_path_factory.mktemp("vectors") / "en.vec"
+
+    def load(read):
+        writer = write_vectors(path, lines, dim, newline_at_end, fifo)
+        try:
+            return read()
+        finally:
+            if writer is not None:
+                writer.join()
+                path.unlink()
+
+    emb = load(lambda: load_embeddings(path, max_words, lowercase))
+    assert emb.words == words
+    assert emb.matrix.tobytes() == matrix.tobytes()
+    assert emb.matrix.base is None and emb.matrix.flags.owndata
+    try:
+        expected = normalize(emb, steps)
+    except DataError:
+        with pytest.raises(DataError):
+            load(lambda: load_space(path, "en", steps, max_words, lowercase))
+        return
+    space = load(lambda: load_space(path, "en", steps, max_words, lowercase))
+    assert space.words == expected.words and space.norm_recipe == expected.norm_recipe
+    assert space.matrix.tobytes() == expected.matrix.tobytes()
+
+
+def test_reader_allocates_no_more_rows_than_the_file_can_hold(tmp_path, monkeypatch):
+    path = tmp_path / "en.vec"
+    path.write_text("1000000000000 3\na 1 2 3\nb 4 5 6\n", encoding="utf-8")
+    shapes = []
+    empty = np.empty
+
+    def recording_empty(shape, *args, **kwargs):
+        shapes.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recording_empty)
+    with pytest.raises(EmbeddingParseError) as err:
+        load_embeddings(path)
+    assert (err.value.code, err.value.line) == ("truncated", 4)
+    # 32 bytes, and a row of 3 values takes at least 8
+    assert shapes[0] == (4, 3)
 
 
 # ---------------------------------------------------------------- vocabulary

@@ -414,6 +414,30 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         assert not [path for path in tmp_path.iterdir() if path.is_dir()]
 
+    @pytest.mark.parametrize("change, key", [
+        (lambda cfg: {**cfg, "out_dir": ""}, "out_dir"),
+        (lambda cfg: {**cfg, "reference": {**cfg["reference"], "lang": ""}}, "reference.lang"),
+        (lambda cfg: {**cfg, "reference": {**cfg["reference"], "path": ""}}, "reference.path"),
+        (lambda cfg: {**cfg, "targets": [{**cfg["targets"][0], "lang": ""}]}, "targets.lang"),
+        (lambda cfg: {**cfg, "targets": [{**cfg["targets"][0], "path": ""}]}, "targets.path"),
+        (lambda cfg: {**cfg, "targets": [{**cfg["targets"][0], "dict": ""}]}, "targets.dict"),
+        (lambda cfg: {**cfg, "eval": {**cfg["eval"], "test": ""}}, "eval.test"),
+    ], ids=["out_dir", "reference-lang", "reference-path", "target-lang", "target-path",
+            "target-dict", "eval-test"])
+    def test_run_config_empty_path_or_name_exits_two(
+            self, rotation_files, tmp_path, monkeypatch, caplog, capsys, change, key):
+        # an empty out_dir would write into the working directory
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(change(base_config(rotation_files, tmp_path / "x"))),
+                            encoding="utf-8")
+        assert self.run("run", "--config", str(cfg_path)) == 2
+        assert f"config key {key} must not be an empty string" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not [path for path in tmp_path.iterdir() if path.is_dir()]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "config.json", "xx.vec", "zz-xx.tsv", "zz.vec"]
+
     def test_valid_config_values_keep_their_canonical_form(self, rotation_files, tmp_path):
         cfg = {**base_config(rotation_files, tmp_path / "x"), "reweight_p": 1, "reduce_dim": 3,
                "normalize": ["unit"], "lowercase": True, "clean_dicts": False,
@@ -554,3 +578,46 @@ def test_align_commands_write_the_bytes_run_writes(tmp_path, command, method):
         assert cli_map.exists() == run_map.exists()
         if run_map.exists():
             assert cli_map.read_bytes() == run_map.read_bytes()
+
+
+BAD_VECTORS = {
+    "missing": (None, "No such file"),
+    "truncated": (b"3 2\na 1 2\nb 3 4\n", "line 4: header promises 3 rows, file has 2"),
+    "huge-count": (b"1000000000000 2\na 1 2\nb 3 4\n",
+                   "line 4: header promises 1000000000000 rows, file has 2"),
+    "non-utf8": (b"2 2\na 1 2\n\xff 3 4\n", "can't decode byte 0xff"),
+    "field-count": (b"2 2\na 1 2\nb 3\n", "line 3: expected 3 fields, found 2"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_VECTORS))
+@pytest.mark.parametrize("command", ["align", "align-multi", "meemi", "induce", "eval", "run"])
+def test_bad_vector_file_exits_two_for_every_reading_command(
+        rotation_files, tmp_path, monkeypatch, caplog, capsys, command, bad):
+    """Each subcommand that reads vectors, given one bad vector file after a
+    good one, exits 2 with the loader's message and no traceback."""
+    content, message = BAD_VECTORS[bad]
+    path = tmp_path / "bad.vec"
+    if content is not None:
+        path.write_bytes(content)
+    good, dictionary, out = str(rotation_files["ref"]), str(rotation_files["dict"]), tmp_path / "o"
+    argv = {
+        "align": ["--ref", good, "--other", str(path), "--dict", dictionary,
+                  "--out", str(out / "xx.vec")],
+        "align-multi": ["--ref", good, "--pair", f"xx:{path}:{dictionary}",
+                        "--out-dir", str(out)],
+        "meemi": ["--src", good, "--tgt", str(path), "--dict", dictionary,
+                  "--src-lang", "zz", "--tgt-lang", "xx", "--out-src", str(out / "zz.vec"),
+                  "--out-tgt", str(out / "xx.vec")],
+        "induce": ["--space", good, "--query-space", str(path), "--word", "w0"],
+        "eval": ["--src", good, "--tgt", str(path), "--test", dictionary,
+                 "--src-lang", "zz", "--tgt-lang", "xx"],
+        "run": ["--config", str(tmp_path / "config.json")],
+    }[command]
+    cfg = base_config(rotation_files, out)
+    cfg["targets"][0]["path"] = str(path)
+    (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *argv]) == 2
+    assert message in caplog.text
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,8 +1,6 @@
 """Bitwise identity of the row-blocked retrieval and normalization kernels
 with their full-matrix formulas, and the memory they allocate."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +9,8 @@ from lexalign import (DEFAULT_NORMALIZE, DataError, VocabEmbedding, induce, norm
                       rank_by_score)
 from lexalign.embeddings import NORM_ROWS, NORM_STEPS
 from lexalign.induction import _EPS, _unit_rows
+
+from conftest import peak_bytes
 
 ROWS = st.one_of(st.sampled_from([1, NORM_ROWS - 1, NORM_ROWS, NORM_ROWS + 1]),
                  st.integers(1, 3 * NORM_ROWS + 5))
@@ -82,15 +82,6 @@ def test_normalize_equals_full_matrix_reference(matrix, steps):
     result = normalize(emb, steps)
     assert result.matrix.tobytes() == expected.tobytes()
     assert result.norm_recipe == tuple(steps)
-
-
-def peak_bytes(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_retrieval_and_normalization_allocate_no_full_size_temporary():
