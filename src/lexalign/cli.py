@@ -16,17 +16,17 @@ import os
 import sys
 
 from . import __version__
-from .align import AlignedSpace, meemi_bilingual, MultiSpace
 from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
                          save_dictionary, split_dictionary)
-from .embeddings import DEFAULT_NORMALIZE, check_steps, load_embeddings
 from .errors import DataError, ExternalServiceError, LexalignError, PipelineStageError, \
     TranslationError
-from .induction import induce, OOV_POLICIES, precision_at_k, render_report
-from .pipeline import (check_method, DICT_DIRECTIONS, fit_method, load_space, PipelineConfig,
-                       run_pipeline, write_space)
+from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, OOV_POLICIES
 from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
     translate_wordlist
+
+# Only numpy-free modules are imported above, so --version, --help and the
+# dict-* commands start without numpy; each numeric command imports what it
+# uses when it runs.
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_steps(text: str) -> tuple:
+    from .embeddings import check_steps
     if text in ("", "none"):
         return ()
     return check_steps(part.strip() for part in text.split(","))
@@ -77,11 +78,21 @@ _rate = _bounded(float, sys.float_info.min, sys.float_info.max, "a finite number
 _retry_count = _bounded(int, 0, math.inf, "an integer of 0 or more")
 
 
-def _write_space(space: AlignedSpace, vec_path) -> None:
+def _write_space(space, vec_path) -> None:
+    from .pipeline import write_space
     write_space(space, vec_path, f"{os.fspath(vec_path)}.map")
 
 
+def run_pipeline(config):
+    """pipeline.run_pipeline, imported when called. perfbench/tracer.py times a
+    `run` by wrapping this module attribute, so cmd_run calls it by this name
+    until the library records its own stage timings (ROADMAP item 1)."""
+    from .pipeline import run_pipeline
+    return run_pipeline(config)
+
+
 def cmd_align(args) -> int:
+    from .pipeline import check_method, fit_method, load_space
     steps = _parse_steps(args.normalize)
     if args.method in ("multistep", "meemi") and not args.out_ref:
         raise _UsageError(f"method {args.method} moves the reference space too; "
@@ -103,6 +114,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_align_multi(args) -> int:
+    from .pipeline import check_method, fit_method, load_space
     steps = _parse_steps(args.normalize)
     pair_parts = [text.split(":") for text in args.pair]
     for text, parts in zip(args.pair, pair_parts):
@@ -124,6 +136,8 @@ def cmd_align_multi(args) -> int:
 
 
 def cmd_meemi(args) -> int:
+    from .align import AlignedSpace, meemi_bilingual, MultiSpace
+    from .embeddings import load_embeddings
     src = load_embeddings(args.src, language=args.src_lang)
     tgt = load_embeddings(args.tgt, language=args.tgt_lang)
     pairs = load_dictionary(args.dict, src.language, tgt.language)
@@ -137,6 +151,8 @@ def cmd_meemi(args) -> int:
 
 
 def cmd_induce(args) -> int:
+    from .embeddings import load_embeddings
+    from .induction import induce
     tgt = load_embeddings(args.space, language=args.lang)
     query_emb = tgt if args.query_space is None \
         else load_embeddings(args.query_space, language=args.query_lang)
@@ -147,6 +163,8 @@ def cmd_induce(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .embeddings import load_embeddings
+    from .induction import precision_at_k, render_report
     src = load_embeddings(args.src, language=args.src_lang)
     tgt = load_embeddings(args.tgt, language=args.tgt_lang)
     test = load_dictionary(args.test, src.language, tgt.language)
@@ -223,6 +241,7 @@ def cmd_dict_split(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .pipeline import PipelineConfig
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):

@@ -6,7 +6,7 @@ import logging
 import random
 from dataclasses import dataclass, replace
 
-from .errors import DataError, DictionaryFormatError
+from .errors import DataError, DictionaryFormatError, locate_decode_error
 
 logger = logging.getLogger(__name__)
 
@@ -120,18 +120,24 @@ def load_dictionary(path, src_lang: str = "src", tgt_lang: str = "tgt",
     pairs = []
     skipped = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            cols = line.split("\t") if "\t" in line else line.split(" ")
-            if len(cols) != 2 or not cols[0] or not cols[1]:
-                if on_bad_lines == "skip":
-                    skipped += 1
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line.strip():
                     continue
-                raise DictionaryFormatError(f"expected 2 columns, found {len(cols)}",
-                                            line=line_no)
-            pairs.append((cols[0], cols[1]))
+                cols = line.split("\t") if "\t" in line else line.split(" ")
+                if len(cols) != 2 or not cols[0] or not cols[1]:
+                    if on_bad_lines == "skip":
+                        skipped += 1
+                        continue
+                    raise DictionaryFormatError(f"expected 2 columns, found {len(cols)}",
+                                                line=line_no)
+                pairs.append((cols[0], cols[1]))
+        except UnicodeDecodeError as exc:
+            line_no, message = locate_decode_error(path, exc)
+            if line_no is None:
+                raise DataError(message) from None
+            raise DictionaryFormatError(message, line=line_no) from None
     if skipped:
         logger.warning("%s: skipped %d malformed lines", path, skipped)
     return DictionaryPairs(src_lang, tgt_lang, tuple(pairs), provenance="file")

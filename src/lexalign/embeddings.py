@@ -16,12 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from .dictionary import single_token
-from .errors import DataError, EmbeddingParseError
+from .errors import DataError, EmbeddingParseError, locate_decode_error
+from .options import DEFAULT_NORMALIZE, NORM_STEPS
 
 logger = logging.getLogger(__name__)
 
-NORM_STEPS = ("unit", "center")
-DEFAULT_NORMALIZE = ("unit", "center", "unit")
 # rows per np.linalg.norm call in row_norms: the x*x temporary stays this
 # small, and each row's sum does not depend on the block it is in
 NORM_ROWS = 256
@@ -134,12 +133,25 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
     first dot-separated token of the file name. Every row read, kept or
     folded, counts against the header: a row past the count is a "header"
     error and a file with fewer rows is "truncated", unless max_words stops
-    reading first. With several defects the earliest line is reported.
+    reading first. With several defects the earliest line is reported, except
+    that a byte that is not UTF-8 ("encoding") can hide defects on the lines
+    before it that were not yet read: the reader decodes ahead of them.
     """
     if max_words is not None and max_words < 1:
         raise DataError("max_words must be positive")
     if language is None:
         language = _language_from_path(path)
+    try:
+        return _read_embeddings(path, max_words, lowercase, language)
+    except UnicodeDecodeError as exc:
+        line, message = locate_decode_error(path, exc)
+        if line is None:
+            raise DataError(message) from None
+        raise EmbeddingParseError(message, code="encoding", line=line) from None
+
+
+def _read_embeddings(path, max_words: int | None, lowercase: bool,
+                     language: str) -> VocabEmbedding:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:

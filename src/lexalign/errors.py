@@ -6,6 +6,12 @@ Anything the toolkit raises on purpose derives from LexalignError, so callers
 
 from __future__ import annotations
 
+import os
+import re
+
+# what a byte that is not UTF-8 decodes to under errors="surrogateescape"
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
 
 class LexalignError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,7 +27,7 @@ class EmbeddingParseError(DataError):
 
     code is one of "header" (a bad header line, or a row past the count it
     promises), "arity", "value", "empty", "truncated" (fewer rows than the
-    header promises); line is 1-based.
+    header promises), "encoding" (a byte that is not UTF-8); line is 1-based.
     """
 
     def __init__(self, message: str, code: str, line: int):
@@ -31,7 +37,8 @@ class EmbeddingParseError(DataError):
 
 
 class DictionaryFormatError(DataError):
-    """A dictionary file line did not have exactly two columns."""
+    """A dictionary file line did not have exactly two columns, or held a
+    byte that is not UTF-8."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
@@ -53,3 +60,19 @@ class PipelineStageError(LexalignError):
         super().__init__(f"stage={stage}: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def locate_decode_error(path, exc: UnicodeDecodeError) -> tuple[int | None, str]:
+    """For exc, raised while the file at path was read as UTF-8 text: the
+    1-based line of its first byte that is not UTF-8, counted as a text-mode
+    reader counts lines, and a message naming the file. The line comes from
+    reading the file again, so it is None for a file that cannot be read
+    twice, such as a pipe."""
+    message = (f"{os.fspath(path)}: can't decode byte 0x{exc.object[exc.start]:02x} "
+               f"as UTF-8 ({exc.reason})")
+    if os.path.isfile(path):
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if _ESCAPED_BYTE.search(line):
+                    return line_no, message
+    return None, message

@@ -11,10 +11,10 @@ import numpy as np
 from .align import AlignedSpace
 from .embeddings import NORM_ROWS, row_norms
 from .errors import DataError
+from .options import OOV_POLICIES
 
 logger = logging.getLogger(__name__)
 
-OOV_POLICIES = ("skip", "fail")
 _EPS = 1e-12
 _BLOCK_ROWS = 8192
 _QUERY_BLOCK = 64

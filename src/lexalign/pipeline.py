@@ -27,16 +27,15 @@ from .align import (AlignedSpace, MultiSpace, align_multistep, align_orthogonal,
                     meemi_bilingual, meemi_multilingual)
 from .dictionary import (DictionaryPairs, clean_dictionary, load_dictionary, orient,
                          split_dictionary)
-from .embeddings import (DEFAULT_NORMALIZE, check_steps, load_embeddings, normalize,
-                         save_embeddings)
+from .embeddings import check_steps, load_embeddings, normalize, save_embeddings
 from .errors import DataError, PipelineStageError
-from .induction import OOV_POLICIES, precision_at_k, render_report
+from .induction import precision_at_k, render_report
 from .maps import save_maps
+from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, OOV_POLICIES
 
 logger = logging.getLogger(__name__)
 
 METHODS = ("orthogonal", "multistep", "meemi", "meemi-multi")
-DICT_DIRECTIONS = ("ref2other", "other2ref")
 STAGES = ("dict", "align", "eval")
 INCOMPLETE_MARKER = "INCOMPLETE"
 

@@ -119,6 +119,16 @@ class TestIO:
             load_dictionary(p)
         assert err.value.line == 2
 
+    def test_non_utf8_byte_reports_file_and_line(self, tmp_path):
+        # "\r\n" and a lone "\r" each end one line, as the text reader counts them
+        p = tmp_path / "d.tsv"
+        p.write_bytes(b"a\t1\r\nb\t2\rc\t\xff\nd\t4\n")
+        for on_bad_lines in ("error", "skip"):
+            with pytest.raises(DictionaryFormatError) as err:
+                load_dictionary(p, on_bad_lines=on_bad_lines)
+            assert err.value.line == 3
+            assert f"{p}: can't decode byte 0xff" in str(err.value)
+
     def test_skip_mode(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("a\t1\nbroken\nb\t2\nx\ty\tz\n", encoding="utf-8")

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,31 @@ class TestLoad:
         assert load_embeddings(p, max_words=2).words == ("a", "b")
         p = write(tmp_path / "en.vec", "3 1\nA 1\na 2\nb 3\n")
         assert load_embeddings(p, lowercase=True).words == ("a", "b")
+
+    def test_non_utf8_byte_reports_file_and_line(self, tmp_path):
+        # past the text reader's first decoded block, and on the header line
+        rows = "".join(f"w{i} 0.5\n" for i in range(2000)).encode()
+        for data, line in ((b"2001 1\n" + rows + b"caf\xe9 1\n", 2002), (b"1 \xff1\n", 1)):
+            p = tmp_path / "en.vec"
+            p.write_bytes(data)
+            with pytest.raises(EmbeddingParseError) as err:
+                load_embeddings(p)
+            assert (err.value.code, err.value.line) == ("encoding", line)
+            assert f"{p}: can't decode byte 0x" in str(err.value)
+
+    def test_non_utf8_byte_in_a_pipe_names_the_file(self, tmp_path):
+        # a pipe cannot be read again to find the line
+        p = tmp_path / "en.vec"
+        os.mkfifo(p)
+        writer = threading.Thread(target=p.write_bytes, args=(b"1 1\n\xff 1\n",))
+        writer.start()
+        try:
+            with pytest.raises(DataError) as err:
+                load_embeddings(p)
+        finally:
+            writer.join()
+        assert not isinstance(err.value, EmbeddingParseError)
+        assert str(err.value).startswith(f"{p}: can't decode byte 0xff")
 
     def test_empty_vocabulary(self, tmp_path):
         p = write(tmp_path / "en.vec", "0 3\n")

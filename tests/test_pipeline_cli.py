@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from lexalign import (DictionaryPairs, PipelineConfig, PipelineStageError,
                       VocabEmbedding, load_dictionary, load_embeddings, load_maps,
                       run_pipeline, save_dictionary, save_embeddings)
-from lexalign.cli import main
+from lexalign.cli import build_parser, main
 from lexalign.translate import MAX_WORKERS
 
 from conftest import identity_dict, random_orthogonal
@@ -585,7 +586,7 @@ BAD_VECTORS = {
     "truncated": (b"3 2\na 1 2\nb 3 4\n", "line 4: header promises 3 rows, file has 2"),
     "huge-count": (b"1000000000000 2\na 1 2\nb 3 4\n",
                    "line 4: header promises 1000000000000 rows, file has 2"),
-    "non-utf8": (b"2 2\na 1 2\n\xff 3 4\n", "can't decode byte 0xff"),
+    "non-utf8": (b"2 2\na 1 2\n\xff 3 4\n", "line 3: {path}: can't decode byte 0xff"),
     "field-count": (b"2 2\na 1 2\nb 3\n", "line 3: expected 3 fields, found 2"),
 }
 
@@ -595,7 +596,8 @@ BAD_VECTORS = {
 def test_bad_vector_file_exits_two_for_every_reading_command(
         rotation_files, tmp_path, monkeypatch, caplog, capsys, command, bad):
     """Each subcommand that reads vectors, given one bad vector file after a
-    good one, exits 2 with the loader's message and no traceback."""
+    good one, exits 2 with the loader's message and no traceback. {path} in
+    a message stands for the bad file."""
     content, message = BAD_VECTORS[bad]
     path = tmp_path / "bad.vec"
     if content is not None:
@@ -619,5 +621,99 @@ def test_bad_vector_file_exits_two_for_every_reading_command(
     (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert main([command, *argv]) == 2
-    assert message in caplog.text
+    assert message.format(path=path) in caplog.text
     assert "Traceback" not in capsys.readouterr().err
+
+
+BAD_DICTIONARIES = {
+    "missing": (None, "No such file"),
+    "three-columns": (b"w0\tw0\nw1\tw1\tw1\n", "line 2: expected 2 columns, found 3"),
+    "non-utf8": (b"w0\tw0\nw1\tw1\n\xff\tw2\n", "line 3: {path}: can't decode byte 0xff"),
+}
+DICTIONARY_COMMANDS = ["align", "align-multi", "meemi", "eval", "run", "dict-clean",
+                       "dict-merge", "dict-split"]
+
+
+def dictionary_argv(command, fixture, path, out):
+    """argv for command with the dictionary at path as its only dictionary
+    input; for run, the config file it names is written too."""
+    ref, other = str(fixture["ref"]), str(fixture["other"])
+    if command == "run":
+        cfg = base_config(fixture, out)
+        cfg["targets"][0]["dict"] = str(path)
+        (fixture["tmp"] / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    return [command, *{
+        "align": ["--ref", ref, "--other", other, "--dict", str(path),
+                  "--out", str(out / "xx.vec")],
+        "align-multi": ["--ref", ref, "--pair", f"xx:{other}:{path}", "--out-dir", str(out)],
+        "meemi": ["--src", ref, "--tgt", other, "--dict", str(path), "--out-src",
+                  str(out / "zz.vec"), "--out-tgt", str(out / "xx.vec")],
+        "eval": ["--src", ref, "--tgt", other, "--test", str(path)],
+        "run": ["--config", str(fixture["tmp"] / "config.json")],
+        "dict-clean": ["--in", str(path), "--out", str(out / "clean.tsv")],
+        "dict-merge": ["--in", str(path), "--in", str(path), "--out", str(out / "merged.tsv")],
+        "dict-split": ["--in", str(path), "--out-train", str(out / "train.tsv"),
+                       "--out-test", str(out / "test.tsv"), "--test-size", "1", "--seed", "0"],
+    }[command]]
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_DICTIONARIES))
+@pytest.mark.parametrize("command", DICTIONARY_COMMANDS)
+def test_bad_dictionary_file_exits_two_for_every_reading_command(
+        rotation_files, tmp_path, caplog, capsys, command, bad):
+    """Each subcommand that reads a dictionary, given a bad one, exits 2 with
+    the loader's message, the line where it knows it, and no traceback. {path}
+    in a message stands for the bad file."""
+    content, message = BAD_DICTIONARIES[bad]
+    path = tmp_path / "bad.tsv"
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(dictionary_argv(command, rotation_files, path, out)) == 2
+    assert message.format(path=path) in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, code, message", [
+    ("align", 2, "no dictionary pair has both words in vocabulary"),
+    ("align-multi", 2, "no dictionary pair has both words in vocabulary"),
+    ("meemi", 2, "no dictionary pair has both words in vocabulary"),
+    ("eval", 2, "empty test set"),
+    ("run", 2, "no dictionary pair has both words in vocabulary"),
+    ("dict-clean", 0, '"read": 0'),
+    ("dict-merge", 0, '"read": 0'),
+    ("dict-split", 2, "must be below the 0 distinct source words"),
+])
+def test_empty_dictionary_file_is_zero_pairs(rotation_files, tmp_path, caplog, capsys,
+                                             command, code, message):
+    """An empty dictionary file reads as no pairs: the commands that need
+    pairs exit 2, dict-clean and dict-merge write an empty file and exit 0."""
+    path = tmp_path / "empty.tsv"
+    path.write_bytes(b"")
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(dictionary_argv(command, rotation_files, path, out)) == code
+    captured = capsys.readouterr()
+    assert message in (caplog.text if code else captured.out)
+    assert "Traceback" not in captured.err
+
+
+def test_parser_choices_and_defaults_are_the_library_constants():
+    """--dict-direction, --oov-policy and --normalize offer exactly what the
+    library accepts, on every subcommand that has them."""
+    from lexalign import embeddings, induction, pipeline
+    expected = {"dict_direction": ("choices", list(pipeline.DICT_DIRECTIONS)),
+                "oov_policy": ("choices", list(induction.OOV_POLICIES)),
+                "normalize": ("default", ",".join(embeddings.DEFAULT_NORMALIZE))}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    seen = set()
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.dest in expected:
+                attr, value = expected[action.dest]
+                got = getattr(action, attr)
+                assert (list(got) if attr == "choices" else got) == value, (command, action.dest)
+                seen.add(action.dest)
+    assert seen == set(expected)

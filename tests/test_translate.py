@@ -1,10 +1,13 @@
+import functools
 import gc
+import importlib
 import os
 import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import requests
 import pytest
@@ -310,14 +313,29 @@ class TestWorkerCap:
         assert pools == []
 
 
+def cli_code(*argv):
+    """Code that runs `python -m lexalign.cli ARGV` and checks it exits 0."""
+    return ("import runpy\n"
+            f"sys.argv = ['lexalign', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('lexalign.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code")
+
+
+# each runs in a directory holding d.tsv, words.txt and cache.tsv (startup_dir)
 STARTUPS = {
     "import": "import lexalign.cli",
-    "version": ("import runpy\n"
-                "sys.argv = ['lexalign', '--version']\n"
-                "try:\n"
-                "    runpy.run_module('lexalign.cli', run_name='__main__')\n"
-                "except SystemExit:\n"
-                "    pass"),
+    "import-package": "import lexalign",
+    "version": cli_code("--version"),
+    "help": cli_code("--help"),
+    "dict-clean": cli_code("dict-clean", "--in", "d.tsv", "--out", "clean.tsv"),
+    "dict-merge": cli_code("dict-merge", "--in", "d.tsv", "--in", "d.tsv",
+                           "--out", "merged.tsv"),
+    "dict-split": cli_code("dict-split", "--in", "d.tsv", "--out-train", "train.tsv",
+                           "--out-test", "test.tsv", "--test-size", "1", "--seed", "0"),
+    "dict-build": cli_code("dict-build", "--words", "words.txt", "--src-lang", "en",
+                           "--tgt-lang", "uz", "--cache", "cache.tsv", "--out", "built.tsv"),
 }
 
 MEEMI_FIT = """
@@ -333,18 +351,50 @@ meemi_bilingual(aligned, pairs)
 """
 
 
-def modules_after(code):
-    """The names in sys.modules of a fresh interpreter that has run code."""
+@functools.cache
+def modules_after(code, cwd=None):
+    """The names in sys.modules of a fresh interpreter that has run code in cwd."""
     script = f"import sys\n{code}\nprint(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+                         check=True, cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     return set(out.stdout.splitlines()[-1].split())
 
 
+@pytest.fixture(scope="module")
+def startup_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup")
+    (path / "d.tsv").write_text("good\tyaxshi\nbad\tyomon\nbad\tyomon\n", encoding="utf-8")
+    (path / "words.txt").write_text("good\nbad\n", encoding="utf-8")
+    for word, translation in (("good", "yaxshi"), ("bad", "yomon")):
+        append_cache(path / "cache.tsv", word, "en", "uz", translation)
+        append_cache(path / "cache.tsv", translation, "uz", "en", word)
+    return str(path)
+
+
 @pytest.mark.parametrize("startup", sorted(STARTUPS))
-@pytest.mark.parametrize("module", ["requests", "scipy.linalg"])
-def test_cli_startup_does_not_import(module, startup):
-    assert module not in modules_after(STARTUPS[startup])
+@pytest.mark.parametrize("module", ["requests", "scipy.linalg", "numpy"])
+def test_cli_startup_does_not_import(module, startup, startup_dir):
+    assert module not in modules_after(STARTUPS[startup], startup_dir)
+
+
+def test_package_exports_resolve_lazily_to_the_submodule_objects():
+    """Every name in lexalign.__all__ is listed once in the package source,
+    resolves to the very object its submodule defines, is in dir(lexalign),
+    and is bound by a star import."""
+    import lexalign
+    source = Path(lexalign.__file__).read_text(encoding="utf-8")
+    namespace = {}
+    exec("from lexalign import *", namespace)
+    for name in lexalign.__all__:
+        if name != "__version__":
+            assert source.count(f'"{name}"') == 1, name
+            module = importlib.import_module(f"lexalign.{lexalign._EXPORTS[name]}")
+            assert getattr(lexalign, name) is getattr(module, name), name
+        assert name in dir(lexalign), name
+        assert namespace[name] is getattr(lexalign, name), name
+    with pytest.raises(AttributeError):
+        lexalign.no_such_name
 
 
 def test_meemi_fit_imports_scipy_linalg():
