@@ -19,7 +19,7 @@ from . import __version__
 from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
                          save_dictionary, split_dictionary)
 from .errors import DataError, ExternalServiceError, LexalignError, PipelineStageError, \
-    TranslationError
+    TranslationError, decode_error
 from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, OOV_POLICIES
 from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
     translate_wordlist
@@ -183,7 +183,10 @@ def cmd_dict_build(args) -> int:
     if not args.endpoint and not args.cache:
         raise _UsageError("dict-build needs --endpoint or --cache")
     with open(args.words, "r", encoding="utf-8") as fh:
-        words = [line.strip() for line in fh if line.strip()]
+        try:
+            words = [line.strip() for line in fh if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise decode_error(args.words, exc) from None
     with contextlib.ExitStack() as stack:
         if args.endpoint:
             client = stack.enter_context(HttpTranslationClient(

@@ -131,7 +131,7 @@ def load_dictionary(path, src_lang: str = "src", tgt_lang: str = "tgt",
                         skipped += 1
                         continue
                     raise DictionaryFormatError(f"expected 2 columns, found {len(cols)}",
-                                                line=line_no)
+                                                line=line_no, path=path)
                 pairs.append((cols[0], cols[1]))
         except UnicodeDecodeError as exc:
             line_no, message = locate_decode_error(path, exc)

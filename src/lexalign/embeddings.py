@@ -31,6 +31,9 @@ class VocabEmbedding:
     """An ordered vocabulary with one double-precision row vector per word.
 
     norm_recipe records the normalization steps already applied, in order.
+    The first retrieval against the embedding computes its row norms and
+    keeps them (see norms), so the matrix is treated as read-only from then
+    on: values written into it later are scored against stale norms.
     """
 
     language: str
@@ -41,14 +44,8 @@ class VocabEmbedding:
     def __post_init__(self):
         object.__setattr__(self, "words", tuple(self.words))
         object.__setattr__(self, "norm_recipe", tuple(self.norm_recipe))
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "matrix", matrix)
-        if matrix.ndim != 2:
-            raise DataError(f"embedding matrix must be 2-d, got shape {matrix.shape}")
-        if matrix.shape[0] != len(self.words):
-            raise DataError(f"{len(self.words)} words but {matrix.shape[0]} matrix rows")
-        if matrix.shape[1] < 1:
-            raise DataError("embedding dimension must be positive")
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.float64))
+        self._check_shape()
         # one split over the joined vocabulary gives back the words exactly
         # when every word is a single token, without a call per word
         if " ".join(self.words).split() != list(self.words):
@@ -56,6 +53,30 @@ class VocabEmbedding:
             raise DataError(f"invalid word {bad!r}: empty or contains whitespace")
         if len(set(self.words)) != len(self.words):
             raise DataError("duplicate words in vocabulary")
+
+    def _check_shape(self):
+        matrix = self.matrix
+        if matrix.ndim != 2:
+            raise DataError(f"embedding matrix must be 2-d, got shape {matrix.shape}")
+        if matrix.shape[0] != len(self.words):
+            raise DataError(f"{len(self.words)} words but {matrix.shape[0]} matrix rows")
+        if matrix.shape[1] < 1:
+            raise DataError("embedding dimension must be positive")
+
+    @classmethod
+    def _derived(cls, parent: VocabEmbedding, matrix: np.ndarray,
+                 norm_recipe: tuple[str, ...]) -> VocabEmbedding:
+        """A new embedding over parent's vocabulary, which parent's own
+        construction already checked: only the shape checks run. It shares
+        parent's word_index when that is built, but never its norms."""
+        emb = cls.__new__(cls)
+        emb.__dict__.update(language=parent.language, words=parent.words,
+                            matrix=np.asarray(matrix, dtype=np.float64),
+                            norm_recipe=tuple(norm_recipe))
+        emb._check_shape()
+        if "word_index" in parent.__dict__:
+            emb.__dict__["word_index"] = parent.word_index
+        return emb
 
     @property
     def dim(self) -> int:
@@ -70,6 +91,12 @@ class VocabEmbedding:
     @cached_property
     def word_index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.words)}
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """row_norms(self.matrix), computed on first use and kept (8 bytes
+        per word): repeated retrieval against one space computes them once."""
+        return row_norms(self.matrix)
 
     def vector(self, word: str) -> np.ndarray:
         try:
@@ -94,7 +121,8 @@ _LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
 _EXACT_INT = 2.0 ** 52
 
 
-def _parse_bodies(bodies: list[str], line_nos: list[int], dim: int) -> np.ndarray:
+def _parse_bodies(bodies: list[str], line_nos: list[int], dim: int,
+                  path=None) -> np.ndarray:
     """Parse row bodies ("v1 ... v_dim") into a (len(bodies), dim) matrix.
 
     One np.loadtxt call does the work. If it fails, returns the wrong shape or a
@@ -102,6 +130,7 @@ def _parse_bodies(bodies: list[str], line_nos: list[int], dim: int) -> np.ndarra
     np.array(tokens, dtype=float64): that names the first bad line, and it
     accepts the tokens float() takes but loadtxt refuses ("1_0", non-ASCII
     digits). Where loadtxt accepts a row, its values are bitwise the reference's.
+    path is the file the rows come from, for the error message.
     """
     text = "\n".join(bodies)
     if not any(c in text for c in _LOADTXT_ONLY_SPACE):
@@ -117,9 +146,11 @@ def _parse_bodies(bodies: list[str], line_nos: list[int], dim: int) -> np.ndarra
         try:
             block[i] = np.array(body.split(" "), dtype=np.float64)
         except ValueError as exc:
-            raise EmbeddingParseError(str(exc), code="value", line=line_no) from None
+            raise EmbeddingParseError(str(exc), code="value", line=line_no,
+                                      path=path) from None
         if not np.isfinite(block[i]).all():
-            raise EmbeddingParseError("non-finite value", code="value", line=line_no)
+            raise EmbeddingParseError("non-finite value", code="value", line=line_no,
+                                      path=path)
     return block
 
 
@@ -155,14 +186,16 @@ def _read_embeddings(path, max_words: int | None, lowercase: bool,
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
-            raise EmbeddingParseError("expected '<count> <dim>' header", code="header", line=1)
+            raise EmbeddingParseError("expected '<count> <dim>' header", code="header",
+                                      line=1, path=path)
         try:
             count, dim = int(header[0]), int(header[1])
         except ValueError:
             raise EmbeddingParseError(f"non-integer header fields {header!r}",
-                                      code="header", line=1) from None
+                                      code="header", line=1, path=path) from None
         if count < 0 or dim < 1:
-            raise EmbeddingParseError(f"bad header counts {count} {dim}", code="header", line=1)
+            raise EmbeddingParseError(f"bad header counts {count} {dim}", code="header",
+                                      line=1, path=path)
         # one matrix for every kept row, parsed into in place: at most the
         # rows the header and max_words allow, and for a regular file no more
         # than its size can hold (a row takes at least 2 * dim + 2 bytes);
@@ -187,7 +220,7 @@ def _read_embeddings(path, max_words: int | None, lowercase: bool,
                     matrix.resize((min(limit, max(2 * len(matrix), len(words))), dim),
                                   refcheck=False)
                 matrix[len(words) - len(bodies):len(words)] = \
-                    _parse_bodies(bodies, body_lines, dim)
+                    _parse_bodies(bodies, body_lines, dim, path)
                 bodies.clear()
                 body_lines.clear()
 
@@ -202,14 +235,14 @@ def _read_embeddings(path, max_words: int | None, lowercase: bool,
                 word, _, body = line.partition(" ")
                 if read == count:
                     error = EmbeddingParseError(f"more rows than the header's {count}",
-                                                code="header", line=line_no)
+                                                code="header", line=line_no, path=path)
                 elif line.count(" ") != dim:
                     error = EmbeddingParseError(
                         f"expected {dim + 1} fields, found {line.count(' ') + 1}",
-                        code="arity", line=line_no)
+                        code="arity", line=line_no, path=path)
                 elif not single_token(word):
                     error = EmbeddingParseError(f"bad word field {word!r}", code="arity",
-                                                line=line_no)
+                                                line=line_no, path=path)
                 if error is not None:
                     break
                 read += 1
@@ -230,9 +263,9 @@ def _read_embeddings(path, max_words: int | None, lowercase: bool,
             raise error
     if read < count and (max_words is None or len(words) < max_words):
         raise EmbeddingParseError(f"header promises {count} rows, file has {read}",
-                                  code="truncated", line=line_no + 1)
+                                  code="truncated", line=line_no + 1, path=path)
     if not words:
-        raise EmbeddingParseError("no embedding rows", code="empty", line=1)
+        raise EmbeddingParseError("no embedding rows", code="empty", line=1, path=path)
     if read > len(words):
         logger.info("%s: dropped %d duplicate words, first occurrence kept",
                     path, read - len(words))
@@ -340,11 +373,14 @@ def normalize(emb: VocabEmbedding, steps, *, copy: bool = True) -> VocabEmbeddin
     copy=False works on emb.matrix itself and the result shares it, so no
     second full-size matrix exists; it is only for a matrix nobody else
     holds, such as one just loaded, since emb's values no longer match its
-    recipe afterwards. The result's bits are the same either way."""
+    recipe afterwards, and it drops the norms emb has cached. The result's
+    bits are the same either way."""
     steps = tuple(steps)
     for step in steps:
         if step not in NORM_STEPS:
             raise ValueError(f"unknown normalization step {step!r}, expected one of {NORM_STEPS}")
+    if not copy:
+        emb.__dict__.pop("norms", None)  # they are stale once emb.matrix changes
     matrix = np.array(emb.matrix, copy=True) if copy else emb.matrix
     for step in steps:
         if step == "unit":
@@ -356,4 +392,4 @@ def normalize(emb: VocabEmbedding, steps, *, copy: bool = True) -> VocabEmbeddin
             matrix /= norms[:, None]
         else:
             matrix -= matrix.mean(axis=0)
-    return VocabEmbedding(emb.language, emb.words, matrix, emb.norm_recipe + steps)
+    return VocabEmbedding._derived(emb, matrix, emb.norm_recipe + steps)

@@ -22,27 +22,37 @@ class DataError(LexalignError):
     rank-deficient matrices where full rank is required, and the like."""
 
 
+def _where(path, line: int) -> str:
+    """"<path>: line N: ", or "line N: " without a path."""
+    where = f"line {line}: "
+    return where if path is None else f"{os.fspath(path)}: {where}"
+
+
 class EmbeddingParseError(DataError):
     """A text embedding file could not be parsed.
 
     code is one of "header" (a bad header line, or a row past the count it
     promises), "arity", "value", "empty", "truncated" (fewer rows than the
     header promises), "encoding" (a byte that is not UTF-8); line is 1-based.
+    path, when given, is the file, named at the front of the message.
     """
 
-    def __init__(self, message: str, code: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, code: str, line: int, path=None):
+        super().__init__(_where(path, line) + message)
         self.code = code
         self.line = line
+        self.path = path
 
 
 class DictionaryFormatError(DataError):
     """A dictionary file line did not have exactly two columns, or held a
-    byte that is not UTF-8."""
+    byte that is not UTF-8. path, when given, is the file, named at the
+    front of the message."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, path=None):
+        super().__init__(_where(path, line) + message)
         self.line = line
+        self.path = path
 
 
 class ExternalServiceError(LexalignError):
@@ -76,3 +86,10 @@ def locate_decode_error(path, exc: UnicodeDecodeError) -> tuple[int | None, str]
                 if _ESCAPED_BYTE.search(line):
                     return line_no, message
     return None, message
+
+
+def decode_error(path, exc: UnicodeDecodeError) -> DataError:
+    """A DataError for exc, raised while the file at path was read as UTF-8
+    text, naming the file and, where locate_decode_error finds it, the line."""
+    line, message = locate_decode_error(path, exc)
+    return DataError(message if line is None else f"line {line}: {message}")

@@ -24,9 +24,12 @@ def _embedding_of(space):
     return space.embedding if isinstance(space, AlignedSpace) else space
 
 
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """matrix / max(row norm, _EPS): the result is the only full-size array."""
-    return matrix / np.maximum(row_norms(matrix)[:, None], _EPS)
+def _unit_rows(matrix: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """matrix / max(row norm, _EPS): the result is the only full-size array.
+    norms, when given, are row_norms(matrix), already computed."""
+    if norms is None:
+        norms = row_norms(matrix)
+    return matrix / np.maximum(norms[:, None], _EPS)
 
 
 def _row_blocks(n: int, size: int):
@@ -121,9 +124,11 @@ def induce(query, target_space, k: int, backend: str = "blocked"):
     """The k nearest target words to `query` by cosine, best first.
 
     Returns (word, score) tuples. Ties break toward the earlier vocabulary
-    index, so results are reproducible across runs and backends. backend
-    "blocked" normalizes and scores NORM_ROWS target rows at a time and never
-    holds a normalized copy of the whole target; "exact" is the full-matrix
+    index, so results are reproducible across runs and backends. The target's
+    row norms are the ones its embedding keeps (VocabEmbedding.norms), so
+    only the first call against a space computes them. backend "blocked"
+    normalizes and scores NORM_ROWS target rows at a time and never holds a
+    normalized copy of the whole target; "exact" is the full-matrix
     reference. Each row's norm and product are the same in a block as in the
     whole matrix, so both return the same bits, unless a multi-threaded BLAS
     splits the whole-matrix product at a row that is not a block boundary:
@@ -141,11 +146,12 @@ def induce(query, target_space, k: int, backend: str = "blocked"):
         raise DataError(f"k must be in [1, {len(emb)}], got {k}")
     if backend == "blocked":
         q = q / max(np.linalg.norm(q), _EPS)
+        norms = emb.norms
         scores = np.empty(len(emb))
         for start, stop in _row_blocks(len(emb), NORM_ROWS):
-            scores[start:stop] = _unit_rows(emb.matrix[start:stop]) @ q
+            scores[start:stop] = _unit_rows(emb.matrix[start:stop], norms[start:stop]) @ q
     else:
-        scores = cosine_scores(q, _unit_rows(emb.matrix), backend=backend)
+        scores = cosine_scores(q, _unit_rows(emb.matrix, emb.norms), backend=backend)
     order = _first_k(scores[None, :], k)[0]
     return [(emb.words[i], float(scores[i])) for i in order]
 
@@ -224,7 +230,7 @@ def precision_at_k(src_space, tgt_space, test: "DictionaryPairs", ks=(1, 5, 10),
 
     depth = min(max(ks), len(tgt_emb))
     queries = src_emb.matrix[[src_emb.word_index[w] for w in in_vocab]]
-    tops = topk(queries, _unit_rows(tgt_emb.matrix), depth)
+    tops = topk(queries, _unit_rows(tgt_emb.matrix, tgt_emb.norms), depth)
     hits = {k: 0 for k in ks}
     for word, top in zip(in_vocab, tops):
         position = {tgt_emb.words[i]: rank for rank, i in enumerate(top)}

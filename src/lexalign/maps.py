@@ -102,9 +102,9 @@ def build_paired_matrices(src_emb, tgt_emb, pairs) -> PairedMatrices:
     tgt_index = tgt_emb.word_index
     xi, zi, used = [], [], []
     oov_src = oov_tgt = 0
-    for s, t in pairs.pairs:
-        i = src_index.get(s)
-        j = tgt_index.get(t)
+    for pair in pairs.pairs:
+        i = src_index.get(pair[0])
+        j = tgt_index.get(pair[1])
         if i is None:
             oov_src += 1
         if j is None:
@@ -113,7 +113,7 @@ def build_paired_matrices(src_emb, tgt_emb, pairs) -> PairedMatrices:
             continue
         xi.append(i)
         zi.append(j)
-        used.append((s, t))
+        used.append(pair)
     if not used:
         raise DataError("no dictionary pair has both words in vocabulary")
     return PairedMatrices(src_emb.matrix[xi], tgt_emb.matrix[zi], tuple(used),

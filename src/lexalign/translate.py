@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .dictionary import DictionaryPairs, single_token
-from .errors import DataError, TranslationError
+from .errors import DataError, TranslationError, decode_error
 
 logger = logging.getLogger(__name__)
 
@@ -42,16 +42,19 @@ def load_cache(path) -> dict:
     """Read a cache file into a {(word, from, to): translation} table."""
     table = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t", 3)
-            if len(cols) != 4:
-                logger.warning("ignoring malformed cache line %r", line)
-                continue
-            word, src, tgt, translation = cols
-            table[(word, src, tgt)] = translation
+        try:
+            for line in fh:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                cols = line.split("\t", 3)
+                if len(cols) != 4:
+                    logger.warning("ignoring malformed cache line %r", line)
+                    continue
+                word, src, tgt, translation = cols
+                table[(word, src, tgt)] = translation
+        except UnicodeDecodeError as exc:
+            raise decode_error(path, exc) from None
     return table
 
 

@@ -583,11 +583,14 @@ def test_align_commands_write_the_bytes_run_writes(tmp_path, command, method):
 
 BAD_VECTORS = {
     "missing": (None, "No such file"),
-    "truncated": (b"3 2\na 1 2\nb 3 4\n", "line 4: header promises 3 rows, file has 2"),
+    "truncated": (b"3 2\na 1 2\nb 3 4\n", "{path}: line 4: header promises 3 rows, file has 2"),
     "huge-count": (b"1000000000000 2\na 1 2\nb 3 4\n",
-                   "line 4: header promises 1000000000000 rows, file has 2"),
+                   "{path}: line 4: header promises 1000000000000 rows, file has 2"),
     "non-utf8": (b"2 2\na 1 2\n\xff 3 4\n", "line 3: {path}: can't decode byte 0xff"),
-    "field-count": (b"2 2\na 1 2\nb 3\n", "line 3: expected 3 fields, found 2"),
+    "field-count": (b"2 2\na 1 2\nb 3\n", "{path}: line 3: expected 3 fields, found 2"),
+    "bad-header": (b"2\na 1 2\n", "{path}: line 1: expected '<count> <dim>' header"),
+    "bad-value": (b"2 2\na 1 2\nb 3 x\n", "{path}: line 3: could not convert string"),
+    "empty": (b"0 2\n", "{path}: line 1: no embedding rows"),
 }
 
 
@@ -627,21 +630,36 @@ def test_bad_vector_file_exits_two_for_every_reading_command(
 
 BAD_DICTIONARIES = {
     "missing": (None, "No such file"),
-    "three-columns": (b"w0\tw0\nw1\tw1\tw1\n", "line 2: expected 2 columns, found 3"),
+    "three-columns": (b"w0\tw0\nw1\tw1\tw1\n", "{path}: line 2: expected 2 columns, found 3"),
     "non-utf8": (b"w0\tw0\nw1\tw1\n\xff\tw2\n", "line 3: {path}: can't decode byte 0xff"),
 }
 DICTIONARY_COMMANDS = ["align", "align-multi", "meemi", "eval", "run", "dict-clean",
                        "dict-merge", "dict-split"]
+# dict-build reads a word list and a translation cache, not a dictionary:
+# only a missing file or a byte that is not UTF-8 is an error in them
+DICTIONARY_CASES = ([(command, bad) for command in DICTIONARY_COMMANDS
+                     for bad in sorted(BAD_DICTIONARIES)]
+                    + [(command, bad) for command in ("dict-build-words", "dict-build-cache")
+                       for bad in ("missing", "non-utf8")])
 
 
 def dictionary_argv(command, fixture, path, out):
     """argv for command with the dictionary at path as its only dictionary
-    input; for run, the config file it names is written too."""
+    input; for run, the config file it names is written too. For
+    dict-build-words and dict-build-cache, path is dict-build's word list or
+    cache, and a good file is written for the other."""
     ref, other = str(fixture["ref"]), str(fixture["other"])
     if command == "run":
         cfg = base_config(fixture, out)
         cfg["targets"][0]["dict"] = str(path)
         (fixture["tmp"] / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    if command.startswith("dict-build"):
+        words, cache = fixture["tmp"] / "words.txt", fixture["tmp"] / "cache.tsv"
+        words.write_text("w0\n", encoding="utf-8")
+        cache.write_text("w0\tzz\txx\tv0\nv0\txx\tzz\tw0\n", encoding="utf-8")
+        words, cache = (path, cache) if command == "dict-build-words" else (words, path)
+        return ["dict-build", "--words", str(words), "--cache", str(cache), "--src-lang", "zz",
+                "--tgt-lang", "xx", "--out", str(out / "built.tsv")]
     return [command, *{
         "align": ["--ref", ref, "--other", other, "--dict", str(path),
                   "--out", str(out / "xx.vec")],
@@ -657,13 +675,12 @@ def dictionary_argv(command, fixture, path, out):
     }[command]]
 
 
-@pytest.mark.parametrize("bad", sorted(BAD_DICTIONARIES))
-@pytest.mark.parametrize("command", DICTIONARY_COMMANDS)
+@pytest.mark.parametrize("command, bad", DICTIONARY_CASES)
 def test_bad_dictionary_file_exits_two_for_every_reading_command(
         rotation_files, tmp_path, caplog, capsys, command, bad):
-    """Each subcommand that reads a dictionary, given a bad one, exits 2 with
-    the loader's message, the line where it knows it, and no traceback. {path}
-    in a message stands for the bad file."""
+    """Each subcommand that reads a dictionary, and dict-build with a bad word
+    list or cache, exits 2 with the loader's message, the line where it knows
+    it, and no traceback. {path} in a message stands for the bad file."""
     content, message = BAD_DICTIONARIES[bad]
     path = tmp_path / "bad.tsv"
     if content is not None:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexalign import (DEFAULT_NORMALIZE, DataError, VocabEmbedding, induce, normalize,
-                      rank_by_score)
+from lexalign import (DEFAULT_NORMALIZE, DataError, DictionaryPairs, VocabEmbedding,
+                      embeddings, induce, induction, normalize, precision_at_k, rank_by_score)
 from lexalign.embeddings import NORM_ROWS, NORM_STEPS
 from lexalign.induction import _EPS, _unit_rows
 
@@ -47,20 +47,55 @@ def full_normalize(matrix, steps):
     return matrix
 
 
-def embedding(matrix):
-    return VocabEmbedding("tr", tuple(f"w{i}" for i in range(len(matrix))), matrix)
+def embedding(matrix, language="tr"):
+    return VocabEmbedding(language, tuple(f"w{i}" for i in range(len(matrix))), matrix)
+
+
+def full_induce(q, emb, k):
+    scores = full_unit_rows(emb.matrix) @ (q / max(np.linalg.norm(q), _EPS))
+    return [(emb.words[i], float(scores[i])) for i in rank_by_score(scores)[:k]]
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.integers(0, 2 ** 32 - 1), st.data())
 def test_induce_equals_full_matrix_formula(matrix, seed, data):
+    # the first call computes the norms the space keeps, the second reuses
+    # them; a derived space computes its own
     emb = embedding(matrix)
     q = np.random.default_rng(seed).normal(size=emb.dim)
     k = data.draw(st.integers(1, len(emb)))
-    scores = full_unit_rows(matrix) @ (q / max(np.linalg.norm(q), _EPS))
-    expected = [(emb.words[i], float(scores[i])) for i in rank_by_score(scores)[:k]]
-    assert induce(q, emb, k) == expected
-    assert induce(q, emb, k, backend="exact") == expected
+    expected = full_induce(q, emb, k)
+    for _ in range(2):
+        assert induce(q, emb, k) == expected
+        assert induce(q, emb, k, backend="exact") == expected
+    centered = normalize(emb, ["center"])
+    assert induce(q, centered, k) == full_induce(q, centered, k)
+
+
+def test_row_norms_are_computed_once_per_space(monkeypatch):
+    rng = np.random.default_rng(4)
+    src = embedding(rng.normal(size=(3 * NORM_ROWS + 7, 8)))
+    tgt = embedding(rng.normal(size=(3 * NORM_ROWS + 7, 8)), language="en")
+    test = DictionaryPairs("tr", "en", tuple((w, w) for w in src.words[::5]))
+    row_norms, calls = embeddings.row_norms, []
+
+    def counted(matrix):
+        calls.append(np.may_share_memory(matrix, tgt.matrix))
+        return row_norms(matrix)
+
+    monkeypatch.setattr(embeddings, "row_norms", counted)
+    monkeypatch.setattr(induction, "row_norms", counted)
+    precision_at_k(src, tgt, test)
+    for word in src.words[:5]:
+        induce(src.vector(word), tgt, 10)
+    assert calls.count(True) == 1
+
+    # normalizing in place drops the norms the input kept: neither the
+    # input nor the result is scored against the old ones
+    q = src.vector("w0")
+    result = normalize(tgt, DEFAULT_NORMALIZE, copy=False)
+    for emb in (tgt, result):
+        assert induce(q, emb, 10) == full_induce(q, emb, 10)
 
 
 @settings(max_examples=60, deadline=None)
