@@ -92,8 +92,6 @@ def replay_maps(emb: VocabEmbedding, maps) -> np.ndarray:
 
 
 def _check_alignable(reference: VocabEmbedding, other: VocabEmbedding) -> None:
-    if reference.language == other.language:
-        raise DataError("reference and other space share a language code")
     if reference.dim != other.dim:
         raise DataError(f"dimension mismatch: reference {reference.dim}, other {other.dim}")
     if reference.norm_recipe != other.norm_recipe:
@@ -101,25 +99,51 @@ def _check_alignable(reference: VocabEmbedding, other: VocabEmbedding) -> None:
                         f"vs {other.norm_recipe}")
 
 
+def _pair(reference: VocabEmbedding, other: VocabEmbedding) -> dict[str, VocabEmbedding]:
+    """The two spaces keyed by language, as the fit helpers below take them."""
+    if reference.language == other.language:
+        raise DataError("reference and other space share a language code")
+    return {reference.language: reference, other.language: other}
+
+
+# Each method's fit lives in one helper that consumes a mapping of spaces keyed
+# by language: it pops every input and drops it once its last use is past, so
+# a caller that holds no other reference to a space frees it as soon as the
+# output made from it exists. The public functions pass a mapping built from
+# their own parameters, which keep every input alive: they free nothing and
+# leave their inputs unchanged.
+
+
 def align_orthogonal(reference: VocabEmbedding, other: VocabEmbedding,
                      pairs: DictionaryPairs) -> MultiSpace:
     """Rotate `other` onto `reference` with the closed-form orthogonal map
     fitted on dictionary rows. The reference matrix is left untouched."""
-    _check_alignable(reference, other)
-    w = _orthogonal_map(reference, other, pairs)
-    moved = AlignedSpace(apply_map(other, w), maps_applied=(w,),
-                         reference_language=reference.language)
-    fixed = AlignedSpace(reference, maps_applied=(),
-                         reference_language=reference.language)
-    return MultiSpace({reference.language: fixed, other.language: moved},
-                      hub=reference.language)
+    spaces = _orthogonal(_pair(reference, other), reference.language,
+                         {other.language: pairs})
+    return MultiSpace(spaces, hub=reference.language)
+
+
+def _orthogonal(spaces: dict[str, VocabEmbedding], hub: str,
+                dictionaries: dict[str, DictionaryPairs]) -> dict[str, AlignedSpace]:
+    """align_orthogonal of every space onto spaces[hub], which stays unmoved:
+    the aligned spaces keyed by language, hub first. dictionaries holds each
+    other language's training pairs. Consumes spaces: each one is dropped
+    once its rotated copy exists."""
+    reference = spaces.pop(hub)
+    aligned = {hub: AlignedSpace(reference, (), hub)}
+    for lang in list(spaces):
+        other = spaces.pop(lang)
+        _check_alignable(reference, other)
+        w = _orthogonal_map(reference, other, dictionaries[lang])
+        aligned[lang] = AlignedSpace(apply_map(other, w), (w,), hub)
+    return aligned
 
 
 def _orthogonal_map(reference: VocabEmbedding, other: VocabEmbedding,
                     pairs: DictionaryPairs) -> LinearMap:
-    """The Procrustes map that align_orthogonal applies. The paired rows
-    live only inside this call, so they are freed before the output is
-    allocated; the other fit helpers below work the same way."""
+    """The Procrustes map of `other` onto `reference`. The paired rows live
+    only inside this call, so they are freed before the output is allocated;
+    the other fit helpers below work the same way."""
     oriented = orient(pairs, other.language, reference.language)
     pm = build_paired_matrices(other, reference, oriented)
     w = procrustes(pm)
@@ -136,21 +160,32 @@ def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
     s**reweight_p, de-whiten each side through the other side's whitening
     inverse (conjugated into the shared basis), then optionally keep the
     first reduce_dim coordinates. Both spaces move."""
-    _check_alignable(reference, other)
+    spaces = _multistep(_pair(reference, other), reference.language, pairs,
+                        reweight_p, reduce_dim)
+    return MultiSpace(spaces, hub=reference.language)
+
+
+def _multistep(spaces: dict[str, VocabEmbedding], hub: str, pairs: DictionaryPairs,
+               reweight_p: float, reduce_dim: int | None) -> dict[str, AlignedSpace]:
+    """align_multistep of the one other space onto spaces[hub]: the aligned
+    spaces keyed by language, the other first. Consumes spaces: each side's
+    input is dropped once its first map has been applied, and each
+    intermediate once the next one exists."""
+    (lang,) = [key for key in spaces if key != hub]
+    _check_alignable(spaces[hub], spaces[lang])
     if reweight_p < 0.0:
         raise DataError("reweight_p must be >= 0")
-    d = reference.dim
+    d = spaces[hub].dim
     if reduce_dim is not None and not 1 <= reduce_dim <= d:
         raise DataError(f"reduce_dim must be in [1, {d}], got {reduce_dim}")
-    chains = _multistep_chains(reference, other, pairs, reweight_p, reduce_dim)
-    spaces = {}
-    for emb, lang in ((other, other.language), (reference, reference.language)):
-        moved = emb
-        for m in chains[lang]:
+    chains = _multistep_chains(spaces[hub], spaces[lang], pairs, reweight_p, reduce_dim)
+    aligned = {}
+    for side in (lang, hub):
+        moved = spaces.pop(side)
+        for m in chains[side]:
             moved = apply_map(moved, m)
-        spaces[lang] = AlignedSpace(moved, maps_applied=tuple(chains[lang]),
-                                    reference_language=reference.language)
-    return MultiSpace(spaces, hub=reference.language)
+        aligned[side] = AlignedSpace(moved, tuple(chains[side]), hub)
+    return aligned
 
 
 def _multistep_chains(reference: VocabEmbedding, other: VocabEmbedding,
@@ -160,12 +195,16 @@ def _multistep_chains(reference: VocabEmbedding, other: VocabEmbedding,
     d = reference.dim
     oriented = orient(pairs, other.language, reference.language)
     pm = build_paired_matrices(other, reference, oriented)
+    x, z, used = pm.X, pm.Z, pm.used_pairs
+    del pm
 
-    wx = whitening_transform(pm.X)
-    wz = whitening_transform(pm.Z)
-    white = PairedMatrices(pm.X @ wx.matrix, pm.Z @ wz.matrix, pm.used_pairs,
-                           pm.oov_src, pm.oov_tgt)
-    u, s, v = cross_covariance_svd(white)
+    wx = whitening_transform(x)
+    wz = whitening_transform(z)
+    # each side's rows are dropped once whitened: three of the four arrays
+    # exist at once, not all four
+    x = x @ wx.matrix
+    z = z @ wz.matrix
+    u, s, v = cross_covariance_svd(PairedMatrices(x, z, used))
     scale = LinearMap(np.diag(s ** reweight_p), "unconstrained")
     dewhite_other = LinearMap(v.T @ spd_inverse(wz.matrix) @ v, "composite")
     dewhite_ref = LinearMap(u.T @ spd_inverse(wx.matrix) @ u, "composite")
@@ -179,7 +218,7 @@ def _multistep_chains(reference: VocabEmbedding, other: VocabEmbedding,
         for chain in chains.values():
             chain.append(truncate)
     logger.info("multistep %s/%s: pairs_used=%d reweight_p=%g reduce_dim=%s",
-                other.language, reference.language, len(pm), reweight_p, reduce_dim)
+                other.language, reference.language, len(used), reweight_p, reduce_dim)
     return chains
 
 
@@ -188,27 +227,43 @@ def meemi_bilingual(ms: MultiSpace, pairs: DictionaryPairs,
     """Replace both aligned spaces by least-squares fits onto the midpoints
     of dictionary-linked vector pairs. Fitting uses dictionary rows only; the
     fitted maps move every vector."""
-    if len(ms.spaces) != 2:
-        raise DataError(f"needs exactly two aligned spaces, got {len(ms.spaces)}")
-    if {pairs.src_lang, pairs.tgt_lang} != set(ms.spaces):
+    return MultiSpace(_meemi(dict(ms.spaces), ms.hub, pairs, min_norm_fallback), hub=ms.hub)
+
+
+def _meemi(spaces: dict[str, AlignedSpace], hub: str, pairs: DictionaryPairs,
+           min_norm_fallback: bool = True) -> dict[str, AlignedSpace]:
+    """meemi_bilingual of two aligned spaces keyed by language, in the same
+    order. Consumes spaces (see _refit)."""
+    if len(spaces) != 2:
+        raise DataError(f"needs exactly two aligned spaces, got {len(spaces)}")
+    if {pairs.src_lang, pairs.tgt_lang} != set(spaces):
         raise DataError(f"dictionary {pairs.src_lang}->{pairs.tgt_lang} does not "
-                        f"match spaces {sorted(ms.spaces)}")
-    fits = _meemi_fits(ms, pairs, min_norm_fallback)
-    spaces = {}
-    for lang, space in ms.spaces.items():
-        w = fits[lang]
-        spaces[lang] = AlignedSpace(apply_map(space.embedding, w),
-                                    space.maps_applied + (w,),
-                                    space.reference_language or ms.hub)
-    return MultiSpace(spaces, hub=ms.hub)
+                        f"match spaces {sorted(spaces)}")
+    return _refit(spaces, _meemi_fits(spaces, pairs, min_norm_fallback), hub)
 
 
-def _meemi_fits(ms: MultiSpace, pairs: DictionaryPairs,
+def _refit(spaces: dict[str, AlignedSpace], fits: dict[str, LinearMap],
+           hub: str) -> dict[str, AlignedSpace]:
+    """Each space moved by its language's fit, keyed and ordered as spaces.
+    Consumes spaces: each input is dropped once its refit output exists."""
+    refitted = {}
+    for lang in list(spaces):
+        space = spaces.pop(lang)
+        refitted[lang] = AlignedSpace(apply_map(space.embedding, fits[lang]),
+                                      space.maps_applied + (fits[lang],),
+                                      space.reference_language or hub)
+    return refitted
+
+
+def _meemi_fits(spaces: dict[str, AlignedSpace], pairs: DictionaryPairs,
                 min_norm_fallback: bool) -> dict[str, LinearMap]:
     """The least-squares map of each side for meemi_bilingual."""
-    pm = build_paired_matrices(ms[pairs.src_lang].embedding, ms[pairs.tgt_lang].embedding,
-                               pairs)
-    mid = 0.5 * (pm.X + pm.Z)
+    pm = build_paired_matrices(spaces[pairs.src_lang].embedding,
+                               spaces[pairs.tgt_lang].embedding, pairs)
+    # scaled in place: one array, whether or not numpy elides the temporary
+    # of 0.5 * (X + Z); halving is exact, so the bits are the same
+    mid = pm.X + pm.Z
+    mid *= 0.5
     fits = {
         pairs.src_lang: least_squares_map(pm.X, mid, min_norm_fallback),
         pairs.tgt_lang: least_squares_map(pm.Z, mid, min_norm_fallback),
@@ -252,30 +307,38 @@ def meemi_multilingual(hub: AlignedSpace, others, source_set,
         if space.reference_language and space.reference_language != hub_lang:
             raise DataError(f"space {space.language!r} is aligned to "
                             f"{space.reference_language!r}, not the hub {hub_lang!r}")
-    spaces_by_lang = {hub_lang: hub}
-    spaces_by_lang.update((space.language, space) for space, _ in others)
-    fits = _tuple_fits(spaces_by_lang, others, source_set, all_combinations,
-                       min_norm_fallback)
-    new_spaces = {lang: AlignedSpace(apply_map(space.embedding, fits[lang]),
-                                     space.maps_applied + (fits[lang],), hub_lang)
-                  for lang, space in spaces_by_lang.items()}
-    return MultiSpace(new_spaces, hub=hub_lang)
+    spaces = {hub_lang: hub, **{space.language: space for space, _ in others}}
+    dictionaries = {space.language: pairs for space, pairs in others}
+    return MultiSpace(_meemi_multi(spaces, hub_lang, dictionaries, source_set,
+                                   all_combinations, min_norm_fallback), hub=hub_lang)
 
 
-def _tuple_fits(spaces_by_lang: dict[str, AlignedSpace], others, source_set: set,
+def _meemi_multi(spaces: dict[str, AlignedSpace], hub: str,
+                 dictionaries: dict[str, DictionaryPairs], source_set: set,
+                 all_combinations: bool = False,
+                 min_norm_fallback: bool = True) -> dict[str, AlignedSpace]:
+    """meemi_multilingual of aligned spaces keyed by language, hub first;
+    dictionaries holds each other language's pairs with the hub. Consumes
+    spaces (see _refit)."""
+    return _refit(spaces, _tuple_fits(spaces, hub, dictionaries, source_set,
+                                      all_combinations, min_norm_fallback), hub)
+
+
+def _tuple_fits(spaces: dict[str, AlignedSpace], hub_lang: str,
+                dictionaries: dict[str, DictionaryPairs], source_set: set,
                 all_combinations: bool, min_norm_fallback: bool) -> dict[str, LinearMap]:
     """The least-squares map of each language for meemi_multilingual, keyed
-    by language; spaces_by_lang starts with the hub."""
-    hub_lang, hub = next(iter(spaces_by_lang.items()))
-    langs = [space.language for space, _ in others]
+    by language."""
+    hub = spaces[hub_lang]
+    langs = list(dictionaries)
     # per-language translation tables over usable (in-vocabulary) pairs
     tables: dict[str, dict[str, list[str]]] = {}
     hub_order: list[str] = []
     seen_hub = set()
-    for space, pairs in others:
-        oriented = orient(pairs, hub_lang, space.language)
+    for lang, pairs in dictionaries.items():
+        oriented = orient(pairs, hub_lang, lang)
         table: dict[str, list[str]] = {}
-        emb = space.embedding
+        emb = spaces[lang].embedding
         for h, t in oriented.pairs:
             if h not in hub.embedding or t not in emb:
                 continue
@@ -285,7 +348,7 @@ def _tuple_fits(spaces_by_lang: dict[str, AlignedSpace], others, source_set: set
             if h not in seen_hub:
                 seen_hub.add(h)
                 hub_order.append(h)
-        tables[space.language] = table
+        tables[lang] = table
 
     required = source_set - {hub_lang}
     tuples: list[tuple[str, dict[str, str]]] = []
@@ -305,11 +368,11 @@ def _tuple_fits(spaces_by_lang: dict[str, AlignedSpace], others, source_set: set
     means = np.empty((len(tuples), hub.dim))
     for ti, (h, members) in enumerate(tuples):
         vecs = [hub.embedding.vector(h)]
-        vecs.extend(spaces_by_lang[lang].embedding.vector(t) for lang, t in members.items())
+        vecs.extend(spaces[lang].embedding.vector(t) for lang, t in members.items())
         means[ti] = np.mean(vecs, axis=0)
 
     fits = {}
-    for lang, space in spaces_by_lang.items():
+    for lang, space in spaces.items():
         rows = []
         targets = []
         for ti, (h, members) in enumerate(tuples):

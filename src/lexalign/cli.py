@@ -101,15 +101,17 @@ def cmd_align(args) -> int:
     other = load_space(args.other, args.other_lang, steps, args.max_words, args.lowercase)
     ref_lang, lang = reference.language, other.language
     check_method(args.method, ref_lang, [lang], [])
+    # fit_method consumes spaces: with no other reference, each input goes as
+    # soon as the output made from it exists
+    spaces = {ref_lang: reference, lang: other}
+    del reference, other
     langs = (ref_lang, lang) if args.dict_direction == "ref2other" else (lang, ref_lang)
-    # fit_method consumes targets: with no other reference, the input goes
-    # as soon as its rotated copy exists
-    targets = {lang: (other, load_dictionary(args.dict, *langs))}
-    del other
-    spaces = fit_method(args.method, reference, targets, args.reweight_p, args.reduce_dim)
-    _write_space(spaces[lang], args.out)
+    dictionaries = {lang: load_dictionary(args.dict, *langs)}
+    aligned = fit_method(args.method, ref_lang, spaces, dictionaries, args.reweight_p,
+                         args.reduce_dim)
+    _write_space(aligned[lang], args.out)
     if args.out_ref:
-        _write_space(spaces[ref_lang], args.out_ref)
+        _write_space(aligned[ref_lang], args.out_ref)
     return EXIT_OK
 
 
@@ -121,32 +123,38 @@ def cmd_align_multi(args) -> int:
         if len(parts) != 3:
             raise _UsageError(f"bad --pair {text!r}, expected LANG:VEC:DICT")
     reference = load_space(args.ref, args.ref_lang, steps, args.max_words, args.lowercase)
-    sources = check_method(args.method, reference.language,
-                           [lang for lang, _, _ in pair_parts],
+    ref_lang = reference.language
+    sources = check_method(args.method, ref_lang, [lang for lang, _, _ in pair_parts],
                            args.sources.split(",") if args.sources else [])
-    targets = {lang: (load_space(vec_path, lang, steps, args.max_words, args.lowercase),
-                      load_dictionary(dict_path, reference.language, lang))
-               for lang, vec_path, dict_path in pair_parts}
-    spaces = fit_method(args.method, reference, targets, sources=sources,
-                        all_combinations=args.all_combinations)
+    # fit_method consumes spaces, so nothing else keeps a reference to one
+    spaces = {ref_lang: reference}
+    del reference
+    dictionaries = {}
+    for lang, vec_path, dict_path in pair_parts:
+        spaces[lang] = load_space(vec_path, lang, steps, args.max_words, args.lowercase)
+        dictionaries[lang] = load_dictionary(dict_path, ref_lang, lang)
+    aligned = fit_method(args.method, ref_lang, spaces, dictionaries, sources=sources,
+                         all_combinations=args.all_combinations)
     os.makedirs(args.out_dir, exist_ok=True)
-    for lang in spaces.languages():
-        _write_space(spaces[lang], os.path.join(args.out_dir, f"{lang}.aligned.vec"))
+    for lang in aligned.languages():
+        _write_space(aligned[lang], os.path.join(args.out_dir, f"{lang}.aligned.vec"))
     return EXIT_OK
 
 
 def cmd_meemi(args) -> int:
-    from .align import AlignedSpace, meemi_bilingual, MultiSpace
+    from .align import AlignedSpace, _meemi
     from .embeddings import load_embeddings
     src = load_embeddings(args.src, language=args.src_lang)
     tgt = load_embeddings(args.tgt, language=args.tgt_lang)
     pairs = load_dictionary(args.dict, src.language, tgt.language)
-    ms = MultiSpace({src.language: AlignedSpace(src, (), tgt.language),
-                     tgt.language: AlignedSpace(tgt, (), tgt.language)},
-                    hub=tgt.language)
-    result = meemi_bilingual(ms, pairs)
-    _write_space(result[src.language], args.out_src)
-    _write_space(result[tgt.language], args.out_tgt)
+    src_lang, hub = src.language, tgt.language
+    # _meemi consumes spaces: with no other reference, each input goes as
+    # soon as its refit output exists
+    spaces = {src_lang: AlignedSpace(src, (), hub), hub: AlignedSpace(tgt, (), hub)}
+    del src, tgt
+    result = _meemi(spaces, hub, pairs)
+    _write_space(result[src_lang], args.out_src)
+    _write_space(result[hub], args.out_tgt)
     return EXIT_OK
 
 
@@ -168,8 +176,10 @@ def cmd_eval(args) -> int:
     src = load_embeddings(args.src, language=args.src_lang)
     tgt = load_embeddings(args.tgt, language=args.tgt_lang)
     test = load_dictionary(args.test, src.language, tgt.language)
+    # nothing reads tgt after this call, so it is divided in place
     report = precision_at_k(src, tgt, test, ks=_parse_ks(args.ks),
-                            oov_policy=args.oov_policy, method_label=args.label)
+                            oov_policy=args.oov_policy, method_label=args.label,
+                            in_place=True)
     text = render_report([report], args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

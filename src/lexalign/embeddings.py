@@ -64,16 +64,24 @@ class VocabEmbedding:
             raise DataError("embedding dimension must be positive")
 
     @classmethod
-    def _derived(cls, parent: VocabEmbedding, matrix: np.ndarray,
-                 norm_recipe: tuple[str, ...]) -> VocabEmbedding:
-        """A new embedding over parent's vocabulary, which parent's own
-        construction already checked: only the shape checks run. It shares
-        parent's word_index when that is built, but never its norms."""
+    def _checked(cls, language: str, words: tuple[str, ...], matrix: np.ndarray,
+                 norm_recipe: tuple[str, ...] = ()) -> VocabEmbedding:
+        """An embedding over a vocabulary its caller has already checked:
+        words is a tuple of distinct single tokens. Only the shape checks run."""
         emb = cls.__new__(cls)
-        emb.__dict__.update(language=parent.language, words=parent.words,
+        emb.__dict__.update(language=language, words=words,
                             matrix=np.asarray(matrix, dtype=np.float64),
                             norm_recipe=tuple(norm_recipe))
         emb._check_shape()
+        return emb
+
+    @classmethod
+    def _derived(cls, parent: VocabEmbedding, matrix: np.ndarray,
+                 norm_recipe: tuple[str, ...]) -> VocabEmbedding:
+        """A new embedding over parent's vocabulary, which parent's own
+        construction already checked. It shares parent's word_index when
+        that is built, but never its norms."""
+        emb = cls._checked(parent.language, parent.words, matrix, norm_recipe)
         if "word_index" in parent.__dict__:
             emb.__dict__["word_index"] = parent.word_index
         return emb
@@ -271,7 +279,8 @@ def _read_embeddings(path, max_words: int | None, lowercase: bool,
                     path, read - len(words))
     if len(matrix) > len(words):
         matrix.resize((len(words), dim), refcheck=False)  # no view keeps the spare rows
-    return VocabEmbedding(language=language, words=tuple(words), matrix=matrix)
+    # every word passed single_token and seen, so the vocabulary is not checked again
+    return VocabEmbedding._checked(language, tuple(words), matrix)
 
 
 def _format_block(block: np.ndarray, decimals: int) -> list[bytes | None]:

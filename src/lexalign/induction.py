@@ -24,12 +24,14 @@ def _embedding_of(space):
     return space.embedding if isinstance(space, AlignedSpace) else space
 
 
-def _unit_rows(matrix: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
-    """matrix / max(row norm, _EPS): the result is the only full-size array.
-    norms, when given, are row_norms(matrix), already computed."""
+def _unit_rows(matrix: np.ndarray, norms: np.ndarray | None = None,
+               in_place: bool = False) -> np.ndarray:
+    """matrix / max(row norm, _EPS): the result is the only full-size array,
+    and with in_place it is matrix itself, divided by the same element-wise
+    division. norms, when given, are row_norms(matrix), already computed."""
     if norms is None:
         norms = row_norms(matrix)
-    return matrix / np.maximum(norms[:, None], _EPS)
+    return np.divide(matrix, np.maximum(norms[:, None], _EPS), out=matrix if in_place else None)
 
 
 def _row_blocks(n: int, size: int):
@@ -193,13 +195,20 @@ class EvalReport:
 
 
 def precision_at_k(src_space, tgt_space, test: "DictionaryPairs", ks=(1, 5, 10),
-                   oov_policy: str = "skip", method_label: str = "") -> EvalReport:
+                   oov_policy: str = "skip", method_label: str = "",
+                   in_place: bool = False) -> EvalReport:
     """Evaluate translation retrieval on a test dictionary.
 
     Each distinct test source word is one unit, counted correct at k when any
     of its in-vocabulary gold targets appears in the top k. oov_policy "skip"
     removes out-of-vocabulary source words from the denominator (they are
     counted in skipped_oov_src); "fail" keeps them as guaranteed misses.
+
+    By default both spaces are left unchanged, and the target is divided by
+    its row norms into a new array. in_place=True divides the target's own
+    matrix instead, with the same bits, and drops the norms the target kept:
+    it is for a caller that owns the target and will not read it again,
+    since its values no longer match its recipe afterwards.
     """
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"oov_policy must be one of {OOV_POLICIES}, got {oov_policy!r}")
@@ -230,7 +239,10 @@ def precision_at_k(src_space, tgt_space, test: "DictionaryPairs", ks=(1, 5, 10),
 
     depth = min(max(ks), len(tgt_emb))
     queries = src_emb.matrix[[src_emb.word_index[w] for w in in_vocab]]
-    tops = topk(queries, _unit_rows(tgt_emb.matrix, tgt_emb.norms), depth)
+    unit_targets = _unit_rows(tgt_emb.matrix, tgt_emb.norms, in_place)
+    if in_place:
+        tgt_emb.__dict__.pop("norms")  # stale: they are those of the matrix before
+    tops = topk(queries, unit_targets, depth)
     hits = {k: 0 for k in ks}
     for word, top in zip(in_vocab, tops):
         position = {tgt_emb.words[i]: rank for rank, i in enumerate(top)}

@@ -23,8 +23,11 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .align import (AlignedSpace, MultiSpace, align_multistep, align_orthogonal,
-                    meemi_bilingual, meemi_multilingual)
+from .align import AlignedSpace, MultiSpace, _meemi, _meemi_multi, _multistep, _orthogonal
+# fit_method calls the consuming helpers above, not these two; they stay
+# importable here because perfbench/tracer.py wraps them as attributes of
+# this module
+from .align import align_orthogonal, meemi_bilingual  # noqa: F401
 from .dictionary import (DictionaryPairs, clean_dictionary, load_dictionary, orient,
                          split_dictionary)
 from .embeddings import check_steps, load_embeddings, normalize, save_embeddings
@@ -198,39 +201,30 @@ def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
     return sorted(sources | {ref_lang})
 
 
-def fit_method(method: str, reference, targets: dict, reweight_p: float = 0.5,
-               reduce_dim: int | None = None, sources=(),
+def fit_method(method: str, hub: str, spaces: dict, dictionaries: dict,
+               reweight_p: float = 0.5, reduce_dim: int | None = None, sources=(),
                all_combinations: bool = False) -> MultiSpace:
-    """Align every target onto the reference with one method, after
-    check_method has accepted it. targets maps each language to its
-    (embedding, training dictionary); the dictionary may run either way.
-    multistep takes reweight_p and reduce_dim, meemi-multi the checked
-    sources and all_combinations.
+    """Align every space onto the reference spaces[hub] with one method, after
+    check_method has accepted it. spaces maps each language, the reference's
+    included, to its embedding; dictionaries maps every other language to its
+    training dictionary, which may run either way. multistep takes
+    reweight_p and reduce_dim, meemi-multi the checked sources and
+    all_combinations.
 
-    fit_method consumes targets: it removes each entry as that space is
-    fitted, so a caller that holds no other reference to a target's
-    embedding frees it as soon as its rotated copy exists, and targets is
-    empty on return."""
-    ref_lang = reference.language
+    fit_method consumes spaces: it removes every entry, the reference
+    included, and drops each input once the output made from it exists, so
+    a caller that holds no other reference to an embedding frees it as soon
+    as it can. spaces is empty on return."""
     if method == "multistep":
-        _, (other, pairs) = targets.popitem()
-        return align_multistep(reference, other, pairs, reweight_p=reweight_p,
-                               reduce_dim=reduce_dim)
-    rotated = {}
-    for lang in list(targets):
-        pairs = targets[lang][1]
-        rotated[lang] = (align_orthogonal(reference, targets.pop(lang)[0], pairs), pairs)
+        (pairs,) = dictionaries.values()
+        return MultiSpace(_multistep(spaces, hub, pairs, reweight_p, reduce_dim), hub=hub)
+    aligned = _orthogonal(spaces, hub, dictionaries)
     if method == "meemi":
-        (spaces, pairs), = rotated.values()
-        return meemi_bilingual(spaces, pairs)
-    hub = AlignedSpace(reference, (), ref_lang)
-    if method == "meemi-multi":
-        return meemi_multilingual(hub, [(spaces[lang], pairs)
-                                        for lang, (spaces, pairs) in rotated.items()],
-                                  set(sources), all_combinations=all_combinations)
-    return MultiSpace({ref_lang: hub, **{lang: spaces[lang]
-                                         for lang, (spaces, _) in rotated.items()}},
-                      hub=ref_lang)
+        (pairs,) = dictionaries.values()
+        aligned = _meemi(aligned, hub, pairs)
+    elif method == "meemi-multi":
+        aligned = _meemi_multi(aligned, hub, dictionaries, set(sources), all_combinations)
+    return MultiSpace(aligned, hub=hub)
 
 
 def load_space(path, lang, steps, max_words=None, lowercase=False):
@@ -315,15 +309,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 train_dicts[lang] = pairs
 
     with _stage("align"):
-        reference = load_space(cfg.reference.path, ref_lang, cfg.normalize,
-                               cfg.max_words, cfg.lowercase)
-        targets = {t.lang: (load_space(t.path, t.lang, cfg.normalize,
-                                       cfg.max_words, cfg.lowercase),
-                            train_dicts[t.lang])
-                   for t in cfg.targets}
-        spaces = fit_method(cfg.method, reference, targets, cfg.reweight_p,
+        # fit_method consumes these: no other reference to a space is kept
+        inputs = {entry.lang: load_space(entry.path, entry.lang, cfg.normalize,
+                                         cfg.max_words, cfg.lowercase)
+                  for entry in [cfg.reference, *cfg.targets]}
+        spaces = fit_method(cfg.method, ref_lang, inputs, train_dicts, cfg.reweight_p,
                             cfg.reduce_dim, cfg.sources)
-        del reference  # spaces holds it where the method keeps it unmoved
         for lang in spaces.languages():
             if write_space(spaces[lang], emit(f"{lang}.aligned.vec"), out / f"{lang}.map"):
                 emit(f"{lang}.map")
@@ -340,10 +331,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 else:
                     test = test_dicts[lang]
                 test = orient(test, ref_lang, lang)
+                # each target is scored once, and its vectors are written
+                # already: eval may divide its matrix in place
                 reports.append(precision_at_k(spaces[ref_lang], spaces[lang], test,
                                               ks=cfg.eval.ks,
                                               oov_policy=cfg.eval.oov_policy,
-                                              method_label=cfg.eval.label))
+                                              method_label=cfg.eval.label,
+                                              in_place=True))
             emit("report.json").write_text(render_report(reports, "json"),
                                            encoding="utf-8")
             emit("report.txt").write_text(render_report(reports, "table"),

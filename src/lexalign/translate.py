@@ -293,9 +293,11 @@ def translate_wordlist(client, words, src_lang: str, tgt_lang: str, workers: int
     summary = TranslateSummary(requested=len(words))
     results = _translate_many(client, [(w, src_lang, tgt_lang) for w in words], workers)
     pairs = []
+    first_error = None
     for word, (ok, value) in zip(words, results):
         if not ok:
             summary.failed.append(word)
+            first_error = first_error or value
             continue
         translation = value.strip()
         if not translation:
@@ -305,6 +307,9 @@ def translate_wordlist(client, words, src_lang: str, tgt_lang: str, workers: int
         else:
             pairs.append((word, translation))
     summary.kept = len(pairs)
+    if first_error is not None:
+        logger.warning("translate %s->%s: %d of %d lookups failed, the first with: %s",
+                       src_lang, tgt_lang, len(summary.failed), summary.requested, first_error)
     logger.info("translate %s->%s: requested=%d kept=%d multi_token=%d empty=%d failed=%d",
                 src_lang, tgt_lang, summary.requested, summary.kept,
                 summary.dropped_multi_token, summary.dropped_empty, len(summary.failed))

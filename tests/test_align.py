@@ -3,7 +3,9 @@ import pytest
 
 from lexalign import (AlignedSpace, DataError, DictionaryPairs, MultiSpace,
                       VocabEmbedding, align_multistep, align_orthogonal,
-                      meemi_bilingual, meemi_multilingual, normalize, replay_maps)
+                      meemi_bilingual, meemi_multilingual, normalize, precision_at_k,
+                      replay_maps)
+from lexalign.embeddings import row_norms
 
 from conftest import identity_dict, make_embedding, random_orthogonal, unit_rows
 
@@ -42,6 +44,22 @@ class TestAlignOrthogonal:
         assert ms["zz"].embedding.matrix is reference.matrix
         assert ms["zz"].maps_applied == ()
         assert ms.hub == "zz"
+
+        # every public fit, and eval by default, leaves its inputs as they
+        # were, matrices and the norms they keep alike: only fit_method and
+        # precision_at_k(in_place=True) consume what they are given
+        inputs = [reference, other, ms["xx"].embedding]
+        before = [emb.matrix.tobytes() for emb in inputs]
+        norms = [emb.norms.copy() for emb in inputs]
+        align_orthogonal(reference, other, pairs)
+        align_multistep(reference, other, pairs, reduce_dim=5)
+        meemi_bilingual(ms, pairs)
+        meemi_multilingual(ms["zz"], [(ms["xx"], pairs)], {"zz"})
+        precision_at_k(ms["xx"], ms["zz"], pairs)
+        precision_at_k(other, reference, pairs)
+        for emb, matrix, kept in zip(inputs, before, norms):
+            assert emb.matrix.tobytes() == matrix
+            assert emb.norms.tobytes() == kept.tobytes() == row_norms(emb.matrix).tobytes()
 
     def test_dictionary_orientation_irrelevant(self):
         reference, other, pairs, _ = rotation_fixture(2)

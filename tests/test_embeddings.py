@@ -25,6 +25,18 @@ class TestLoad:
         assert emb.dim == 3
         np.testing.assert_allclose(emb.matrix, [[1, 0, 0.5], [0, 1, -0.5]])
 
+    def test_vocabulary_is_not_checked_again(self, tmp_path, monkeypatch):
+        # the reader checks each word and drops duplicates as it goes, so the
+        # result skips the public constructor's vocabulary check
+        calls = []
+        post_init = VocabEmbedding.__post_init__
+        monkeypatch.setattr(VocabEmbedding, "__post_init__",
+                            lambda self: calls.append(1) or post_init(self))
+        p = write(tmp_path / "en.vec", "3 2\ncat 1 0\nCat 0 1\ncat 2 2\n")
+        emb = load_embeddings(p, lowercase=True)
+        assert calls == []
+        assert emb.words == ("cat",) and emb.matrix.shape == (1, 2)
+
     def test_max_words_keeps_prefix(self, tmp_path):
         p = write(tmp_path / "en.vec", "2 3\ncat 1 0 0\ndog 0 1 0\n")
         emb = load_embeddings(p, max_words=1)

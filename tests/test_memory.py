@@ -3,16 +3,19 @@
 Python's own allocations are traced while one call runs, on generated spaces
 of 20000 words: wide enough that a full-size matrix dwarfs one chunk of text,
 but the words themselves (strings, the vocabulary tuple, the duplicate check)
-still take about half of a 50-wide matrix. So the loader is pinned by what
-each extra matrix byte costs, from one width to the next, and the fits by
-what each extra dictionary pair costs once an output exists.
+still take about half of a 50-wide matrix. So the loader and the commands are
+pinned by what each extra matrix byte costs, from one width to the next, and
+the fits by what each extra dictionary pair costs once an output exists.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from lexalign import (DEFAULT_NORMALIZE, DictionaryPairs, VocabEmbedding, align_orthogonal,
                       load_embeddings, meemi_bilingual, save_embeddings)
+from lexalign.cli import main
 from lexalign.pipeline import fit_method, load_space
 
 from conftest import peak_bytes
@@ -81,13 +84,78 @@ def test_meemi_fit_frees_the_target_it_consumes():
     dictionary = pairs(ROWS // 4)
     meemi_bilingual(align_orthogonal(reference, other, pairs(100)), pairs(100))
     rng = np.random.default_rng(3)
-    targets = {}
+    inputs = {}
 
     def fit():
-        targets["tr"] = (VocabEmbedding("tr", WORDS, rng.normal(size=(ROWS, DIM))), dictionary)
-        fit_method("meemi", reference, targets)
+        inputs.update(en=reference, tr=VocabEmbedding("tr", WORDS, rng.normal(size=(ROWS, DIM))))
+        fit_method("meemi", "en", inputs, {"tr": dictionary})
 
     # the target, its rotated copy and the two Meemi outputs are four spaces;
     # the target is gone before the outputs exist
     assert peak_bytes(fit) < 4 * ROWS * DIM * 8
-    assert targets == {}
+    assert inputs == {}
+
+
+# the commands read and write text, so their spaces are smaller; wider, so
+# that the retrieval score buffer (64 rows of scores against every target)
+# stays well under one space
+COMMAND_ROWS, COMMAND_DIM = 4000, 80
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """COMMAND_ROWS words at widths COMMAND_DIM and 2 * COMMAND_DIM, and an
+    identity dictionary over a quarter of them."""
+    rng = np.random.default_rng(4)
+    root = tmp_path_factory.mktemp("commands")
+    for dim in (COMMAND_DIM, 2 * COMMAND_DIM):
+        save_embeddings(VocabEmbedding("en", WORDS[:COMMAND_ROWS],
+                                       rng.normal(size=(COMMAND_ROWS, dim))), root / f"{dim}.vec")
+    (root / "en-tr.tsv").write_text("".join(f"{w}\t{w}\n" for w in WORDS[:COMMAND_ROWS // 4]),
+                                    encoding="utf-8")
+    return root
+
+
+def command_argv(root, command, method, dim):
+    """The command line of `command` on the dim-wide inputs: the same file
+    serves as both spaces, under two language codes."""
+    vec, dictionary, out = root / f"{dim}.vec", root / "en-tr.tsv", root / f"{command}-{dim}"
+    if command == "run":
+        config = root / f"{method}-{dim}.json"
+        config.write_text(json.dumps({
+            "reference": {"lang": "en", "path": str(vec)},
+            "targets": [{"lang": "tr", "path": str(vec), "dict": str(dictionary)}],
+            "out_dir": str(out), "method": method, "split": {"test_size": COMMAND_ROWS // 8},
+            "seed": 0, "eval": {}}), encoding="utf-8")
+        return ["run", "--config", str(config)]
+    if command == "align":
+        return ["align", "--ref", str(vec), "--other", str(vec), "--ref-lang", "en",
+                "--other-lang", "tr", "--dict", str(dictionary), "--method", method,
+                "--out", f"{out}.tr.vec", "--out-ref", f"{out}.en.vec"]
+    return ["eval", "--src", str(vec), "--tgt", str(vec), "--src-lang", "en",
+            "--tgt-lang", "tr", "--test", str(dictionary), "--out", f"{out}.txt"]
+
+
+@pytest.mark.parametrize("command, method, most", [
+    ("run", "orthogonal", 3.1),
+    ("run", "meemi", 3.5),
+    ("align", "multistep", 3.6),
+    ("eval", None, 2.9),
+])
+def test_commands_drop_each_input_once_its_output_exists(command_inputs, command, method,
+                                                         most):
+    # copies of one space held at once: the peak's growth per matrix byte
+    # from one width to twice that, so the vocabulary and the score buffer,
+    # which do not grow with the width, cancel out. A fit's outputs take
+    # three spaces at most (a finished side, an input and the output made
+    # from it), plus its maps; eval holds both spaces, divides its target in
+    # place and adds the query rows. The Meemi solve imports scipy.linalg on
+    # first use, which must not count at the first width only
+    import scipy.linalg  # noqa: F401
+    peaks = []
+    for dim in (COMMAND_DIM, 2 * COMMAND_DIM):
+        argv = command_argv(command_inputs, command, method, dim)
+        codes = []
+        peaks.append(peak_bytes(lambda: codes.append(main(argv))))
+        assert codes == [0]
+    assert (peaks[1] - peaks[0]) / (COMMAND_ROWS * COMMAND_DIM * 8) <= most

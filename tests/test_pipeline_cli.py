@@ -1,8 +1,10 @@
 import argparse
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import requests
 
 from lexalign import (DictionaryPairs, PipelineConfig, PipelineStageError,
                       VocabEmbedding, load_dictionary, load_embeddings, load_maps,
@@ -252,14 +254,47 @@ class TestCli:
         assert code == 0
         assert load_dictionary(out).pairs == (("good", "yaxshi"),)
 
-    def test_dict_build_unreachable_endpoint_is_service_error(self, tmp_path):
+    @pytest.mark.parametrize("answer, retries, logged", [
+        (500, 0, "HTTP 500"),
+        (503, 0, "HTTP 503"),
+        (429, 0, "HTTP 429"),
+        (requests.Timeout("read timed out"), 0, "read timed out"),
+        (requests.ConnectionError("connection refused"), 0, "connection refused"),
+        (503, 1, "after 2 attempts: HTTP 503"),
+        ("some", 0, "1 of 2 lookups failed"),
+    ], ids=["500", "503", "429", "timeout", "refused", "503-retried", "some-fail"])
+    def test_dict_build_failing_endpoint_exit_codes(self, tmp_path, monkeypatch, caplog,
+                                                    capsys, answer, retries, logged):
+        # every attempt gets `answer`; "some" fails only the word "bad", so
+        # the build goes on and counts it
+        attempts = []
+
+        def post(session, url, json=None, headers=None, timeout=None):
+            attempts.append(json["q"])
+            if isinstance(answer, Exception):
+                raise answer
+            if answer == "some" and json["q"] != "bad":
+                back = {"good": "yaxshi", "yaxshi": "good"}[json["q"]]
+                return SimpleNamespace(status_code=200, headers={},
+                                       json=lambda: {"translation": back})
+            return SimpleNamespace(status_code=503 if answer == "some" else answer, headers={})
+
+        monkeypatch.setattr(requests.Session, "post", post)
         words = tmp_path / "words.txt"
-        words.write_text("good\n", encoding="utf-8")
+        words.write_text("good\nbad\n" if answer == "some" else "good\n", encoding="utf-8")
+        out = tmp_path / "d.tsv"
         code = self.run("dict-build", "--words", str(words), "--src-lang", "en",
-                        "--tgt-lang", "uz", "--out", str(tmp_path / "d.tsv"),
-                        "--endpoint", "http://127.0.0.1:1/translate",
-                        "--retries", "0")
-        assert code == 3
+                        "--tgt-lang", "uz", "--out", str(out),
+                        "--endpoint", "http://svc/translate", "--retries", str(retries))
+        assert logged in caplog.text
+        if answer == "some":
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["failed"] == 1
+            assert load_dictionary(out).pairs == (("good", "yaxshi"),)
+        else:
+            assert code == 3
+            assert not out.exists()
+            assert attempts == ["good"] * (retries + 1)
 
     def test_usage_errors_exit_one(self, tmp_path):
         assert self.run("align") == 1

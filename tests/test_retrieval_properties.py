@@ -104,6 +104,19 @@ def test_unit_rows_equals_full_matrix_formula(matrix):
     assert _unit_rows(matrix).tobytes() == full_unit_rows(matrix).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(matrices(), st.integers(0, 2 ** 32 - 1))
+def test_precision_at_k_in_place_divides_the_target_to_the_same_bits(matrix, seed):
+    src = embedding(np.random.default_rng(seed).normal(size=matrix.shape))
+    test = DictionaryPairs("tr", "en", tuple((w, w) for w in src.words[::3]))
+    expected = precision_at_k(src, embedding(matrix, "en"), test, ks=(1, 5))
+    owned = embedding(matrix.copy(), "en")
+    owned.norms
+    assert precision_at_k(src, owned, test, ks=(1, 5), in_place=True) == expected
+    assert owned.matrix.tobytes() == full_unit_rows(matrix).tobytes()
+    assert "norms" not in owned.__dict__  # they were the matrix's before the division
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.lists(st.sampled_from(NORM_STEPS), max_size=4))
 def test_normalize_equals_full_matrix_reference(matrix, steps):
