@@ -23,6 +23,7 @@ from .errors import DataError
 from .maps import (LinearMap, PairedMatrices, build_paired_matrices,
                    cross_covariance_svd, least_squares_map, procrustes,
                    spd_inverse, whitening_transform)
+from .options import MEEMI, MEEMI_MULTI, METHODS, MULTISTEP, ONE_PAIR_METHODS
 
 logger = logging.getLogger(__name__)
 
@@ -106,12 +107,63 @@ def _pair(reference: VocabEmbedding, other: VocabEmbedding) -> dict[str, VocabEm
     return {reference.language: reference, other.language: other}
 
 
+def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
+    """Validate a fitting method against the reference language, the target
+    languages and the languages named as meemi-multi sources. Returns the
+    sources as fit_method takes them: sorted with the reference added for
+    meemi-multi, empty otherwise. Raises DataError."""
+    if method not in METHODS:
+        raise DataError(f"method must be one of {METHODS}, got {method!r}")
+    if ref_lang in langs:
+        raise DataError("a target repeats the reference language")
+    if len(set(langs)) != len(langs):
+        raise DataError("duplicate target languages")
+    if method in ONE_PAIR_METHODS and len(langs) > 1:
+        raise DataError(f"method {method!r} aligns one language pair per run; "
+                        f"use {MEEMI_MULTI} for several targets")
+    sources = set(sources)
+    if method != MEEMI_MULTI:
+        if sources:
+            raise DataError(f"sources only applies to method {MEEMI_MULTI}")
+        return []
+    bad = sources - {ref_lang, *langs}
+    if bad:
+        raise DataError(f"sources name unknown languages: {sorted(bad)}")
+    return sorted(sources | {ref_lang})
+
+
 # Each method's fit lives in one helper that consumes a mapping of spaces keyed
 # by language: it pops every input and drops it once its last use is past, so
 # a caller that holds no other reference to a space frees it as soon as the
 # output made from it exists. The public functions pass a mapping built from
 # their own parameters, which keep every input alive: they free nothing and
 # leave their inputs unchanged.
+
+
+def fit_method(method: str, hub: str, spaces: dict, dictionaries: dict,
+               reweight_p: float = 0.5, reduce_dim: int | None = None, sources=(),
+               all_combinations: bool = False) -> MultiSpace:
+    """Align every space onto the reference spaces[hub] with one method, after
+    check_method has accepted it. spaces maps each language, the reference's
+    included, to its embedding; dictionaries maps every other language to its
+    training dictionary, which may run either way. multistep takes
+    reweight_p and reduce_dim, meemi-multi the checked sources and
+    all_combinations.
+
+    fit_method consumes spaces: it removes every entry, the reference
+    included, and drops each input once the output made from it exists, so
+    a caller that holds no other reference to an embedding frees it as soon
+    as it can. spaces is empty on return."""
+    if method == MULTISTEP:
+        return MultiSpace(_multistep(spaces, hub, dictionaries, reweight_p, reduce_dim), hub=hub)
+    aligned = _orthogonal(spaces, hub, dictionaries)
+    if method == MEEMI:
+        (pairs,) = dictionaries.values()
+        aligned = _meemi(aligned, hub, pairs)
+    elif method == MEEMI_MULTI:
+        aligned = _refit(aligned, _tuple_fits(aligned, hub, dictionaries, set(sources),
+                                              all_combinations), hub)
+    return MultiSpace(aligned, hub=hub)
 
 
 def align_orthogonal(reference: VocabEmbedding, other: VocabEmbedding,
@@ -134,22 +186,14 @@ def _orthogonal(spaces: dict[str, VocabEmbedding], hub: str,
     for lang in list(spaces):
         other = spaces.pop(lang)
         _check_alignable(reference, other)
-        w = _orthogonal_map(reference, other, dictionaries[lang])
+        oriented = orient(dictionaries[lang], other.language, reference.language)
+        pm = build_paired_matrices(other, reference, oriented)
+        w = procrustes(pm)
+        logger.info("orthogonal %s->%s: pairs_used=%d oov_src=%d oov_tgt=%d",
+                    other.language, reference.language, len(pm), pm.oov_src, pm.oov_tgt)
+        del pm  # the paired rows go before the output is allocated
         aligned[lang] = AlignedSpace(apply_map(other, w), (w,), hub)
     return aligned
-
-
-def _orthogonal_map(reference: VocabEmbedding, other: VocabEmbedding,
-                    pairs: DictionaryPairs) -> LinearMap:
-    """The Procrustes map of `other` onto `reference`. The paired rows live
-    only inside this call, so they are freed before the output is allocated;
-    the other fit helpers below work the same way."""
-    oriented = orient(pairs, other.language, reference.language)
-    pm = build_paired_matrices(other, reference, oriented)
-    w = procrustes(pm)
-    logger.info("orthogonal %s->%s: pairs_used=%d oov_src=%d oov_tgt=%d",
-                other.language, reference.language, len(pm), pm.oov_src, pm.oov_tgt)
-    return w
 
 
 def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
@@ -160,21 +204,21 @@ def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
     s**reweight_p, de-whiten each side through the other side's whitening
     inverse (conjugated into the shared basis), then optionally keep the
     first reduce_dim coordinates. Both spaces move."""
-    spaces = _multistep(_pair(reference, other), reference.language, pairs,
-                        reweight_p, reduce_dim)
+    spaces = _multistep(_pair(reference, other), reference.language,
+                        {other.language: pairs}, reweight_p, reduce_dim)
     return MultiSpace(spaces, hub=reference.language)
 
 
-def _multistep(spaces: dict[str, VocabEmbedding], hub: str, pairs: DictionaryPairs,
+def _multistep(spaces: dict[str, VocabEmbedding], hub: str, dictionaries: dict,
                reweight_p: float, reduce_dim: int | None) -> dict[str, AlignedSpace]:
-    """align_multistep of the one other space onto spaces[hub]: the aligned
-    spaces keyed by language, the other first. Consumes spaces: each side's
-    input is dropped once its first map has been applied, and each
-    intermediate once the next one exists."""
-    (lang,) = [key for key in spaces if key != hub]
+    """align_multistep of the one other space onto spaces[hub], fitted on the
+    pairs dictionaries holds for it: the aligned spaces keyed by language, the
+    other first. Consumes spaces: each side's input is dropped once its first
+    map has been applied, and each intermediate once the next one exists."""
+    ((lang, pairs),) = dictionaries.items()
     _check_alignable(spaces[hub], spaces[lang])
-    if reweight_p < 0.0:
-        raise DataError("reweight_p must be >= 0")
+    if not 0.0 <= reweight_p < np.inf:
+        raise DataError(f"reweight_p must be a finite number >= 0, got {reweight_p}")
     d = spaces[hub].dim
     if reduce_dim is not None and not 1 <= reduce_dim <= d:
         raise DataError(f"reduce_dim must be in [1, {d}], got {reduce_dim}")
@@ -222,16 +266,15 @@ def _multistep_chains(reference: VocabEmbedding, other: VocabEmbedding,
     return chains
 
 
-def meemi_bilingual(ms: MultiSpace, pairs: DictionaryPairs,
-                    min_norm_fallback: bool = True) -> MultiSpace:
+def meemi_bilingual(ms: MultiSpace, pairs: DictionaryPairs) -> MultiSpace:
     """Replace both aligned spaces by least-squares fits onto the midpoints
     of dictionary-linked vector pairs. Fitting uses dictionary rows only; the
     fitted maps move every vector."""
-    return MultiSpace(_meemi(dict(ms.spaces), ms.hub, pairs, min_norm_fallback), hub=ms.hub)
+    return MultiSpace(_meemi(dict(ms.spaces), ms.hub, pairs), hub=ms.hub)
 
 
-def _meemi(spaces: dict[str, AlignedSpace], hub: str, pairs: DictionaryPairs,
-           min_norm_fallback: bool = True) -> dict[str, AlignedSpace]:
+def _meemi(spaces: dict[str, AlignedSpace], hub: str,
+           pairs: DictionaryPairs) -> dict[str, AlignedSpace]:
     """meemi_bilingual of two aligned spaces keyed by language, in the same
     order. Consumes spaces (see _refit)."""
     if len(spaces) != 2:
@@ -239,7 +282,7 @@ def _meemi(spaces: dict[str, AlignedSpace], hub: str, pairs: DictionaryPairs,
     if {pairs.src_lang, pairs.tgt_lang} != set(spaces):
         raise DataError(f"dictionary {pairs.src_lang}->{pairs.tgt_lang} does not "
                         f"match spaces {sorted(spaces)}")
-    return _refit(spaces, _meemi_fits(spaces, pairs, min_norm_fallback), hub)
+    return _refit(spaces, _meemi_fits(spaces, pairs), hub)
 
 
 def _refit(spaces: dict[str, AlignedSpace], fits: dict[str, LinearMap],
@@ -255,8 +298,8 @@ def _refit(spaces: dict[str, AlignedSpace], fits: dict[str, LinearMap],
     return refitted
 
 
-def _meemi_fits(spaces: dict[str, AlignedSpace], pairs: DictionaryPairs,
-                min_norm_fallback: bool) -> dict[str, LinearMap]:
+def _meemi_fits(spaces: dict[str, AlignedSpace],
+                pairs: DictionaryPairs) -> dict[str, LinearMap]:
     """The least-squares map of each side for meemi_bilingual."""
     pm = build_paired_matrices(spaces[pairs.src_lang].embedding,
                                spaces[pairs.tgt_lang].embedding, pairs)
@@ -265,16 +308,15 @@ def _meemi_fits(spaces: dict[str, AlignedSpace], pairs: DictionaryPairs,
     mid = pm.X + pm.Z
     mid *= 0.5
     fits = {
-        pairs.src_lang: least_squares_map(pm.X, mid, min_norm_fallback),
-        pairs.tgt_lang: least_squares_map(pm.Z, mid, min_norm_fallback),
+        pairs.src_lang: least_squares_map(pm.X, mid),
+        pairs.tgt_lang: least_squares_map(pm.Z, mid),
     }
     logger.info("meemi %s/%s: pairs_used=%d", pairs.src_lang, pairs.tgt_lang, len(pm))
     return fits
 
 
 def meemi_multilingual(hub: AlignedSpace, others, source_set,
-                       all_combinations: bool = False,
-                       min_norm_fallback: bool = True) -> MultiSpace:
+                       all_combinations: bool = False) -> MultiSpace:
     """Meemi across several languages joined on hub words.
 
     others: (AlignedSpace, DictionaryPairs) entries, each dictionary between
@@ -292,15 +334,10 @@ def meemi_multilingual(hub: AlignedSpace, others, source_set,
     others = list(others)
     if not others:
         raise DataError("needs at least one non-hub language")
-    langs = [space.language for space, _ in others]
-    if len(set(langs)) != len(langs) or hub_lang in langs:
-        raise DataError("every language may appear only once")
     source_set = set(source_set)
     if hub_lang not in source_set:
         raise DataError(f"source_set must include the hub language {hub_lang!r}")
-    unknown = source_set - set(langs) - {hub_lang}
-    if unknown:
-        raise DataError(f"source_set names absent languages: {sorted(unknown)}")
+    check_method(MEEMI_MULTI, hub_lang, [space.language for space, _ in others], source_set)
     for space, _ in others:
         if space.dim != hub.dim:
             raise DataError(f"space {space.language!r} has dim {space.dim}, hub has {hub.dim}")
@@ -309,26 +346,15 @@ def meemi_multilingual(hub: AlignedSpace, others, source_set,
                             f"{space.reference_language!r}, not the hub {hub_lang!r}")
     spaces = {hub_lang: hub, **{space.language: space for space, _ in others}}
     dictionaries = {space.language: pairs for space, pairs in others}
-    return MultiSpace(_meemi_multi(spaces, hub_lang, dictionaries, source_set,
-                                   all_combinations, min_norm_fallback), hub=hub_lang)
-
-
-def _meemi_multi(spaces: dict[str, AlignedSpace], hub: str,
-                 dictionaries: dict[str, DictionaryPairs], source_set: set,
-                 all_combinations: bool = False,
-                 min_norm_fallback: bool = True) -> dict[str, AlignedSpace]:
-    """meemi_multilingual of aligned spaces keyed by language, hub first;
-    dictionaries holds each other language's pairs with the hub. Consumes
-    spaces (see _refit)."""
-    return _refit(spaces, _tuple_fits(spaces, hub, dictionaries, source_set,
-                                      all_combinations, min_norm_fallback), hub)
+    fits = _tuple_fits(spaces, hub_lang, dictionaries, source_set, all_combinations)
+    return MultiSpace(_refit(spaces, fits, hub_lang), hub=hub_lang)
 
 
 def _tuple_fits(spaces: dict[str, AlignedSpace], hub_lang: str,
                 dictionaries: dict[str, DictionaryPairs], source_set: set,
-                all_combinations: bool, min_norm_fallback: bool) -> dict[str, LinearMap]:
+                all_combinations: bool) -> dict[str, LinearMap]:
     """The least-squares map of each language for meemi_multilingual, keyed
-    by language."""
+    by language; dictionaries holds each other language's pairs with the hub."""
     hub = spaces[hub_lang]
     langs = list(dictionaries)
     # per-language translation tables over usable (in-vocabulary) pairs
@@ -386,5 +412,5 @@ def _tuple_fits(spaces: dict[str, AlignedSpace], hub_lang: str,
             targets.append(means[ti])
         if not rows:
             raise DataError(f"language {lang!r} participates in no tuple")
-        fits[lang] = least_squares_map(np.array(rows), np.array(targets), min_norm_fallback)
+        fits[lang] = least_squares_map(np.array(rows), np.array(targets))
     return fits

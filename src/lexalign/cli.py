@@ -20,7 +20,8 @@ from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
                          save_dictionary, split_dictionary)
 from .errors import DataError, ExternalServiceError, LexalignError, PipelineStageError, \
     TranslationError, decode_error
-from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, OOV_POLICIES
+from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, METHODS, ONE_PAIR_METHODS, \
+    OOV_POLICIES, ORTHOGONAL
 from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
     translate_wordlist
 
@@ -92,9 +93,10 @@ def run_pipeline(config):
 
 
 def cmd_align(args) -> int:
-    from .pipeline import check_method, fit_method, load_space
+    from .align import check_method, fit_method
+    from .pipeline import load_space
     steps = _parse_steps(args.normalize)
-    if args.method in ("multistep", "meemi") and not args.out_ref:
+    if args.method in ONE_PAIR_METHODS and not args.out_ref:
         raise _UsageError(f"method {args.method} moves the reference space too; "
                           f"pass --out-ref")
     reference = load_space(args.ref, args.ref_lang, steps, args.max_words, args.lowercase)
@@ -116,7 +118,8 @@ def cmd_align(args) -> int:
 
 
 def cmd_align_multi(args) -> int:
-    from .pipeline import check_method, fit_method, load_space
+    from .align import check_method, fit_method
+    from .pipeline import load_space
     steps = _parse_steps(args.normalize)
     pair_parts = [text.split(":") for text in args.pair]
     for text, parts in zip(args.pair, pair_parts):
@@ -165,7 +168,7 @@ def cmd_induce(args) -> int:
     query_emb = tgt if args.query_space is None \
         else load_embeddings(args.query_space, language=args.query_lang)
     query = query_emb.vector(args.word)
-    for word, score in induce(query, tgt, args.k, backend=args.backend):
+    for word, score in induce(query, tgt, args.k):
         print(f"{word}\t{score:.6f}")
     return EXIT_OK
 
@@ -293,8 +296,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="aligned other-language vectors")
     p.add_argument("--out-ref", default=None,
                    help="where to write the reference when the method moves it")
-    p.add_argument("--method", choices=["orthogonal", "multistep", "meemi"],
-                   default="orthogonal")
+    p.add_argument("--method", choices=(ORTHOGONAL, *ONE_PAIR_METHODS), default=ORTHOGONAL)
     p.add_argument("--ref-lang", default=None)
     p.add_argument("--other-lang", default=None)
     p.add_argument("--dict-direction", choices=DICT_DIRECTIONS, default="ref2other")
@@ -308,7 +310,8 @@ def build_parser() -> _Parser:
     p.add_argument("--ref-lang", default=None)
     p.add_argument("--pair", action="append", required=True, metavar="LANG:VEC:DICT")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--method", choices=["orthogonal", "meemi-multi"], default="orthogonal")
+    p.add_argument("--method", choices=[m for m in METHODS if m not in ONE_PAIR_METHODS],
+                   default=ORTHOGONAL)
     p.add_argument("--sources", default="",
                    help="comma-separated languages whose dictionary coverage is required")
     p.add_argument("--all-combinations", action="store_true")
@@ -333,7 +336,6 @@ def build_parser() -> _Parser:
     p.add_argument("--query-lang", default=None)
     p.add_argument("--word", required=True)
     p.add_argument("-k", type=int, default=5)
-    p.add_argument("--backend", choices=["blocked", "exact"], default="blocked")
     p.set_defaults(func=cmd_induce)
 
     p = sub.add_parser("eval", help="precision at k over a test dictionary")

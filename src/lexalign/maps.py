@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, decode_error
 
 MAP_KINDS = ("orthogonal", "unconstrained", "whitening", "composite")
 
@@ -240,9 +240,15 @@ def save_map(m: LinearMap, path) -> None:
 
 
 def load_maps(path) -> list[LinearMap]:
+    """Read the maps save_maps wrote, in order. Any defect raises a DataError
+    that names the file and, where it is known, the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise decode_error(path, exc) from None
+    where = f"{path}: "
     maps = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
     pos = 0
     while pos < len(lines):
         if not lines[pos].strip():
@@ -253,15 +259,28 @@ def load_maps(path) -> list[LinearMap]:
             kind, d_in, d_out = header
             d_in, d_out = int(d_in), int(d_out)
         except ValueError:
-            raise DataError(f"bad map header at line {pos + 1}: {lines[pos]!r}") from None
+            raise DataError(f"{where}bad map header at line {pos + 1}: {lines[pos]!r}") from None
         block = lines[pos + 1: pos + 1 + d_in]
         if len(block) != d_in:
-            raise DataError(f"map block at line {pos + 1} is truncated")
-        matrix = np.array([row.split() for row in block], dtype=np.float64)
+            raise DataError(f"{where}map block at line {pos + 1} is truncated")
+        rows = []
+        for line_no, row in enumerate(block, start=pos + 2):
+            try:
+                values = [float(value) for value in row.split()]
+            except ValueError as exc:
+                raise DataError(f"{where}bad map value at line {line_no}: {exc}") from None
+            if len(values) != d_out:
+                raise DataError(f"{where}map row at line {line_no} has {len(values)} "
+                                f"values, header says {d_out}")
+            rows.append(values)
+        matrix = np.array(rows, dtype=np.float64)
         if matrix.shape != (d_in, d_out):
-            raise DataError(f"map block at line {pos + 1} has shape {matrix.shape}, "
+            raise DataError(f"{where}map block at line {pos + 1} has shape {matrix.shape}, "
                             f"header says ({d_in}, {d_out})")
-        maps.append(LinearMap(matrix, kind))
+        try:
+            maps.append(LinearMap(matrix, kind))
+        except (DataError, ValueError) as exc:
+            raise DataError(f"{where}map block at line {pos + 1}: {exc}") from None
         pos += 1 + d_in
     if not maps:
         raise DataError(f"no maps found in {path}")

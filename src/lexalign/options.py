@@ -7,3 +7,8 @@ NORM_STEPS = ("unit", "center")
 DEFAULT_NORMALIZE = ("unit", "center", "unit")
 OOV_POLICIES = ("skip", "fail")
 DICT_DIRECTIONS = ("ref2other", "other2ref")
+
+# the fitting methods, each also by name; a one-pair method moves the reference too
+ORTHOGONAL, MULTISTEP, MEEMI, MEEMI_MULTI = METHODS = (
+    "orthogonal", "multistep", "meemi", "meemi-multi")
+ONE_PAIR_METHODS = (MULTISTEP, MEEMI)

@@ -1,7 +1,6 @@
 """Declarative end-to-end runs: dictionary preparation, alignment, evaluation,
-and a manifest that pins configuration and input hashes. The fitting path
-(check_method, fit_method, load_space, write_space) is shared with the
-align and align-multi commands.
+and a manifest that pins configuration and input hashes. load_space and
+write_space are shared with the align and align-multi commands.
 
 A run is deterministic: the same configuration over the same inputs writes
 byte-identical artifacts. While a run is in flight an INCOMPLETE marker file
@@ -23,10 +22,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .align import AlignedSpace, MultiSpace, _meemi, _meemi_multi, _multistep, _orthogonal
-# fit_method calls the consuming helpers above, not these two; they stay
-# importable here because perfbench/tracer.py wraps them as attributes of
-# this module
+from .align import AlignedSpace, check_method, fit_method
+# unused here, but perfbench/tracer.py wraps them as attributes of this module
 from .align import align_orthogonal, meemi_bilingual  # noqa: F401
 from .dictionary import (DictionaryPairs, clean_dictionary, load_dictionary, orient,
                          split_dictionary)
@@ -34,12 +31,10 @@ from .embeddings import check_steps, load_embeddings, normalize, save_embeddings
 from .errors import DataError, PipelineStageError
 from .induction import precision_at_k, render_report
 from .maps import save_maps
-from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, OOV_POLICIES
+from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, OOV_POLICIES, ORTHOGONAL
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("orthogonal", "multistep", "meemi", "meemi-multi")
-STAGES = ("dict", "align", "eval")
 INCOMPLETE_MARKER = "INCOMPLETE"
 
 
@@ -80,7 +75,7 @@ class PipelineConfig:
     reference: Reference
     targets: list[Target]
     out_dir: str
-    method: str = "orthogonal"
+    method: str = ORTHOGONAL
     normalize: list[str] = field(default_factory=lambda: list(DEFAULT_NORMALIZE))
     reweight_p: float = 0.5
     reduce_dim: int | None = None
@@ -174,57 +169,6 @@ def _convert(kind, value, key: str):
     if kind in (int, str, bool) and type(value) is kind:
         return value
     raise DataError(f"config key {key} has a value of the wrong type: {value!r}")
-
-
-def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
-    """Validate a fitting method against the reference language, the target
-    languages and the languages named as meemi-multi sources. Returns the
-    sources as fit_method takes them: sorted with the reference added for
-    meemi-multi, empty otherwise. Raises DataError."""
-    if method not in METHODS:
-        raise DataError(f"method must be one of {METHODS}, got {method!r}")
-    if ref_lang in langs:
-        raise DataError("a target repeats the reference language")
-    if len(set(langs)) != len(langs):
-        raise DataError("duplicate target languages")
-    if method in ("multistep", "meemi") and len(langs) > 1:
-        raise DataError(f"method {method!r} aligns one language pair per run; "
-                        f"use meemi-multi for several targets")
-    sources = set(sources)
-    if method != "meemi-multi":
-        if sources:
-            raise DataError("sources only applies to method meemi-multi")
-        return []
-    bad = sources - {ref_lang, *langs}
-    if bad:
-        raise DataError(f"sources name unknown languages: {sorted(bad)}")
-    return sorted(sources | {ref_lang})
-
-
-def fit_method(method: str, hub: str, spaces: dict, dictionaries: dict,
-               reweight_p: float = 0.5, reduce_dim: int | None = None, sources=(),
-               all_combinations: bool = False) -> MultiSpace:
-    """Align every space onto the reference spaces[hub] with one method, after
-    check_method has accepted it. spaces maps each language, the reference's
-    included, to its embedding; dictionaries maps every other language to its
-    training dictionary, which may run either way. multistep takes
-    reweight_p and reduce_dim, meemi-multi the checked sources and
-    all_combinations.
-
-    fit_method consumes spaces: it removes every entry, the reference
-    included, and drops each input once the output made from it exists, so
-    a caller that holds no other reference to an embedding frees it as soon
-    as it can. spaces is empty on return."""
-    if method == "multistep":
-        (pairs,) = dictionaries.values()
-        return MultiSpace(_multistep(spaces, hub, pairs, reweight_p, reduce_dim), hub=hub)
-    aligned = _orthogonal(spaces, hub, dictionaries)
-    if method == "meemi":
-        (pairs,) = dictionaries.values()
-        aligned = _meemi(aligned, hub, pairs)
-    elif method == "meemi-multi":
-        aligned = _meemi_multi(aligned, hub, dictionaries, set(sources), all_combinations)
-    return MultiSpace(aligned, hub=hub)
 
 
 def load_space(path, lang, steps, max_words=None, lowercase=False):

@@ -176,8 +176,9 @@ class TestAlignMultistep:
 
     def test_parameter_validation(self):
         reference, other, pairs, _ = rotation_fixture(14)
-        with pytest.raises(DataError):
-            align_multistep(reference, other, pairs, reweight_p=-0.1)
+        for reweight_p in (-0.1, float("inf"), float("nan")):
+            with pytest.raises(DataError, match="reweight_p"):
+                align_multistep(reference, other, pairs, reweight_p=reweight_p)
         with pytest.raises(DataError):
             align_multistep(reference, other, pairs, reduce_dim=0)
         with pytest.raises(DataError):

@@ -79,10 +79,22 @@ class TestMapIO:
                 load_maps(path)
 
     def test_truncated_block(self, tmp_path):
+        """A truncated block, like any other defect in a map file, is a
+        DataError that names the file and the line."""
         path = tmp_path / "bad.map"
-        path.write_text("orthogonal 2 2\n1 0\n", encoding="utf-8")
-        with pytest.raises(DataError):
-            load_maps(path)
+        bodies = [(b"orthogonal 2 2\n1 0\n", "line 1"),
+                  (b"rotation 2 2\n1 0\n0 1\n", "line 1"),
+                  (b"orthogonal 2 2\n1 0\n0 x\n", "line 3"),
+                  (b"orthogonal 2 2\n1 0\n0 1 0\n", "line 3"),
+                  (b"orthogonal 0 2\n", "line 1"),
+                  (b"unconstrained 2 2\n1 0\n0 nan\n", "line 1"),
+                  (b"orthogonal 2 2\n1 1\n0 1\n", "line 1"),
+                  (b"orthogonal 2 2\n1 0\n\xff 1\n", "line 3")]
+        for body, line in bodies:
+            path.write_bytes(body)
+            with pytest.raises(DataError) as info:
+                load_maps(path)
+            assert str(path) in str(info.value) and line in str(info.value), body
 
 
 class TestBuildPaired:

@@ -188,6 +188,23 @@ class TestCli:
                         "--out", str(tmp_path / "x.vec"))
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_align_multistep_rejects_a_reweight_p_that_is_not_finite(
+            self, rotation_files, tmp_path, value):
+        # with noise every whitened singular value is below 1, so s ** inf
+        # would be a finite map of zeros
+        other = load_embeddings(rotation_files["other"])
+        noise = np.random.default_rng(3).normal(scale=0.3, size=other.matrix.shape)
+        noisy = tmp_path / "xx.noisy.vec"
+        save_embeddings(VocabEmbedding("xx", other.words, other.matrix + noise), noisy)
+        out = tmp_path / "x.vec"
+        code = self.run("align", "--method", "multistep", "--reweight-p", value,
+                        "--ref", str(rotation_files["ref"]), "--other", str(noisy),
+                        "--dict", str(rotation_files["dict"]),
+                        "--out", str(out), "--out-ref", str(tmp_path / "ref.vec"))
+        assert code == 2
+        assert not out.exists()
+
     def test_induce_output(self, tmp_path, capsys):
         emb = VocabEmbedding("tr", ("w0", "w1", "w2"),
                              np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]]))
@@ -752,20 +769,30 @@ def test_empty_dictionary_file_is_zero_pairs(rotation_files, tmp_path, caplog, c
 
 
 def test_parser_choices_and_defaults_are_the_library_constants():
-    """--dict-direction, --oov-policy and --normalize offer exactly what the
-    library accepts, on every subcommand that has them."""
-    from lexalign import embeddings, induction, pipeline
+    """--dict-direction, --oov-policy, --normalize and --method offer exactly
+    what the library accepts, on every subcommand that has them: align every
+    method that fits one pair, align-multi every method that fits several."""
+    from lexalign import embeddings, induction, options, pipeline
+    one_pair = list(options.ONE_PAIR_METHODS)
     expected = {"dict_direction": ("choices", list(pipeline.DICT_DIRECTIONS)),
                 "oov_policy": ("choices", list(induction.OOV_POLICIES)),
                 "normalize": ("default", ",".join(embeddings.DEFAULT_NORMALIZE))}
+    methods = {"align": [m for m in options.METHODS if m == options.ORTHOGONAL or m in one_pair],
+               "align-multi": [m for m in options.METHODS if m not in one_pair]}
+    assert methods == {"align": ["orthogonal", "multistep", "meemi"],
+                       "align-multi": ["orthogonal", "meemi-multi"]}
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     seen = set()
     for command, parser in subparsers.choices.items():
         for action in parser._actions:
+            if action.dest == "method":
+                assert list(action.choices) == methods[command], command
+                assert action.default == options.ORTHOGONAL, command
+                seen.add((command, action.dest))
             if action.dest in expected:
                 attr, value = expected[action.dest]
                 got = getattr(action, attr)
                 assert (list(got) if attr == "choices" else got) == value, (command, action.dest)
                 seen.add(action.dest)
-    assert seen == set(expected)
+    assert seen == {*expected, ("align", "method"), ("align-multi", "method")}
