@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 # Each public name and the submodule that defines it. A name is imported on
 # first access (PEP 562), so `import lexalign` loads neither numpy nor scipy.
 _EXPORTS = {
-    **dict.fromkeys(["LexalignError", "DataError", "EmbeddingParseError",
+    **dict.fromkeys(["LexalignError", "DataError", "LocatedError", "EmbeddingParseError",
                      "DictionaryFormatError", "ExternalServiceError", "TranslationError",
                      "PipelineStageError"], "errors"),
     **dict.fromkeys(["VocabEmbedding", "load_embeddings", "save_embeddings", "normalize"],

@@ -114,6 +114,8 @@ def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
     meemi-multi, empty otherwise. Raises DataError."""
     if method not in METHODS:
         raise DataError(f"method must be one of {METHODS}, got {method!r}")
+    if "" in (ref_lang, *langs):
+        raise DataError("a language code must not be empty")
     if ref_lang in langs:
         raise DataError("a target repeats the reference language")
     if len(set(langs)) != len(langs):

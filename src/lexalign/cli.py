@@ -18,8 +18,8 @@ import sys
 from . import __version__
 from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
                          save_dictionary, split_dictionary)
-from .errors import DataError, ExternalServiceError, LexalignError, PipelineStageError, \
-    TranslationError, decode_error
+from .errors import DataError, ExternalServiceError, LexalignError, LocatedError, \
+    PipelineStageError, TranslationError, decode_error
 from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, METHODS, ONE_PAIR_METHODS, \
     OOV_POLICIES, ORTHOGONAL
 from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
@@ -259,7 +259,13 @@ def cmd_dict_split(args) -> int:
 def cmd_run(args) -> int:
     from .pipeline import PipelineConfig
     with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise decode_error(args.config, exc) from None
+        except json.JSONDecodeError as exc:
+            raise LocatedError(f"{exc.msg} at column {exc.colno}", exc.lineno,
+                               args.config) from None
     if not isinstance(raw, dict):
         raise DataError(f"{args.config}: the config must be a JSON object, "
                         f"got {type(raw).__name__}")
@@ -417,7 +423,7 @@ def main(argv=None) -> int:
     except ExternalServiceError as exc:
         logger.error("%s", exc)
         return EXIT_SERVICE
-    except (LexalignError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (LexalignError, OSError) as exc:
         logger.error("%s", exc)
         return EXIT_DATA
 

@@ -6,7 +6,7 @@ import logging
 import random
 from dataclasses import dataclass, replace
 
-from .errors import DataError, DictionaryFormatError, locate_decode_error
+from .errors import DataError, DictionaryFormatError, decode_error
 
 logger = logging.getLogger(__name__)
 
@@ -134,10 +134,7 @@ def load_dictionary(path, src_lang: str = "src", tgt_lang: str = "tgt",
                                                 line=line_no, path=path)
                 pairs.append((cols[0], cols[1]))
         except UnicodeDecodeError as exc:
-            line_no, message = locate_decode_error(path, exc)
-            if line_no is None:
-                raise DataError(message) from None
-            raise DictionaryFormatError(message, line=line_no) from None
+            raise decode_error(path, exc, DictionaryFormatError) from None
     if skipped:
         logger.warning("%s: skipped %d malformed lines", path, skipped)
     return DictionaryPairs(src_lang, tgt_lang, tuple(pairs), provenance="file")

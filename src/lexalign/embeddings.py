@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .dictionary import single_token
-from .errors import DataError, EmbeddingParseError, locate_decode_error
+from .errors import DataError, EmbeddingParseError, decode_error
 from .options import DEFAULT_NORMALIZE, NORM_STEPS
 
 logger = logging.getLogger(__name__)
@@ -183,10 +183,7 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
     try:
         return _read_embeddings(path, max_words, lowercase, language)
     except UnicodeDecodeError as exc:
-        line, message = locate_decode_error(path, exc)
-        if line is None:
-            raise DataError(message) from None
-        raise EmbeddingParseError(message, code="encoding", line=line) from None
+        raise decode_error(path, exc, EmbeddingParseError, code="encoding") from None
 
 
 def _read_embeddings(path, max_words: int | None, lowercase: bool,

@@ -22,37 +22,34 @@ class DataError(LexalignError):
     rank-deficient matrices where full rank is required, and the like."""
 
 
-def _where(path, line: int) -> str:
-    """"<path>: line N: ", or "line N: " without a path."""
-    where = f"line {line}: "
-    return where if path is None else f"{os.fspath(path)}: {where}"
+class LocatedError(DataError):
+    """A defect at a known line of an input file. The message reads
+    "<path>: line N: <what>", or "line N: <what>" without a path; line is
+    1-based."""
+
+    def __init__(self, message: str, line: int, path=None):
+        located = f"line {line}: {message}"
+        super().__init__(located if path is None else f"{os.fspath(path)}: {located}")
+        self.line = line
+        self.path = path
 
 
-class EmbeddingParseError(DataError):
+class EmbeddingParseError(LocatedError):
     """A text embedding file could not be parsed.
 
     code is one of "header" (a bad header line, or a row past the count it
     promises), "arity", "value", "empty", "truncated" (fewer rows than the
-    header promises), "encoding" (a byte that is not UTF-8); line is 1-based.
-    path, when given, is the file, named at the front of the message.
+    header promises), "encoding" (a byte that is not UTF-8).
     """
 
     def __init__(self, message: str, code: str, line: int, path=None):
-        super().__init__(_where(path, line) + message)
+        super().__init__(message, line, path)
         self.code = code
-        self.line = line
-        self.path = path
 
 
-class DictionaryFormatError(DataError):
+class DictionaryFormatError(LocatedError):
     """A dictionary file line did not have exactly two columns, or held a
-    byte that is not UTF-8. path, when given, is the file, named at the
-    front of the message."""
-
-    def __init__(self, message: str, line: int, path=None):
-        super().__init__(_where(path, line) + message)
-        self.line = line
-        self.path = path
+    byte that is not UTF-8."""
 
 
 class ExternalServiceError(LexalignError):
@@ -72,24 +69,17 @@ class PipelineStageError(LexalignError):
         self.cause = cause
 
 
-def locate_decode_error(path, exc: UnicodeDecodeError) -> tuple[int | None, str]:
-    """For exc, raised while the file at path was read as UTF-8 text: the
-    1-based line of its first byte that is not UTF-8, counted as a text-mode
-    reader counts lines, and a message naming the file. The line comes from
-    reading the file again, so it is None for a file that cannot be read
-    twice, such as a pipe."""
-    message = (f"{os.fspath(path)}: can't decode byte 0x{exc.object[exc.start]:02x} "
-               f"as UTF-8 ({exc.reason})")
+def decode_error(path, exc: UnicodeDecodeError, error=LocatedError, **fields) -> DataError:
+    """For exc, raised while the file at path was read as UTF-8 text:
+    error(message, line=N, path=path, **fields), where N is the 1-based line
+    of the file's first byte that is not UTF-8, counted as a text-mode reader
+    counts lines. The line comes from reading the file again, so for a file
+    that cannot be read twice, such as a pipe, the result is a DataError that
+    names only the file."""
+    message = f"can't decode byte 0x{exc.object[exc.start]:02x} as UTF-8 ({exc.reason})"
     if os.path.isfile(path):
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if _ESCAPED_BYTE.search(line):
-                    return line_no, message
-    return None, message
-
-
-def decode_error(path, exc: UnicodeDecodeError) -> DataError:
-    """A DataError for exc, raised while the file at path was read as UTF-8
-    text, naming the file and, where locate_decode_error finds it, the line."""
-    line, message = locate_decode_error(path, exc)
-    return DataError(message if line is None else f"line {line}: {message}")
+                    return error(message, line=line_no, path=path, **fields)
+    return DataError(f"{os.fspath(path)}: {message}")

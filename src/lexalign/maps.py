@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, decode_error
+from .errors import DataError, LocatedError, decode_error
 
 MAP_KINDS = ("orthogonal", "unconstrained", "whitening", "composite")
 
@@ -148,13 +148,12 @@ def procrustes(pm: PairedMatrices) -> LinearMap:
     return LinearMap(u @ v.T, "orthogonal")
 
 
-def least_squares_map(A, B, min_norm_fallback: bool = True) -> LinearMap:
+def least_squares_map(A, B) -> LinearMap:
     """The unconstrained map minimizing ||A W - B||_F.
 
     Solves the normal equations by Cholesky. When A^T A is not positive
     definite, or the factorization fails the residual contract, falls back to
-    the SVD minimum-norm solution; with min_norm_fallback=False that case
-    raises instead.
+    the SVD minimum-norm solution.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -180,9 +179,6 @@ def least_squares_map(A, B, min_norm_fallback: bool = True) -> LinearMap:
         if not np.isfinite(residual) or residual > RESIDUAL_RTOL * max(np.linalg.norm(atb), np.finfo(float).tiny):
             W = None
     if W is None:
-        if not min_norm_fallback:
-            raise DataError("A^T A is not positive definite and the minimum-norm "
-                            "fallback is disabled")
         W, _, _, _ = np.linalg.lstsq(A, B, rcond=None)
     return LinearMap(W, "unconstrained")
 
@@ -241,13 +237,13 @@ def save_map(m: LinearMap, path) -> None:
 
 def load_maps(path) -> list[LinearMap]:
     """Read the maps save_maps wrote, in order. Any defect raises a DataError
-    that names the file and, where it is known, the line."""
+    whose message starts with the file; where the line is known, it is a
+    LocatedError, "<path>: line N: <what>"."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh]
     except UnicodeDecodeError as exc:
         raise decode_error(path, exc) from None
-    where = f"{path}: "
     maps = []
     pos = 0
     while pos < len(lines):
@@ -259,36 +255,36 @@ def load_maps(path) -> list[LinearMap]:
             kind, d_in, d_out = header
             d_in, d_out = int(d_in), int(d_out)
         except ValueError:
-            raise DataError(f"{where}bad map header at line {pos + 1}: {lines[pos]!r}") from None
+            raise LocatedError(f"bad map header {lines[pos]!r}", pos + 1, path) from None
         block = lines[pos + 1: pos + 1 + d_in]
         if len(block) != d_in:
-            raise DataError(f"{where}map block at line {pos + 1} is truncated")
+            raise LocatedError("map block is truncated", pos + 1, path)
         rows = []
         for line_no, row in enumerate(block, start=pos + 2):
             try:
                 values = [float(value) for value in row.split()]
             except ValueError as exc:
-                raise DataError(f"{where}bad map value at line {line_no}: {exc}") from None
+                raise LocatedError(f"bad map value: {exc}", line_no, path) from None
             if len(values) != d_out:
-                raise DataError(f"{where}map row at line {line_no} has {len(values)} "
-                                f"values, header says {d_out}")
+                raise LocatedError(f"map row has {len(values)} values, header says {d_out}",
+                                   line_no, path)
             rows.append(values)
         matrix = np.array(rows, dtype=np.float64)
         if matrix.shape != (d_in, d_out):
-            raise DataError(f"{where}map block at line {pos + 1} has shape {matrix.shape}, "
-                            f"header says ({d_in}, {d_out})")
+            raise LocatedError(f"map block has shape {matrix.shape}, "
+                               f"header says ({d_in}, {d_out})", pos + 1, path)
         try:
             maps.append(LinearMap(matrix, kind))
         except (DataError, ValueError) as exc:
-            raise DataError(f"{where}map block at line {pos + 1}: {exc}") from None
+            raise LocatedError(str(exc), pos + 1, path) from None
         pos += 1 + d_in
     if not maps:
-        raise DataError(f"no maps found in {path}")
+        raise DataError(f"{path}: no maps found")
     return maps
 
 
 def load_map(path) -> LinearMap:
     maps = load_maps(path)
     if len(maps) != 1:
-        raise DataError(f"expected one map in {path}, found {len(maps)}")
+        raise DataError(f"{path}: expected one map, found {len(maps)}")
     return maps[0]

@@ -207,7 +207,6 @@ def _stage(name: str):
     except PipelineStageError:
         raise
     except Exception as exc:
-        logger.error("stage=%s status=failed error=%s", name, exc)
         raise PipelineStageError(name, exc) from exc
     logger.info("stage=%s status=done", name)
 

@@ -43,13 +43,14 @@ def load_cache(path) -> dict:
     table = {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 cols = line.split("\t", 3)
                 if len(cols) != 4:
-                    logger.warning("ignoring malformed cache line %r", line)
+                    logger.warning("%s: line %d: ignoring malformed cache line %r",
+                                   path, line_no, line)
                     continue
                 word, src, tgt, translation = cols
                 table[(word, src, tgt)] = translation

@@ -127,7 +127,7 @@ class TestIO:
             with pytest.raises(DictionaryFormatError) as err:
                 load_dictionary(p, on_bad_lines=on_bad_lines)
             assert err.value.line == 3
-            assert f"{p}: can't decode byte 0xff" in str(err.value)
+            assert f"{p}: line 3: can't decode byte 0xff" in str(err.value)
 
     def test_skip_mode(self, tmp_path):
         p = tmp_path / "d.tsv"

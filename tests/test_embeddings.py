@@ -117,7 +117,7 @@ class TestLoad:
             with pytest.raises(EmbeddingParseError) as err:
                 load_embeddings(p)
             assert (err.value.code, err.value.line) == ("encoding", line)
-            assert f"{p}: can't decode byte 0x" in str(err.value)
+            assert f"{p}: line {line}: can't decode byte 0x" in str(err.value)
 
     def test_non_utf8_byte_in_a_pipe_names_the_file(self, tmp_path):
         # a pipe cannot be read again to find the line

@@ -388,6 +388,29 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         assert self.run("run", "--config", str(cfg_path)) == 2
 
+    def test_run_failure_is_logged_once(self, rotation_files, tmp_path, caplog):
+        cfg = base_config(rotation_files, tmp_path / "x")
+        cfg["targets"][0]["dict"] = str(tmp_path / "nope.tsv")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert self.run("run", "--config", str(cfg_path)) == 2
+        assert "stage=dict: " in caplog.text
+        assert caplog.text.count("No such file") == 1
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{\n "out_dir": "\xff"\n}\n', "line 2: can't decode byte 0xff as UTF-8"),
+        (b'{\n "out_dir": "x"', "line 2: Expecting ',' delimiter at column 16"),
+        (b'{\n "out_dir": "x",\n}\n',
+         "line 3: Expecting property name enclosed in double quotes at column 1"),
+    ], ids=["non-utf8", "truncated-object", "trailing-comma"])
+    def test_run_config_that_does_not_parse_exits_two(self, tmp_path, caplog, capsys,
+                                                       content, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(content)
+        assert self.run("run", "--config", str(cfg_path)) == 2
+        assert f"{cfg_path}: {message}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("change, message", [
         (lambda cfg: None, "config must be a JSON object, got NoneType"),
         (lambda cfg: {**cfg, "reference": "en.vec"}, "reference must be a JSON object"),
@@ -533,6 +556,17 @@ class TestCli:
         assert code == 2
         assert not (tmp_path / "multi").exists()
 
+    @pytest.mark.parametrize("command", ["align", "align-multi"])
+    def test_empty_language_exits_two(self, rotation_files, tmp_path, caplog, command):
+        files, out = rotation_files, tmp_path / "out"
+        inputs = (["--ref-lang", "", "--other", str(files["other"]), "--dict",
+                   str(files["dict"]), "--out", str(out)]
+                  if command == "align" else
+                  ["--pair", f":{files['other']}:{files['dict']}", "--out-dir", str(out)])
+        assert self.run(command, "--ref", str(files["ref"]), *inputs) == 2
+        assert "a language code must not be empty" in caplog.text
+        assert not out.exists()
+
     def test_meemi_subcommand(self, rotation_files, tmp_path):
         # orthogonal alignment first, meemi refit over the aligned files
         aligned = tmp_path / "xx.aligned.vec"
@@ -638,7 +672,7 @@ BAD_VECTORS = {
     "truncated": (b"3 2\na 1 2\nb 3 4\n", "{path}: line 4: header promises 3 rows, file has 2"),
     "huge-count": (b"1000000000000 2\na 1 2\nb 3 4\n",
                    "{path}: line 4: header promises 1000000000000 rows, file has 2"),
-    "non-utf8": (b"2 2\na 1 2\n\xff 3 4\n", "line 3: {path}: can't decode byte 0xff"),
+    "non-utf8": (b"2 2\na 1 2\n\xff 3 4\n", "{path}: line 3: can't decode byte 0xff"),
     "field-count": (b"2 2\na 1 2\nb 3\n", "{path}: line 3: expected 3 fields, found 2"),
     "bad-header": (b"2\na 1 2\n", "{path}: line 1: expected '<count> <dim>' header"),
     "bad-value": (b"2 2\na 1 2\nb 3 x\n", "{path}: line 3: could not convert string"),
@@ -683,7 +717,7 @@ def test_bad_vector_file_exits_two_for_every_reading_command(
 BAD_DICTIONARIES = {
     "missing": (None, "No such file"),
     "three-columns": (b"w0\tw0\nw1\tw1\tw1\n", "{path}: line 2: expected 2 columns, found 3"),
-    "non-utf8": (b"w0\tw0\nw1\tw1\n\xff\tw2\n", "line 3: {path}: can't decode byte 0xff"),
+    "non-utf8": (b"w0\tw0\nw1\tw1\n\xff\tw2\n", "{path}: line 3: can't decode byte 0xff"),
 }
 DICTIONARY_COMMANDS = ["align", "align-multi", "meemi", "eval", "run", "dict-clean",
                        "dict-merge", "dict-split"]

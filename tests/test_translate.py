@@ -57,6 +57,12 @@ class TestCacheFile:
         path.write_text("only\ttwo\na\ten\ttr\tok\n", encoding="utf-8")
         assert load_cache(path) == {("a", "en", "tr"): "ok"}
 
+    def test_malformed_line_warning_names_file_and_line(self, tmp_path, caplog):
+        path = tmp_path / "cache.tsv"
+        path.write_text("a\ten\ttr\tok\n\nonly\ttwo\n", encoding="utf-8")
+        load_cache(path)
+        assert f"{path}: line 3: ignoring malformed cache line 'only\\ttwo'" in caplog.text
+
 
 class TestTranslateWordlist:
     def test_basic(self):
