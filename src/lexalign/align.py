@@ -144,13 +144,14 @@ def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
 
 def fit_method(method: str, hub: str, spaces: dict, dictionaries: dict,
                reweight_p: float = 0.5, reduce_dim: int | None = None, sources=(),
-               all_combinations: bool = False) -> MultiSpace:
+               all_combinations: bool = False, prealigned: bool = False) -> MultiSpace:
     """Align every space onto the reference spaces[hub] with one method, after
     check_method has accepted it. spaces maps each language, the reference's
     included, to its embedding; dictionaries maps every other language to its
     training dictionary, which may run either way. multistep takes
     reweight_p and reduce_dim, meemi-multi the checked sources and
-    all_combinations.
+    all_combinations. prealigned says the spaces already share coordinates,
+    so the Meemi methods refit them without the orthogonal step first.
 
     fit_method consumes spaces: it removes every entry, the reference
     included, and drops each input once the output made from it exists, so
@@ -158,7 +159,8 @@ def fit_method(method: str, hub: str, spaces: dict, dictionaries: dict,
     as it can. spaces is empty on return."""
     if method == MULTISTEP:
         return MultiSpace(_multistep(spaces, hub, dictionaries, reweight_p, reduce_dim), hub=hub)
-    aligned = _orthogonal(spaces, hub, dictionaries)
+    aligned = {lang: AlignedSpace(spaces.pop(lang), (), hub) for lang in list(spaces)} \
+        if prealigned else _orthogonal(spaces, hub, dictionaries)
     if method == MEEMI:
         (pairs,) = dictionaries.values()
         aligned = _meemi(aligned, hub, pairs)

@@ -20,7 +20,7 @@ from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
                          save_dictionary, split_dictionary)
 from .errors import DataError, ExternalServiceError, LexalignError, LocatedError, \
     PipelineStageError, TranslationError, decode_error
-from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, METHODS, ONE_PAIR_METHODS, \
+from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, MEEMI, METHODS, ONE_PAIR_METHODS, \
     OOV_POLICIES, ORTHOGONAL
 from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
     translate_wordlist
@@ -79,11 +79,6 @@ _rate = _bounded(float, sys.float_info.min, sys.float_info.max, "a finite number
 _retry_count = _bounded(int, 0, math.inf, "an integer of 0 or more")
 
 
-def _write_space(space, vec_path) -> None:
-    from .pipeline import write_space
-    write_space(space, vec_path, f"{os.fspath(vec_path)}.map")
-
-
 def run_pipeline(config):
     """pipeline.run_pipeline, imported when called. perfbench/tracer.py times a
     `run` by wrapping this module attribute, so cmd_run calls it by this name
@@ -93,71 +88,56 @@ def run_pipeline(config):
 
 
 def cmd_align(args) -> int:
-    from .align import check_method, fit_method
-    from .pipeline import load_space
+    from .embeddings import language_of
+    from .pipeline import fit_files, read_dictionary, write_space
     steps = _parse_steps(args.normalize)
     if args.method in ONE_PAIR_METHODS and not args.out_ref:
         raise _UsageError(f"method {args.method} moves the reference space too; "
                           f"pass --out-ref")
-    reference = load_space(args.ref, args.ref_lang, steps, args.max_words, args.lowercase)
-    other = load_space(args.other, args.other_lang, steps, args.max_words, args.lowercase)
-    ref_lang, lang = reference.language, other.language
-    check_method(args.method, ref_lang, [lang], [])
-    # fit_method consumes spaces: with no other reference, each input goes as
-    # soon as the output made from it exists
-    spaces = {ref_lang: reference, lang: other}
-    del reference, other
-    langs = (ref_lang, lang) if args.dict_direction == "ref2other" else (lang, ref_lang)
-    dictionaries = {lang: load_dictionary(args.dict, *langs)}
-    aligned = fit_method(args.method, ref_lang, spaces, dictionaries, args.reweight_p,
-                         args.reduce_dim)
-    _write_space(aligned[lang], args.out)
+    ref_lang = language_of(args.ref, args.ref_lang)
+    lang = language_of(args.other, args.other_lang)
+    dictionaries = {lang: read_dictionary(args.dict, ref_lang, lang, args.dict_direction)}
+    aligned = fit_files(args.method, (args.ref, ref_lang), [(args.other, lang)], dictionaries,
+                        steps, args.max_words, args.lowercase,
+                        reweight_p=args.reweight_p, reduce_dim=args.reduce_dim)
+    write_space(aligned[lang], args.out)
     if args.out_ref:
-        _write_space(aligned[ref_lang], args.out_ref)
+        write_space(aligned[ref_lang], args.out_ref)
     return EXIT_OK
 
 
 def cmd_align_multi(args) -> int:
-    from .align import check_method, fit_method
-    from .pipeline import load_space
+    from .embeddings import language_of
+    from .pipeline import fit_files, read_dictionary, write_space
     steps = _parse_steps(args.normalize)
     pair_parts = [text.split(":") for text in args.pair]
     for text, parts in zip(args.pair, pair_parts):
         if len(parts) != 3:
             raise _UsageError(f"bad --pair {text!r}, expected LANG:VEC:DICT")
-    reference = load_space(args.ref, args.ref_lang, steps, args.max_words, args.lowercase)
-    ref_lang = reference.language
-    sources = check_method(args.method, ref_lang, [lang for lang, _, _ in pair_parts],
-                           args.sources.split(",") if args.sources else [])
-    # fit_method consumes spaces, so nothing else keeps a reference to one
-    spaces = {ref_lang: reference}
-    del reference
-    dictionaries = {}
-    for lang, vec_path, dict_path in pair_parts:
-        spaces[lang] = load_space(vec_path, lang, steps, args.max_words, args.lowercase)
-        dictionaries[lang] = load_dictionary(dict_path, ref_lang, lang)
-    aligned = fit_method(args.method, ref_lang, spaces, dictionaries, sources=sources,
-                         all_combinations=args.all_combinations)
+    ref_lang = language_of(args.ref, args.ref_lang)
+    dictionaries = {lang: read_dictionary(dict_path, ref_lang, lang, "ref2other")
+                    for lang, _, dict_path in pair_parts}
+    aligned = fit_files(args.method, (args.ref, ref_lang),
+                        [(vec_path, lang) for lang, vec_path, _ in pair_parts], dictionaries,
+                        steps, args.max_words, args.lowercase,
+                        args.sources.split(",") if args.sources else [],
+                        all_combinations=args.all_combinations)
     os.makedirs(args.out_dir, exist_ok=True)
     for lang in aligned.languages():
-        _write_space(aligned[lang], os.path.join(args.out_dir, f"{lang}.aligned.vec"))
+        write_space(aligned[lang], os.path.join(args.out_dir, f"{lang}.aligned.vec"))
     return EXIT_OK
 
 
 def cmd_meemi(args) -> int:
-    from .align import AlignedSpace, _meemi
-    from .embeddings import load_embeddings
-    src = load_embeddings(args.src, language=args.src_lang)
-    tgt = load_embeddings(args.tgt, language=args.tgt_lang)
-    pairs = load_dictionary(args.dict, src.language, tgt.language)
-    src_lang, hub = src.language, tgt.language
-    # _meemi consumes spaces: with no other reference, each input goes as
-    # soon as its refit output exists
-    spaces = {src_lang: AlignedSpace(src, (), hub), hub: AlignedSpace(tgt, (), hub)}
-    del src, tgt
-    result = _meemi(spaces, hub, pairs)
-    _write_space(result[src_lang], args.out_src)
-    _write_space(result[hub], args.out_tgt)
+    from .embeddings import language_of
+    from .pipeline import fit_files, read_dictionary, write_space
+    src_lang, hub = language_of(args.src, args.src_lang), language_of(args.tgt, args.tgt_lang)
+    dictionaries = {src_lang: read_dictionary(args.dict, hub, src_lang, "other2ref")}
+    # the two spaces share coordinates already: only the midpoint refit runs
+    result = fit_files(MEEMI, (args.tgt, hub), [(args.src, src_lang)], dictionaries,
+                       prealigned=True)
+    write_space(result[src_lang], args.out_src)
+    write_space(result[hub], args.out_tgt)
     return EXIT_OK
 
 

@@ -113,9 +113,12 @@ class VocabEmbedding:
             raise DataError(f"word {word!r} not in {self.language!r} vocabulary") from None
 
 
-def _language_from_path(path) -> str:
-    token = os.path.basename(os.fspath(path)).split(".")[0]
-    return token or "und"
+def language_of(path, lang: str | None) -> str:
+    """lang, or when it is None the first dot-separated token of the file
+    name ("und" if that is empty)."""
+    if lang is not None:
+        return lang
+    return os.path.basename(os.fspath(path)).split(".")[0] or "und"
 
 
 # Rows per np.loadtxt call in load_embeddings, and values per formatted block
@@ -178,10 +181,8 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
     """
     if max_words is not None and max_words < 1:
         raise DataError("max_words must be positive")
-    if language is None:
-        language = _language_from_path(path)
     try:
-        return _read_embeddings(path, max_words, lowercase, language)
+        return _read_embeddings(path, max_words, lowercase, language_of(path, language))
     except UnicodeDecodeError as exc:
         raise decode_error(path, exc, EmbeddingParseError, code="encoding") from None
 

@@ -1,6 +1,7 @@
 """Declarative end-to-end runs: dictionary preparation, alignment, evaluation,
-and a manifest that pins configuration and input hashes. load_space and
-write_space are shared with the align and align-multi commands.
+and a manifest that pins configuration and input hashes. read_dictionary,
+fit_files and write_space are the one path from files to a fit and back that
+run and the align, align-multi and meemi commands share.
 
 A run is deterministic: the same configuration over the same inputs writes
 byte-identical artifacts. While a run is in flight an INCOMPLETE marker file
@@ -22,7 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .align import AlignedSpace, check_method, fit_method
+from .align import AlignedSpace, MultiSpace, check_method, fit_method
 # unused here, but perfbench/tracer.py wraps them as attributes of this module
 from .align import align_orthogonal, meemi_bilingual  # noqa: F401
 from .dictionary import (DictionaryPairs, clean_dictionary, load_dictionary, orient,
@@ -178,12 +179,33 @@ def load_space(path, lang, steps, max_words=None, lowercase=False):
     return normalize(emb, steps, copy=False) if steps else emb
 
 
-def write_space(space: AlignedSpace, vec_path, map_path) -> bool:
-    """Write the aligned vectors, and the map chain when maps moved them;
-    return whether a map file was written."""
+def read_dictionary(path, ref_lang: str, lang: str, direction: str) -> DictionaryPairs:
+    """The dictionary file as ref_lang -> lang pairs when direction is
+    ref2other, as lang -> ref_lang pairs otherwise."""
+    langs = (ref_lang, lang) if direction == "ref2other" else (lang, ref_lang)
+    return load_dictionary(path, *langs)
+
+
+def fit_files(method: str, reference, targets, dictionaries: dict, steps=(),
+              max_words=None, lowercase=False, sources=(), **fit_params) -> MultiSpace:
+    """fit_method over (path, lang) files, after check_method has accepted the
+    target list as given, so a repeated target is caught. dictionaries maps
+    each target language to its pairs. No space is kept here: fit_method
+    consumes each one, so every input goes once its output exists."""
+    ref_lang = reference[1]
+    sources = check_method(method, ref_lang, [lang for _, lang in targets], sources)
+    spaces = {lang: load_space(path, lang, steps, max_words, lowercase)
+              for path, lang in [reference, *targets]}
+    return fit_method(method, ref_lang, spaces, dictionaries, sources=sources, **fit_params)
+
+
+def write_space(space: AlignedSpace, vec_path, map_path=None) -> bool:
+    """Write the aligned vectors, and the map chain when maps moved them
+    (to map_path, by default the vector path with .map appended); return
+    whether a map file was written."""
     save_embeddings(space.embedding, vec_path)
     if space.maps_applied:
-        save_maps(space.maps_applied, map_path)
+        save_maps(space.maps_applied, map_path or f"{vec_path}.map")
     return bool(space.maps_applied)
 
 
@@ -237,9 +259,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     with _stage("dict"):
         for target in cfg.targets:
             lang = target.lang
-            langs = (ref_lang, lang) if target.dict_direction == "ref2other" \
-                else (lang, ref_lang)
-            pairs = load_dictionary(target.dict, *langs)
+            pairs = read_dictionary(target.dict, ref_lang, lang, target.dict_direction)
             if cfg.clean_dicts:
                 pairs = clean_dictionary(pairs)
             if cfg.split:
@@ -252,12 +272,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 train_dicts[lang] = pairs
 
     with _stage("align"):
-        # fit_method consumes these: no other reference to a space is kept
-        inputs = {entry.lang: load_space(entry.path, entry.lang, cfg.normalize,
-                                         cfg.max_words, cfg.lowercase)
-                  for entry in [cfg.reference, *cfg.targets]}
-        spaces = fit_method(cfg.method, ref_lang, inputs, train_dicts, cfg.reweight_p,
-                            cfg.reduce_dim, cfg.sources)
+        spaces = fit_files(cfg.method, (cfg.reference.path, ref_lang),
+                           [(t.path, t.lang) for t in cfg.targets], train_dicts,
+                           cfg.normalize, cfg.max_words, cfg.lowercase, cfg.sources,
+                           reweight_p=cfg.reweight_p, reduce_dim=cfg.reduce_dim)
         for lang in spaces.languages():
             if write_space(spaces[lang], emit(f"{lang}.aligned.vec"), out / f"{lang}.map"):
                 emit(f"{lang}.map")
@@ -268,9 +286,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             for target in cfg.targets:
                 lang = target.lang
                 if cfg.eval.test:
-                    langs = (ref_lang, lang) if target.dict_direction == "ref2other" \
-                        else (lang, ref_lang)
-                    test = load_dictionary(cfg.eval.test, *langs)
+                    test = read_dictionary(cfg.eval.test, ref_lang, lang, target.dict_direction)
                 else:
                     test = test_dicts[lang]
                 test = orient(test, ref_lang, lang)

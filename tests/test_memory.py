@@ -132,6 +132,13 @@ def command_argv(root, command, method, dim):
         return ["align", "--ref", str(vec), "--other", str(vec), "--ref-lang", "en",
                 "--other-lang", "tr", "--dict", str(dictionary), "--method", method,
                 "--out", f"{out}.tr.vec", "--out-ref", f"{out}.en.vec"]
+    if command == "align-multi":
+        return ["align-multi", "--ref", str(vec), "--ref-lang", "en", "--method", method,
+                "--pair", f"tr:{vec}:{dictionary}", "--out-dir", str(out)]
+    if command == "meemi":
+        return ["meemi", "--src", str(vec), "--tgt", str(vec), "--src-lang", "tr",
+                "--tgt-lang", "en", "--dict", str(dictionary), "--out-src", f"{out}.tr.vec",
+                "--out-tgt", f"{out}.en.vec"]
     return ["eval", "--src", str(vec), "--tgt", str(vec), "--src-lang", "en",
             "--tgt-lang", "tr", "--test", str(dictionary), "--out", f"{out}.txt"]
 
@@ -141,6 +148,8 @@ def command_argv(root, command, method, dim):
     ("run", "meemi", 3.5),
     ("align", "multistep", 3.6),
     ("eval", None, 2.9),
+    ("meemi", None, 3.2),
+    ("align-multi", "meemi-multi", 3.2),
 ])
 def test_commands_drop_each_input_once_its_output_exists(command_inputs, command, method,
                                                          most):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 import requests
 
-from lexalign import (DictionaryPairs, PipelineConfig, PipelineStageError,
-                      VocabEmbedding, load_dictionary, load_embeddings, load_maps,
-                      run_pipeline, save_dictionary, save_embeddings)
+from lexalign import (AlignedSpace, DictionaryPairs, MultiSpace, PipelineConfig,
+                      PipelineStageError, VocabEmbedding, load_dictionary, load_embeddings,
+                      load_maps, meemi_bilingual, run_pipeline, save_dictionary,
+                      save_embeddings, save_maps)
 from lexalign.cli import build_parser, main
+from lexalign.pipeline import read_dictionary
 from lexalign.translate import MAX_WORKERS
 
 from conftest import identity_dict, random_orthogonal
@@ -567,6 +569,22 @@ class TestCli:
         assert "a language code must not be empty" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("src_lang, message", [
+        ("", "a language code must not be empty"),
+        ("zz", "a target repeats the reference language"),
+    ], ids=["empty", "repeated"])
+    def test_meemi_checks_languages_as_align_does(self, rotation_files, tmp_path, caplog,
+                                                   src_lang, message):
+        # --tgt is zz.vec, so its language is zz by the file-name rule
+        out = tmp_path / "out"
+        out.mkdir()
+        assert self.run("meemi", "--src", str(rotation_files["other"]),
+                        "--tgt", str(rotation_files["ref"]), "--src-lang", src_lang,
+                        "--dict", str(rotation_files["dict"]), "--out-src", str(out / "src.vec"),
+                        "--out-tgt", str(out / "tgt.vec")) == 2
+        assert message in caplog.text
+        assert list(out.iterdir()) == []
+
     def test_meemi_subcommand(self, rotation_files, tmp_path):
         # orthogonal alignment first, meemi refit over the aligned files
         aligned = tmp_path / "xx.aligned.vec"
@@ -587,6 +605,9 @@ class TestCli:
         a = load_embeddings(tmp_path / "xx.meemi.vec", language="xx")
         b = load_embeddings(tmp_path / "zz.meemi.vec", language="zz")
         assert np.abs(a.matrix - b.matrix).max() <= 1e-4
+        # the inputs share coordinates: each side's chain is its refit map alone
+        assert [len(load_maps(tmp_path / f"{lang}.meemi.vec.map"))
+                for lang in ("xx", "zz")] == [1, 1]
 
 
 @pytest.mark.parametrize("workers", ["0", str(MAX_WORKERS + 1), "1000000", "two"])
@@ -616,46 +637,63 @@ def test_dict_build_rate_or_retries_out_of_range_exits_one(tmp_path, capsys, fla
     assert not (tmp_path / "d.tsv").exists()
 
 
-@pytest.mark.parametrize("command, method", [
-    ("align", "orthogonal"), ("align", "multistep"), ("align", "meemi"),
-    ("align-multi", "orthogonal"), ("align-multi", "meemi-multi"),
-])
-def test_align_commands_write_the_bytes_run_writes(tmp_path, command, method):
+@pytest.mark.parametrize("direction, langs", [("ref2other", ("en", "tr")),
+                                               ("other2ref", ("tr", "en"))])
+def test_read_dictionary_names_the_columns_by_direction(tmp_path, direction, langs):
+    path = tmp_path / "d.tsv"
+    path.write_text("a\tb\n", encoding="utf-8")
+    pairs = read_dictionary(path, "en", "tr", direction)
+    assert (pairs.src_lang, pairs.tgt_lang, pairs.pairs) == (*langs, (("a", "b"),))
+
+
+@pytest.mark.parametrize("command, method, direction", [
+    ("align", "orthogonal", "ref2other"), ("align", "multistep", "ref2other"),
+    ("align", "meemi", "ref2other"), ("align", "meemi", "other2ref"),
+    ("align-multi", "orthogonal", "ref2other"), ("align-multi", "meemi-multi", "ref2other"),
+], ids=["align-orthogonal", "align-multistep", "align-meemi", "align-meemi-other2ref",
+        "align-multi-orthogonal", "align-multi-meemi-multi"])
+def test_align_commands_write_the_bytes_run_writes(tmp_path, command, method, direction):
     """align and align-multi fit through the same path as run: the aligned
     vectors and map chains match byte for byte (run cleans, but the
-    dictionaries here are already clean)."""
+    dictionaries here are already clean). Each dictionary is written in the
+    given direction, and one of its pairs links two different words, so
+    reading it the other way round would fit other maps."""
     rng = np.random.default_rng(23)
     n, d = 40, 8
     words = tuple(f"w{i}" for i in range(n))
     base = rng.normal(size=(n, d))
     langs = ("xx",) if command == "align" else ("xx", "yy")
-    paths = {}
+    paths, dicts = {}, {}
     for lang in ("zz",) + langs:
         paths[lang] = tmp_path / f"{lang}.vec"
         noisy = base @ random_orthogonal(rng, d) + 0.1 * rng.normal(size=(n, d))
         save_embeddings(VocabEmbedding(lang, words, noisy), paths[lang])
         if lang != "zz":
-            save_dictionary(identity_dict(words[::2], "zz", lang), tmp_path / f"zz-{lang}.tsv")
+            sides = ("zz", lang) if direction == "ref2other" else (lang, "zz")
+            dicts[lang] = tmp_path / f"{sides[0]}-{sides[1]}.tsv"
+            pairs = identity_dict(words[::2], *sides)
+            save_dictionary(DictionaryPairs(*sides, pairs.pairs + ((words[1], words[3]),)),
+                            dicts[lang])
 
     cli_dir = tmp_path / "cli"
     cli_dir.mkdir()
     if command == "align":
         assert main(["align", "--method", method, "--reweight-p", "0.25",
                      "--ref", str(paths["zz"]), "--other", str(paths["xx"]),
-                     "--dict", str(tmp_path / "zz-xx.tsv"),
+                     "--dict", str(dicts["xx"]), "--dict-direction", direction,
                      "--out", str(cli_dir / "xx.aligned.vec"),
                      "--out-ref", str(cli_dir / "zz.aligned.vec")]) == 0
     else:
         assert main(["align-multi", "--method", method, "--ref", str(paths["zz"]),
                      *[arg for lang in langs for arg in
-                       ("--pair", f"{lang}:{paths[lang]}:{tmp_path / f'zz-{lang}.tsv'}")],
+                       ("--pair", f"{lang}:{paths[lang]}:{dicts[lang]}")],
                      "--out-dir", str(cli_dir)]) == 0
 
     run_dir = tmp_path / "run"
     run_pipeline(PipelineConfig.from_dict({
         "reference": {"lang": "zz", "path": str(paths["zz"])},
-        "targets": [{"lang": lang, "path": str(paths[lang]),
-                     "dict": str(tmp_path / f"zz-{lang}.tsv")} for lang in langs],
+        "targets": [{"lang": lang, "path": str(paths[lang]), "dict": str(dicts[lang]),
+                     "dict_direction": direction} for lang in langs],
         "out_dir": str(run_dir), "method": method, "reweight_p": 0.25}))
 
     for lang in ("zz",) + langs:
@@ -665,6 +703,35 @@ def test_align_commands_write_the_bytes_run_writes(tmp_path, command, method):
         assert cli_map.exists() == run_map.exists()
         if run_map.exists():
             assert cli_map.read_bytes() == run_map.read_bytes()
+
+
+def test_meemi_writes_the_bytes_meemi_bilingual_writes(tmp_path):
+    """meemi reads its dictionary as --src language -> --tgt language and
+    refits the two files as meemi_bilingual refits them; one pair links two
+    different words, so a dictionary read the other way round would not."""
+    rng = np.random.default_rng(29)
+    n, d = 40, 8
+    words = tuple(f"w{i}" for i in range(n))
+    base = rng.normal(size=(n, d))
+    for lang in ("xx", "zz"):
+        save_embeddings(VocabEmbedding(lang, words, base + 0.1 * rng.normal(size=(n, d))),
+                        tmp_path / f"{lang}.vec")
+    pairs = DictionaryPairs("xx", "zz", identity_dict(words[::2], "xx", "zz").pairs
+                            + ((words[1], words[3]),))
+    save_dictionary(pairs, tmp_path / "xx-zz.tsv")
+    assert main(["meemi", "--src", str(tmp_path / "xx.vec"), "--tgt", str(tmp_path / "zz.vec"),
+                 "--dict", str(tmp_path / "xx-zz.tsv"), "--out-src", str(tmp_path / "cli.xx.vec"),
+                 "--out-tgt", str(tmp_path / "cli.zz.vec")]) == 0
+
+    expected = meemi_bilingual(MultiSpace({
+        lang: AlignedSpace(load_embeddings(tmp_path / f"{lang}.vec"), (), "zz")
+        for lang in ("xx", "zz")}, hub="zz"), pairs)
+    for lang in ("xx", "zz"):
+        save_embeddings(expected[lang].embedding, tmp_path / f"lib.{lang}.vec")
+        save_maps(expected[lang].maps_applied, tmp_path / f"lib.{lang}.vec.map")
+        for suffix in (".vec", ".vec.map"):
+            assert (tmp_path / f"cli.{lang}{suffix}").read_bytes() == \
+                (tmp_path / f"lib.{lang}{suffix}").read_bytes()
 
 
 BAD_VECTORS = {
