@@ -358,63 +358,48 @@ def _tuple_fits(spaces: dict[str, AlignedSpace], hub_lang: str,
                 dictionaries: dict[str, DictionaryPairs], source_set: set,
                 all_combinations: bool) -> dict[str, LinearMap]:
     """The least-squares map of each language for meemi_multilingual, keyed
-    by language; dictionaries holds each other language's pairs with the hub."""
-    hub = spaces[hub_lang]
-    langs = list(dictionaries)
-    # per-language translation tables over usable (in-vocabulary) pairs
-    tables: dict[str, dict[str, list[str]]] = {}
-    hub_order: list[str] = []
-    seen_hub = set()
+    by language; dictionaries holds each other language's pairs with the hub.
+    A tuple's mean is summed from zero, its hub vector first and then its
+    other members in dictionary order, and divided by its size: the order in
+    which np.mean sums a stack of rows two or more wide, so the bits match."""
+    hub = spaces[hub_lang].embedding
+    # each language's in-vocabulary translations of each hub word, as rows in
+    # first-appearance order: all distinct ones with all_combinations, else the first
+    tables = {}
     for lang, pairs in dictionaries.items():
-        oriented = orient(pairs, hub_lang, lang)
-        table: dict[str, list[str]] = {}
-        emb = spaces[lang].embedding
-        for h, t in oriented.pairs:
-            if h not in hub.embedding or t not in emb:
-                continue
-            bucket = table.setdefault(h, [])
-            if t not in bucket:
-                bucket.append(t)
-            if h not in seen_hub:
-                seen_hub.add(h)
-                hub_order.append(h)
-        tables[lang] = table
+        index = spaces[lang].embedding.word_index
+        table = tables[lang] = {}
+        for h, t in orient(pairs, hub_lang, lang).pairs:
+            if h in hub.word_index and t in index:
+                kept = table.setdefault(hub.word_index[h], {index[t]: None})
+                if all_combinations:
+                    kept[index[t]] = None
 
     required = source_set - {hub_lang}
-    tuples: list[tuple[str, dict[str, str]]] = []
-    for h in hub_order:
-        covering = [lang for lang in langs if h in tables[lang]]
-        if not covering or not required.issubset(covering):
-            continue
-        if all_combinations:
-            for combo in product(*(tables[lang][h] for lang in covering)):
-                tuples.append((h, dict(zip(covering, combo))))
-        else:
-            tuples.append((h, {lang: tables[lang][h][0] for lang in covering}))
+    tuples = []  # each tuple's row in every language it joins, the hub's first
+    for h in dict.fromkeys(h for table in tables.values() for h in table):
+        covering = [lang for lang in tables if h in tables[lang]]
+        if required.issubset(covering):
+            tuples += ({hub_lang: h, **dict(zip(covering, combo))}
+                       for combo in product(*(tables[lang][h] for lang in covering)))
     if not tuples:
         raise DataError("no hub word forms a usable translation tuple")
-    logger.info("meemi hub=%s: tuples=%d languages=%d", hub_lang, len(tuples), 1 + len(langs))
+    logger.info("meemi hub=%s: tuples=%d languages=%d", hub_lang, len(tuples), len(spaces))
 
-    means = np.empty((len(tuples), hub.dim))
-    for ti, (h, members) in enumerate(tuples):
-        vecs = [hub.embedding.vector(h)]
-        vecs.extend(spaces[lang].embedding.vector(t) for lang, t in members.items())
-        means[ti] = np.mean(vecs, axis=0)
+    # the tuple positions and rows of each language; the hub joins them all
+    joined = {lang: ([i for i, members in enumerate(tuples) if lang in members],
+                     [members[lang] for members in tuples if lang in members])
+              for lang in spaces}
+    means = np.zeros((len(tuples), hub.dim))
+    for lang in (hub_lang, *dictionaries):
+        positions, rows = joined[lang]
+        np.add.at(means, positions, spaces[lang].embedding.matrix[rows])
+    means /= np.array([len(members) for members in tuples])[:, None]
 
     fits = {}
     for lang, space in spaces.items():
-        rows = []
-        targets = []
-        for ti, (h, members) in enumerate(tuples):
-            if lang == hub_lang:
-                word = h
-            elif lang in members:
-                word = members[lang]
-            else:
-                continue
-            rows.append(space.embedding.vector(word))
-            targets.append(means[ti])
+        positions, rows = joined[lang]
         if not rows:
             raise DataError(f"language {lang!r} participates in no tuple")
-        fits[lang] = least_squares_map(np.array(rows), np.array(targets))
+        fits[lang] = least_squares_map(space.embedding.matrix[rows], means[positions])
     return fits

@@ -226,8 +226,6 @@ def _stage(name: str):
     logger.info("stage=%s status=start", name)
     try:
         yield
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
     logger.info("stage=%s status=done", name)

@@ -369,3 +369,31 @@ class TestMultiSpace:
         b = AlignedSpace(VocabEmbedding("bb", ("x",), np.ones((1, 3))), (), "aa")
         with pytest.raises(DataError):
             MultiSpace({"aa": a, "bb": b}, hub="aa")
+
+
+
+def two_words(lang, dim=2):
+    """A two-word space aligned to the hub hh, and its pairs with hh."""
+    space = AlignedSpace(VocabEmbedding(lang, ("w0", "w1"), np.eye(2, dim)), (), "hh")
+    return space, DictionaryPairs("hh", lang, (("w0", "w0"), ("w1", "w1")))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: meemi_multilingual(two_words("hh")[0], [two_words("aa", dim=3)], {"hh"}),
+     "space 'aa' has dim 3, hub has 2"),
+    (lambda: meemi_multilingual(two_words("hh")[0],
+                                [two_words("aa"), (two_words("bb")[0],
+                                                   DictionaryPairs("hh", "bb", (("w0", "x"),)))],
+                                {"hh"}),
+     "language 'bb' participates in no tuple"),
+    (lambda: meemi_bilingual(MultiSpace({lang: two_words(lang)[0] for lang in ("hh", "aa", "bb")},
+                                        hub="hh"), two_words("aa")[1]),
+     "needs exactly two aligned spaces, got 3"),
+    (lambda: align_orthogonal(two_words("hh")[0].embedding, two_words("hh")[0].embedding,
+                              two_words("hh")[1]),
+     "reference and other space share a language code"),
+], ids=["meemi-multi-dimension", "meemi-multi-no-usable-pair", "meemi-three-spaces",
+        "orthogonal-one-language"])
+def test_fits_reject_inputs_they_cannot_align(call, message):
+    with pytest.raises(DataError, match=message):
+        call()

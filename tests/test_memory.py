@@ -158,9 +158,10 @@ def test_commands_drop_each_input_once_its_output_exists(command_inputs, command
     # which do not grow with the width, cancel out. A fit's outputs take
     # three spaces at most (a finished side, an input and the output made
     # from it), plus its maps; eval holds both spaces, divides its target in
-    # place and adds the query rows. The Meemi solve imports scipy.linalg on
-    # first use, which must not count at the first width only
-    import scipy.linalg  # noqa: F401
+    # place and adds the query rows. The command runs once unmeasured first,
+    # so that one-time allocations (scipy.linalg, imported by the first Meemi
+    # solve, among them) count at neither width, whichever row runs first
+    assert main(command_argv(command_inputs, command, method, COMMAND_DIM)) == 0
     peaks = []
     for dim in (COMMAND_DIM, 2 * COMMAND_DIM):
         argv = command_argv(command_inputs, command, method, dim)

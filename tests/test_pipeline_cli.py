@@ -897,3 +897,65 @@ def test_parser_choices_and_defaults_are_the_library_constants():
                 assert (list(got) if attr == "choices" else got) == value, (command, action.dest)
                 seen.add(action.dest)
     assert seen == {*expected, ("align", "method"), ("align-multi", "method")}
+
+
+def test_run_meemi_multi_sources_default_to_the_reference_alone(tmp_path):
+    """With no sources, every language that covers a hub word joins its
+    tuple: the same vectors and maps as naming the reference alone. The two
+    dictionaries overlap on a third of the hub words, so naming every
+    language gates the tuples down to those and fits other maps."""
+    rng = np.random.default_rng(31)
+    n, d = 60, 6
+    words = tuple(f"w{i}" for i in range(n))
+    base = rng.normal(size=(n, d))
+    config = {"reference": {"lang": "zz", "path": str(tmp_path / "zz.vec")},
+              "targets": [], "method": "meemi-multi"}
+    for lang, covered in (("zz", None), ("aa", words[:40]), ("bb", words[20:])):
+        noisy = base @ random_orthogonal(rng, d) + 0.1 * rng.normal(size=(n, d))
+        save_embeddings(VocabEmbedding(lang, words, noisy), tmp_path / f"{lang}.vec")
+        if covered:
+            save_dictionary(identity_dict(covered, "zz", lang), tmp_path / f"zz-{lang}.tsv")
+            config["targets"].append({"lang": lang, "path": str(tmp_path / f"{lang}.vec"),
+                                      "dict": str(tmp_path / f"zz-{lang}.tsv")})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+
+    def artifacts(name, *sources):
+        argv = ["run", "--config", str(config_path), "--set", f"out_dir={tmp_path / name}"]
+        if sources:
+            argv += ["--set", f"sources={json.dumps(sources)}"]
+        assert main(argv) == 0
+        return {path.name: path.read_bytes() for path in sorted((tmp_path / name).iterdir())
+                if path.suffix in (".vec", ".map")}
+
+    default = artifacts("default")
+    assert sorted(default) == [f"{lang}.{suffix}" for lang in ("aa", "bb", "zz")
+                               for suffix in ("aligned.vec", "map")]
+    assert artifacts("reference", "zz") == default
+    gated = artifacts("every", "zz", "aa", "bb")
+    for lang in ("zz", "aa", "bb"):
+        assert gated[f"{lang}.map"] != default[f"{lang}.map"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("targets", lambda cfg: [{**cfg["targets"][0], "dict_direction": "sideways"}],
+     "dict_direction must be one of"),
+    ("reweight_p", -1, "reweight_p must be >= 0"),
+    ("reduce_dim", 0, "reduce_dim must be positive"),
+    ("max_words", 0, "max_words must be positive"),
+    ("split", {"test_size": 0, "seed": 1}, "split test_size must be positive"),
+    ("eval", lambda cfg: {**cfg["eval"], "ks": [0]}, "eval ks must be positive integers"),
+    ("eval", lambda cfg: {**cfg["eval"], "ks": []}, "eval ks must be positive integers"),
+    ("eval", lambda cfg: {**cfg["eval"], "oov_policy": "guess"},
+     "eval oov_policy must be one of"),
+], ids=["dict_direction", "reweight_p", "reduce_dim", "max_words", "split-test_size",
+        "eval-ks-zero", "eval-ks-empty", "eval-oov_policy"])
+def test_run_set_out_of_range_value_exits_two_and_writes_nothing(rotation_files, tmp_path,
+                                                                 caplog, key, value, message):
+    cfg = base_config(rotation_files, tmp_path / "x")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    value = value(cfg) if callable(value) else value
+    assert main(["run", "--config", str(cfg_path), "--set", f"{key}={json.dumps(value)}"]) == 2
+    assert message in caplog.text
+    assert not (tmp_path / "x").exists()
