@@ -93,18 +93,13 @@ def replay_maps(emb: VocabEmbedding, maps) -> np.ndarray:
 
 
 def _check_alignable(reference: VocabEmbedding, other: VocabEmbedding) -> None:
+    if reference.language == other.language:
+        raise DataError("reference and other space share a language code")
     if reference.dim != other.dim:
         raise DataError(f"dimension mismatch: reference {reference.dim}, other {other.dim}")
     if reference.norm_recipe != other.norm_recipe:
         raise DataError(f"normalization recipes differ: {reference.norm_recipe} "
                         f"vs {other.norm_recipe}")
-
-
-def _pair(reference: VocabEmbedding, other: VocabEmbedding) -> dict[str, VocabEmbedding]:
-    """The two spaces keyed by language, as the fit helpers below take them."""
-    if reference.language == other.language:
-        raise DataError("reference and other space share a language code")
-    return {reference.language: reference, other.language: other}
 
 
 def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
@@ -134,12 +129,15 @@ def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
     return sorted(sources | {ref_lang})
 
 
-# Each method's fit lives in one helper that consumes a mapping of spaces keyed
-# by language: it pops every input and drops it once its last use is past, so
-# a caller that holds no other reference to a space frees it as soon as the
-# output made from it exists. The public functions pass a mapping built from
-# their own parameters, which keep every input alive: they free nothing and
-# leave their inputs unchanged.
+# fit_method consumes a mapping of spaces keyed by language: it pops every
+# input and drops it once its last use is past, so a caller that holds no
+# other reference to a space frees it as soon as the output made from it
+# exists. Its orthogonal step calls align_orthogonal once per target, handing
+# over the target popped from the mapping, so each target goes once its
+# rotated copy exists. The multistep and Meemi fits live in helpers that
+# consume such a mapping in the same way. The public functions pass them a
+# mapping built from their own parameters, which keep every input alive: they
+# free nothing and leave their inputs unchanged.
 
 
 def fit_method(method: str, hub: str, spaces: dict, dictionaries: dict,
@@ -159,8 +157,14 @@ def fit_method(method: str, hub: str, spaces: dict, dictionaries: dict,
     as it can. spaces is empty on return."""
     if method == MULTISTEP:
         return MultiSpace(_multistep(spaces, hub, dictionaries, reweight_p, reduce_dim), hub=hub)
-    aligned = {lang: AlignedSpace(spaces.pop(lang), (), hub) for lang in list(spaces)} \
-        if prealigned else _orthogonal(spaces, hub, dictionaries)
+    if prealigned:
+        aligned = {lang: AlignedSpace(spaces.pop(lang), (), hub) for lang in list(spaces)}
+    else:
+        reference = spaces.pop(hub)
+        aligned = {hub: AlignedSpace(reference, (), hub)}
+        for lang in list(spaces):
+            aligned[lang] = align_orthogonal(reference, spaces.pop(lang), dictionaries[lang])[lang]
+        del reference  # the refits below drop aligned[hub], the reference's last holder
     if method == MEEMI:
         (pairs,) = dictionaries.values()
         aligned = _meemi(aligned, hub, pairs)
@@ -174,30 +178,15 @@ def align_orthogonal(reference: VocabEmbedding, other: VocabEmbedding,
                      pairs: DictionaryPairs) -> MultiSpace:
     """Rotate `other` onto `reference` with the closed-form orthogonal map
     fitted on dictionary rows. The reference matrix is left untouched."""
-    spaces = _orthogonal(_pair(reference, other), reference.language,
-                         {other.language: pairs})
-    return MultiSpace(spaces, hub=reference.language)
-
-
-def _orthogonal(spaces: dict[str, VocabEmbedding], hub: str,
-                dictionaries: dict[str, DictionaryPairs]) -> dict[str, AlignedSpace]:
-    """align_orthogonal of every space onto spaces[hub], which stays unmoved:
-    the aligned spaces keyed by language, hub first. dictionaries holds each
-    other language's training pairs. Consumes spaces: each one is dropped
-    once its rotated copy exists."""
-    reference = spaces.pop(hub)
-    aligned = {hub: AlignedSpace(reference, (), hub)}
-    for lang in list(spaces):
-        other = spaces.pop(lang)
-        _check_alignable(reference, other)
-        oriented = orient(dictionaries[lang], other.language, reference.language)
-        pm = build_paired_matrices(other, reference, oriented)
-        w = procrustes(pm)
-        logger.info("orthogonal %s->%s: pairs_used=%d oov_src=%d oov_tgt=%d",
-                    other.language, reference.language, len(pm), pm.oov_src, pm.oov_tgt)
-        del pm  # the paired rows go before the output is allocated
-        aligned[lang] = AlignedSpace(apply_map(other, w), (w,), hub)
-    return aligned
+    _check_alignable(reference, other)
+    hub = reference.language
+    pm = build_paired_matrices(other, reference, orient(pairs, other.language, hub))
+    w = procrustes(pm)
+    logger.info("orthogonal %s->%s: pairs_used=%d oov_src=%d oov_tgt=%d",
+                other.language, hub, len(pm), pm.oov_src, pm.oov_tgt)
+    del pm  # the paired rows go before the output is allocated
+    return MultiSpace({hub: AlignedSpace(reference, (), hub),
+                       other.language: AlignedSpace(apply_map(other, w), (w,), hub)}, hub=hub)
 
 
 def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
@@ -208,8 +197,8 @@ def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
     s**reweight_p, de-whiten each side through the other side's whitening
     inverse (conjugated into the shared basis), then optionally keep the
     first reduce_dim coordinates. Both spaces move."""
-    spaces = _multistep(_pair(reference, other), reference.language,
-                        {other.language: pairs}, reweight_p, reduce_dim)
+    spaces = _multistep({reference.language: reference, other.language: other},
+                        reference.language, {other.language: pairs}, reweight_p, reduce_dim)
     return MultiSpace(spaces, hub=reference.language)
 
 

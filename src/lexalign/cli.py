@@ -19,7 +19,7 @@ from . import __version__
 from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
                          save_dictionary, split_dictionary)
 from .errors import DataError, ExternalServiceError, LexalignError, LocatedError, \
-    PipelineStageError, TranslationError, decode_error
+    PipelineStageError, TranslationError, decode_error, read_lines
 from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, MEEMI, METHODS, ONE_PAIR_METHODS, \
     OOV_POLICIES, ORTHOGONAL
 from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
@@ -175,11 +175,7 @@ def cmd_eval(args) -> int:
 def cmd_dict_build(args) -> int:
     if not args.endpoint and not args.cache:
         raise _UsageError("dict-build needs --endpoint or --cache")
-    with open(args.words, "r", encoding="utf-8") as fh:
-        try:
-            words = [line.strip() for line in fh if line.strip()]
-        except UnicodeDecodeError as exc:
-            raise decode_error(args.words, exc) from None
+    words = [line.strip() for _, line in read_lines(args.words) if line.strip()]
     with contextlib.ExitStack() as stack:
         if args.endpoint:
             client = stack.enter_context(HttpTranslationClient(

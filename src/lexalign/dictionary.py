@@ -6,7 +6,7 @@ import logging
 import random
 from dataclasses import dataclass, replace
 
-from .errors import DataError, DictionaryFormatError, decode_error
+from .errors import DataError, DictionaryFormatError, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -59,15 +59,8 @@ def single_token(word: str) -> bool:
 def clean_dictionary(d: DictionaryPairs) -> DictionaryPairs:
     """Drop exact duplicate pairs (first kept) and pairs where either side is
     empty or spans more than one token. Idempotent, order-preserving."""
-    seen = set()
-    kept = []
-    for pair in d.pairs:
-        if pair in seen:
-            continue
-        seen.add(pair)
-        if single_token(pair[0]) and single_token(pair[1]):
-            kept.append(pair)
-    return replace(d, pairs=tuple(kept))
+    return replace(d, pairs=tuple(pair for pair in dict.fromkeys(d.pairs)
+                                  if single_token(pair[0]) and single_token(pair[1])))
 
 
 def merge_dictionaries(a: DictionaryPairs, b: DictionaryPairs,
@@ -80,16 +73,9 @@ def merge_dictionaries(a: DictionaryPairs, b: DictionaryPairs,
     if (a.src_lang, a.tgt_lang) != (b.src_lang, b.tgt_lang):
         raise DataError(f"language pair mismatch: {a.src_lang}-{a.tgt_lang}"
                         f" vs {b.src_lang}-{b.tgt_lang}")
-    seen = set()
-    merged = []
-    for pair in a.pairs + b.pairs:
-        if pair in seen:
-            continue
-        seen.add(pair)
-        if reapply_token_filter and not (single_token(pair[0]) and single_token(pair[1])):
-            continue
-        merged.append(pair)
-    return DictionaryPairs(a.src_lang, a.tgt_lang, tuple(merged), provenance="merged")
+    merged = DictionaryPairs(a.src_lang, a.tgt_lang, tuple(dict.fromkeys(a.pairs + b.pairs)),
+                             provenance="merged")
+    return clean_dictionary(merged) if reapply_token_filter else merged
 
 
 def split_dictionary(d: DictionaryPairs, test_size: int, seed: int):
@@ -119,22 +105,18 @@ def load_dictionary(path, src_lang: str = "src", tgt_lang: str = "tgt",
         raise ValueError(f"on_bad_lines must be 'error' or 'skip', got {on_bad_lines!r}")
     pairs = []
     skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line.strip():
-                    continue
-                cols = line.split("\t") if "\t" in line else line.split(" ")
-                if len(cols) != 2 or not cols[0] or not cols[1]:
-                    if on_bad_lines == "skip":
-                        skipped += 1
-                        continue
-                    raise DictionaryFormatError(f"expected 2 columns, found {len(cols)}",
-                                                line=line_no, path=path)
-                pairs.append((cols[0], cols[1]))
-        except UnicodeDecodeError as exc:
-            raise decode_error(path, exc, DictionaryFormatError) from None
+    for line_no, line in read_lines(path, DictionaryFormatError):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        cols = line.split("\t") if "\t" in line else line.split(" ")
+        if len(cols) != 2 or not cols[0] or not cols[1]:
+            if on_bad_lines == "skip":
+                skipped += 1
+                continue
+            raise DictionaryFormatError(f"expected 2 columns, found {len(cols)}",
+                                        line=line_no, path=path)
+        pairs.append((cols[0], cols[1]))
     if skipped:
         logger.warning("%s: skipped %d malformed lines", path, skipped)
     return DictionaryPairs(src_lang, tgt_lang, tuple(pairs), provenance="file")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, LocatedError, decode_error
+from .errors import DataError, LocatedError, read_lines
 
 MAP_KINDS = ("orthogonal", "unconstrained", "whitening", "composite")
 
@@ -239,11 +239,7 @@ def load_maps(path) -> list[LinearMap]:
     """Read the maps save_maps wrote, in order. Any defect raises a DataError
     whose message starts with the file; where the line is known, it is a
     LocatedError, "<path>: line N: <what>"."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    except UnicodeDecodeError as exc:
-        raise decode_error(path, exc) from None
+    lines = [line.rstrip("\n") for _, line in read_lines(path)]
     maps = []
     pos = 0
     while pos < len(lines):

@@ -23,6 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import __version__
 from .align import AlignedSpace, MultiSpace, check_method, fit_method
 # unused here, but perfbench/tracer.py wraps them as attributes of this module
 from .align import align_orthogonal, meemi_bilingual  # noqa: F401
@@ -217,10 +218,6 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 @contextmanager
 def _stage(name: str):
     logger.info("stage=%s status=start", name)
@@ -308,11 +305,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     config_json = json.dumps(canonical, sort_keys=True)
     manifest = {
         "config": canonical,
-        "config_sha256": _sha256_text(config_json),
+        "config_sha256": hashlib.sha256(config_json.encode("utf-8")).hexdigest(),
         "inputs": {path: _sha256_file(path) for path in sorted(input_paths)},
         "artifacts": {name: _sha256_file(out / name) for name in sorted(artifact_names)},
         "versions": {
-            "lexalign": _package_version(),
+            "lexalign": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
@@ -323,8 +320,3 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     marker.unlink()
     logger.info("run complete: %d artifacts in %s", len(artifact_names) + 1, out)
     return manifest
-
-
-def _package_version() -> str:
-    from . import __version__
-    return __version__

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .dictionary import DictionaryPairs, single_token
-from .errors import DataError, TranslationError, decode_error
+from .errors import DataError, TranslationError, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -41,21 +41,17 @@ class TranslationClient(Protocol):
 def load_cache(path) -> dict:
     """Read a cache file into a {(word, from, to): translation} table."""
     table = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t", 3)
-                if len(cols) != 4:
-                    logger.warning("%s: line %d: ignoring malformed cache line %r",
-                                   path, line_no, line)
-                    continue
-                word, src, tgt, translation = cols
-                table[(word, src, tgt)] = translation
-        except UnicodeDecodeError as exc:
-            raise decode_error(path, exc) from None
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cols = line.split("\t", 3)
+        if len(cols) != 4:
+            logger.warning("%s: line %d: ignoring malformed cache line %r",
+                           path, line_no, line)
+            continue
+        word, src, tgt, translation = cols
+        table[(word, src, tgt)] = translation
     return table
 
 

@@ -1,10 +1,14 @@
 """The command line and the run pipeline reach the library through public
-names only.
+names only, and text files are read through one line reader.
 
 Each fitting subcommand is a thin wrapper over public calls in
 lexalign.pipeline. An underscore-prefixed name imported into cli.py from a
 lexalign module, or into pipeline.py from lexalign.align, is a second path
 around the checks those calls make, so it fails here.
+
+errors.read_lines reads a UTF-8 text file line by line and locates a byte
+that is not UTF-8. A function that opens a text file for reading on its own
+is a second copy of that job, so it fails here unless it is listed below.
 """
 
 import ast
@@ -32,3 +36,50 @@ def test_no_private_library_name_is_imported(importer, source):
                if name.startswith("_") and not name.endswith("__")
                and source in (None, module)]
     assert private == []
+
+
+# The functions that may open a file for text reading: the line reader, the
+# decode-error locator, the embedding reader (it parses the rows read before
+# a bad byte first) and cmd_run (it reports JSON error positions).
+TEXT_READERS = {"errors.read_lines", "errors.decode_error", "embeddings._read_embeddings",
+                "cli.cmd_run"}
+
+
+def opens_text_for_reading(call):
+    """Whether call is read_text() or an open() whose mode reads text: it
+    holds "r" or "+" but no "b", or is absent. A mode that is not a literal
+    counts as reading text."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "read_text":
+        return True
+    if name != "open":
+        return False
+    mode_at = 1 if isinstance(func, ast.Name) else 0  # open(path, mode), path.open(mode)
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[mode_at:mode_at + 1]
+    mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+    return "b" not in mode and ("r" in mode or "+" in mode)
+
+
+def text_reading_functions(path):
+    """module.function for each text-reading call in path, function being the
+    innermost def around the call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and opens_text_for_reading(child):
+                found.append(f"{path.stem}.{owner}")
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_the_line_reader_and_listed_functions_read_text_files():
+    found = [name for path in sorted(SRC.glob("*.py")) for name in text_reading_functions(path)]
+    assert "errors.read_lines" in found
+    assert sorted(set(found) - TEXT_READERS) == []

@@ -241,6 +241,25 @@ class TestLeastSquares:
         w = least_squares_map(a, b)
         np.testing.assert_allclose(w.matrix, [[0.5, 0.5], [0.0, 0.0]], atol=1e-12)
 
+    def test_failed_residual_check_falls_back_to_lstsq(self, monkeypatch):
+        # a Cholesky solve that returns a wrong solution fails the residual
+        # check, and the map is then the SVD minimum-norm solution, bit for bit
+        import scipy.linalg
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(30, 5))
+        b = rng.normal(size=(30, 3))
+        solve = scipy.linalg.cho_solve
+        calls = []
+
+        def wrong_solve(factor, rhs):
+            calls.append(rhs.shape)
+            return solve(factor, rhs) + 1.0
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", wrong_solve)
+        w = least_squares_map(a, b)
+        assert calls == [(5, 3)]
+        assert w.matrix.tobytes() == np.linalg.lstsq(a, b, rcond=None)[0].tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             least_squares_map(np.ones((3, 2)), np.ones((4, 2)))

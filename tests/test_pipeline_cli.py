@@ -959,3 +959,40 @@ def test_run_set_out_of_range_value_exits_two_and_writes_nothing(rotation_files,
     assert main(["run", "--config", str(cfg_path), "--set", f"{key}={json.dumps(value)}"]) == 2
     assert message in caplog.text
     assert not (tmp_path / "x").exists()
+
+
+ALIGN_ARGS = ["align", "--ref", "{ref}", "--other", "{other}", "--dict", "{dict}"]
+EVAL_ARGS = ["eval", "--src", "{ref}", "--tgt", "{other}", "--test", "{dict}"]
+
+
+@pytest.mark.parametrize("runs, code", [
+    ([[*ALIGN_ARGS, "--normalize", "none", "--out", "{out}/a.vec"],
+      [*ALIGN_ARGS, "--normalize", "", "--out", "{out}/b.vec"]], 0),
+    ([EVAL_ARGS, [*EVAL_ARGS, "--out", "{out}/report.txt"]], 0),
+    ([[*EVAL_ARGS, "--ks", "1,x", "--out", "{out}/report.txt"]], 1),
+    ([["align-multi", "--ref", "{ref}", "--pair", "xx:{other}", "--out-dir", "{out}/multi"]], 1),
+    ([["run", "--config", "{config}", "--set", "method"]], 1),
+    ([["run", "--config", "{bogus}"]], 2),
+    ([[*ALIGN_ARGS, "--max-words", "0", "--out", "{out}/a.vec"]], 2),
+], ids=["align-normalize-none-is-empty", "eval-out-is-stdout", "eval-bad-ks",
+        "align-multi-bad-pair", "run-bad-set", "run-bogus-method", "align-max-words-zero"])
+def test_cli_runs_write_the_same_bytes_or_nothing(rotation_files, tmp_path, capsys, runs, code):
+    """Every run exits code. Runs that succeed write the same bytes, whether
+    to files or to stdout; a run that fails writes nothing."""
+    out = tmp_path / "out"
+    out.mkdir()
+    config = base_config(rotation_files, out / "run")
+    paths = {name: str(rotation_files[name]) for name in ("ref", "other", "dict")}
+    for name, method in [("config", "orthogonal"), ("bogus", "bogus")]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**config, "method": method}), encoding="utf-8")
+    paths["out"] = out
+    outputs = []
+    for argv in runs:
+        before = set(out.rglob("*"))
+        assert main([arg.format(**paths) for arg in argv]) == code
+        stdout = capsys.readouterr().out
+        written = [path.read_bytes() for path in set(out.rglob("*")) - before]
+        outputs.append(sorted(written + ([stdout.encode("utf-8")] if stdout else [])))
+    assert all(output == outputs[0] for output in outputs)
+    assert bool(outputs[0]) == (code == 0)
