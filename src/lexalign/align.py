@@ -197,6 +197,7 @@ def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
     s**reweight_p, de-whiten each side through the other side's whitening
     inverse (conjugated into the shared basis), then optionally keep the
     first reduce_dim coordinates. Both spaces move."""
+    _check_alignable(reference, other)  # before the two keys below can collapse into one
     spaces = _multistep({reference.language: reference, other.language: other},
                         reference.language, {other.language: pairs}, reweight_p, reduce_dim)
     return MultiSpace(spaces, hub=reference.language)

@@ -85,13 +85,13 @@ def decode_error(path, exc: UnicodeDecodeError, error=LocatedError, **fields) ->
     return DataError(f"{os.fspath(path)}: {message}")
 
 
-def read_lines(path, error=LocatedError, **fields):
+def read_lines(path, error=LocatedError):
     """Yield (line_no, line) for each line of the UTF-8 text file at path,
     newline kept. line_no is 1-based and counted as a text-mode reader counts
     lines, the rule decode_error uses. A byte that is not UTF-8 raises
-    decode_error(path, exc, error, **fields) when the reader reaches it."""
+    decode_error(path, exc, error) when the reader reaches it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             yield from enumerate(fh, start=1)
         except UnicodeDecodeError as exc:
-            raise decode_error(path, exc, error, **fields) from None
+            raise decode_error(path, exc, error) from None

@@ -392,7 +392,7 @@ def two_words(lang, dim=2):
     (lambda: align_orthogonal(two_words("hh")[0].embedding, two_words("hh")[0].embedding,
                               two_words("hh")[1]),
      "reference and other space share a language code"),
-    (lambda: align_multistep(two_words("hh")[0].embedding, two_words("hh", dim=3)[0].embedding,
+    (lambda: align_multistep(two_words("hh")[0].embedding, two_words("hh")[0].embedding,
                              two_words("hh")[1]),
      "reference and other space share a language code"),
 ], ids=["meemi-multi-dimension", "meemi-multi-no-usable-pair", "meemi-three-spaces",

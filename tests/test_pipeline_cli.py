@@ -943,12 +943,13 @@ def test_run_meemi_multi_sources_default_to_the_reference_alone(tmp_path):
     ("reweight_p", -1, "reweight_p must be >= 0"),
     ("reduce_dim", 0, "reduce_dim must be positive"),
     ("max_words", 0, "max_words must be positive"),
+    ("method", "bogus", "method must be one of"),
     ("split", {"test_size": 0, "seed": 1}, "split test_size must be positive"),
     ("eval", lambda cfg: {**cfg["eval"], "ks": [0]}, "eval ks must be positive integers"),
     ("eval", lambda cfg: {**cfg["eval"], "ks": []}, "eval ks must be positive integers"),
     ("eval", lambda cfg: {**cfg["eval"], "oov_policy": "guess"},
      "eval oov_policy must be one of"),
-], ids=["dict_direction", "reweight_p", "reduce_dim", "max_words", "split-test_size",
+], ids=["dict_direction", "reweight_p", "reduce_dim", "max_words", "method", "split-test_size",
         "eval-ks-zero", "eval-ks-empty", "eval-oov_policy"])
 def test_run_set_out_of_range_value_exits_two_and_writes_nothing(rotation_files, tmp_path,
                                                                  caplog, key, value, message):
@@ -972,20 +973,18 @@ EVAL_ARGS = ["eval", "--src", "{ref}", "--tgt", "{other}", "--test", "{dict}"]
     ([[*EVAL_ARGS, "--ks", "1,x", "--out", "{out}/report.txt"]], 1),
     ([["align-multi", "--ref", "{ref}", "--pair", "xx:{other}", "--out-dir", "{out}/multi"]], 1),
     ([["run", "--config", "{config}", "--set", "method"]], 1),
-    ([["run", "--config", "{bogus}"]], 2),
     ([[*ALIGN_ARGS, "--max-words", "0", "--out", "{out}/a.vec"]], 2),
 ], ids=["align-normalize-none-is-empty", "eval-out-is-stdout", "eval-bad-ks",
-        "align-multi-bad-pair", "run-bad-set", "run-bogus-method", "align-max-words-zero"])
+        "align-multi-bad-pair", "run-bad-set", "align-max-words-zero"])
 def test_cli_runs_write_the_same_bytes_or_nothing(rotation_files, tmp_path, capsys, runs, code):
     """Every run exits code. Runs that succeed write the same bytes, whether
     to files or to stdout; a run that fails writes nothing."""
     out = tmp_path / "out"
     out.mkdir()
-    config = base_config(rotation_files, out / "run")
     paths = {name: str(rotation_files[name]) for name in ("ref", "other", "dict")}
-    for name, method in [("config", "orthogonal"), ("bogus", "bogus")]:
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps({**config, "method": method}), encoding="utf-8")
+    paths["config"] = tmp_path / "config.json"
+    paths["config"].write_text(json.dumps(base_config(rotation_files, out / "run")),
+                               encoding="utf-8")
     paths["out"] = out
     outputs = []
     for argv in runs:
