@@ -19,7 +19,7 @@ from . import __version__
 from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
                          save_dictionary, split_dictionary)
 from .errors import DataError, ExternalServiceError, LexalignError, LocatedError, \
-    PipelineStageError, TranslationError, decode_error, read_lines
+    PipelineStageError, TranslationError, read_lines
 from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, MEEMI, METHODS, ONE_PAIR_METHODS, \
     OOV_POLICIES, ORTHOGONAL
 from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
@@ -234,14 +234,11 @@ def cmd_dict_split(args) -> int:
 
 def cmd_run(args) -> int:
     from .pipeline import PipelineConfig
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise decode_error(args.config, exc) from None
-        except json.JSONDecodeError as exc:
-            raise LocatedError(f"{exc.msg} at column {exc.colno}", exc.lineno,
-                               args.config) from None
+    try:
+        raw = json.loads("".join(line for _, line in read_lines(args.config)))
+    except json.JSONDecodeError as exc:
+        raise LocatedError(f"{exc.msg} at column {exc.colno}", exc.lineno,
+                           args.config) from None
     if not isinstance(raw, dict):
         raise DataError(f"{args.config}: the config must be a JSON object, "
                         f"got {type(raw).__name__}")

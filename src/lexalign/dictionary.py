@@ -106,7 +106,7 @@ def load_dictionary(path, src_lang: str = "src", tgt_lang: str = "tgt",
     pairs = []
     skipped = 0
     for line_no, line in read_lines(path, DictionaryFormatError):
-        line = line.rstrip("\n").rstrip("\r")
+        line = line.rstrip("\n")
         if not line.strip():
             continue
         cols = line.split("\t") if "\t" in line else line.split(" ")

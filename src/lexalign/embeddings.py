@@ -7,16 +7,17 @@ separated by single spaces, UTF-8 encoded, "\\n" line endings.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import stat
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .dictionary import single_token
-from .errors import DataError, EmbeddingParseError, decode_error
+from .errors import DataError, EmbeddingParseError, read_lines
 from .options import DEFAULT_NORMALIZE, NORM_STEPS
 
 logger = logging.getLogger(__name__)
@@ -175,22 +176,18 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
     first dot-separated token of the file name. Every row read, kept or
     folded, counts against the header: a row past the count is a "header"
     error and a file with fewer rows is "truncated", unless max_words stops
-    reading first. With several defects the earliest line is reported, except
-    that a byte that is not UTF-8 ("encoding") can hide defects on the lines
-    before it that were not yet read: the reader decodes ahead of them.
+    reading first. A byte that is not UTF-8 is an "encoding" error at the line
+    errors.read_lines locates (from a pipe, a DataError naming only the file).
+    With several defects the earliest line is reported, except that an
+    "encoding" error can hide defects on the lines before it that were not
+    yet read: the reader decodes ahead of them.
     """
     if max_words is not None and max_words < 1:
         raise DataError("max_words must be positive")
-    try:
-        return _read_embeddings(path, max_words, lowercase, language_of(path, language))
-    except UnicodeDecodeError as exc:
-        raise decode_error(path, exc, EmbeddingParseError, code="encoding") from None
-
-
-def _read_embeddings(path, max_words: int | None, lowercase: bool,
-                     language: str) -> VocabEmbedding:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
+    # closing: a read that stops early (max_words, a defect) frees the file now
+    encoding_error = partial(EmbeddingParseError, code="encoding")
+    with contextlib.closing(read_lines(path, encoding_error)) as lines:
+        header = next(lines, (1, ""))[1].split()
         if len(header) != 2:
             raise EmbeddingParseError("expected '<count> <dim>' header", code="header",
                                       line=1, path=path)
@@ -209,11 +206,10 @@ def _read_embeddings(path, max_words: int | None, lowercase: bool,
         # in place without a reference check (which a debugger holding this
         # frame's locals would fail): no view of it outlives a statement.
         limit = count if max_words is None else min(count, max_words)
-        info = os.fstat(fh.fileno())
+        info = os.stat(path)
         rows = min(limit, info.st_size // (2 * dim + 2)) if stat.S_ISREG(info.st_mode) else 0
         matrix = np.empty((rows, dim))
-        words: list[str] = []
-        seen: set[str] = set()
+        words: dict[str, None] = {}  # the kept words, in file order
         bodies: list[str] = []
         body_lines: list[int] = []
         read = 0
@@ -231,7 +227,7 @@ def _read_embeddings(path, max_words: int | None, lowercase: bool,
                 body_lines.clear()
 
         try:
-            for line_no, line in enumerate(fh, start=2):
+            for line_no, line in lines:
                 if max_words is not None and len(words) >= max_words:
                     break
                 # text mode turns every line break into a single trailing "\n"
@@ -254,15 +250,16 @@ def _read_embeddings(path, max_words: int | None, lowercase: bool,
                 read += 1
                 if lowercase:
                     word = word.lower()
-                if word in seen:
+                if word in words:
                     continue
-                seen.add(word)
-                words.append(word)
+                words[word] = None
                 bodies.append(body)
                 body_lines.append(line_no)
                 if len(bodies) == _READ_ROWS:
                     flush()
-        except UnicodeDecodeError as exc:
+        except EmbeddingParseError as exc:
+            if exc.code != "encoding":  # a bad value flush() found comes first
+                raise
             error = exc
         flush()  # a bad value on an earlier row is the earlier defect
         if error is not None:
@@ -277,8 +274,8 @@ def _read_embeddings(path, max_words: int | None, lowercase: bool,
                     path, read - len(words))
     if len(matrix) > len(words):
         matrix.resize((len(words), dim), refcheck=False)  # no view keeps the spare rows
-    # every word passed single_token and seen, so the vocabulary is not checked again
-    return VocabEmbedding._checked(language, tuple(words), matrix)
+    # every word passed single_token and is kept once, so the vocabulary is not checked again
+    return VocabEmbedding._checked(language_of(path, language), tuple(words), matrix)
 
 
 def _format_block(block: np.ndarray, decimals: int) -> list[bytes | None]:

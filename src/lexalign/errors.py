@@ -69,29 +69,23 @@ class PipelineStageError(LexalignError):
         self.cause = cause
 
 
-def decode_error(path, exc: UnicodeDecodeError, error=LocatedError, **fields) -> DataError:
-    """For exc, raised while the file at path was read as UTF-8 text:
-    error(message, line=N, path=path, **fields), where N is the 1-based line
-    of the file's first byte that is not UTF-8, counted as a text-mode reader
-    counts lines. The line comes from reading the file again, so for a file
-    that cannot be read twice, such as a pipe, the result is a DataError that
-    names only the file."""
-    message = f"can't decode byte 0x{exc.object[exc.start]:02x} as UTF-8 ({exc.reason})"
+def read_lines(path, error=LocatedError):
+    """Yield (line_no, line) for each line of the UTF-8 text file at path,
+    newline kept; line_no is 1-based and counted as a text-mode reader counts
+    lines. A byte that is not UTF-8 raises error(message, line=N, path=path)
+    when the reader reaches it, N being the line of the file's first such
+    byte. That line comes from reading the file again, so for a file that
+    cannot be read twice, such as a pipe, the error is a DataError that names
+    only the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+            return
+        except UnicodeDecodeError as exc:
+            message = f"can't decode byte 0x{exc.object[exc.start]:02x} as UTF-8 ({exc.reason})"
     if os.path.isfile(path):
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if _ESCAPED_BYTE.search(line):
-                    return error(message, line=line_no, path=path, **fields)
-    return DataError(f"{os.fspath(path)}: {message}")
-
-
-def read_lines(path, error=LocatedError):
-    """Yield (line_no, line) for each line of the UTF-8 text file at path,
-    newline kept. line_no is 1-based and counted as a text-mode reader counts
-    lines, the rule decode_error uses. A byte that is not UTF-8 raises
-    decode_error(path, exc, error) when the reader reaches it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as exc:
-            raise decode_error(path, exc, error) from None
+                    raise error(message, line=line_no, path=path) from None
+    raise DataError(f"{os.fspath(path)}: {message}") from None

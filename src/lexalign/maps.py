@@ -120,16 +120,6 @@ def build_paired_matrices(src_emb, tgt_emb, pairs) -> PairedMatrices:
                           oov_src, oov_tgt)
 
 
-def _signed_svd(C: np.ndarray):
-    try:
-        u, s, vt = np.linalg.svd(C, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise DataError(f"SVD failed to converge: {exc}") from None
-    lead = np.argmax(np.abs(u), axis=0)
-    signs = np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
-    return u * signs, s, vt * signs[:, None]
-
-
 def cross_covariance_svd(pm: PairedMatrices):
     """SVD of X^T Z under the shared sign convention.
 
@@ -138,8 +128,13 @@ def cross_covariance_svd(pm: PairedMatrices):
     C = pm.X.T @ pm.Z
     if not np.isfinite(C).all():
         raise DataError("non-finite values in the cross-covariance")
-    u, s, vt = _signed_svd(C)
-    return u, s, vt.T
+    try:
+        u, s, vt = np.linalg.svd(C, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise DataError(f"SVD failed to converge: {exc}") from None
+    lead = np.argmax(np.abs(u), axis=0)
+    signs = np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+    return u * signs, s, (vt * signs[:, None]).T
 
 
 def procrustes(pm: PairedMatrices) -> LinearMap:
@@ -169,16 +164,13 @@ def least_squares_map(A, B) -> LinearMap:
 
     ata = A.T @ A
     atb = A.T @ B
-    W = None
     try:
         W = scipy.linalg.cho_solve(scipy.linalg.cho_factor(ata), atb)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        W = None
-    if W is not None:
         residual = np.linalg.norm(ata @ W - atb)
-        if not np.isfinite(residual) or residual > RESIDUAL_RTOL * max(np.linalg.norm(atb), np.finfo(float).tiny):
-            W = None
-    if W is None:
+        solved = residual <= RESIDUAL_RTOL * max(np.linalg.norm(atb), np.finfo(float).tiny)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        solved = False
+    if not solved:
         W, _, _, _ = np.linalg.lstsq(A, B, rcond=None)
     return LinearMap(W, "unconstrained")
 

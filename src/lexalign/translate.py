@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .dictionary import DictionaryPairs, single_token
-from .errors import DataError, TranslationError, read_lines
+from .errors import DataError, LocatedError, TranslationError, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -47,8 +47,8 @@ def load_cache(path) -> dict:
             continue
         cols = line.split("\t", 3)
         if len(cols) != 4:
-            logger.warning("%s: line %d: ignoring malformed cache line %r",
-                           path, line_no, line)
+            logger.warning("%s", LocatedError(f"ignoring malformed cache line {line!r}",
+                                              line_no, path))
             continue
         word, src, tgt, translation = cols
         table[(word, src, tgt)] = translation

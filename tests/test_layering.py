@@ -7,8 +7,9 @@ lexalign module, or into pipeline.py from lexalign.align, is a second path
 around the checks those calls make, so it fails here.
 
 errors.read_lines reads a UTF-8 text file line by line and locates a byte
-that is not UTF-8. A function that opens a text file for reading on its own
-is a second copy of that job, so it fails here unless it is listed below.
+that is not UTF-8. Every text input goes through it, so any other function
+that opens a file for text reading is a second copy of that job and fails
+here.
 """
 
 import ast
@@ -38,11 +39,9 @@ def test_no_private_library_name_is_imported(importer, source):
     assert private == []
 
 
-# The functions that may open a file for text reading: the line reader, the
-# decode-error locator, the embedding reader (it parses the rows read before
-# a bad byte first) and cmd_run (it reports JSON error positions).
-TEXT_READERS = {"errors.read_lines", "errors.decode_error", "embeddings._read_embeddings",
-                "cli.cmd_run"}
+# The only function that may open a file for text reading: the line reader,
+# which also reads the file again to locate a byte that is not UTF-8.
+TEXT_READERS = {"errors.read_lines"}
 
 
 def opens_text_for_reading(call):
