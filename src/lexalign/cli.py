@@ -19,7 +19,7 @@ from . import __version__
 from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
                          save_dictionary, split_dictionary)
 from .errors import DataError, ExternalServiceError, LexalignError, LocatedError, \
-    PipelineStageError, TranslationError, read_lines
+    PipelineStageError, TranslationError, describe, read_lines
 from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, MEEMI, METHODS, ONE_PAIR_METHODS, \
     OOV_POLICIES, ORTHOGONAL
 from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
@@ -390,15 +390,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except PipelineStageError as exc:
-        logger.error("%s", exc)
-        return EXIT_SERVICE if isinstance(exc.cause, ExternalServiceError) else EXIT_DATA
-    except ExternalServiceError as exc:
-        logger.error("%s", exc)
-        return EXIT_SERVICE
     except (LexalignError, OSError) as exc:
-        logger.error("%s", exc)
-        return EXIT_DATA
+        logger.error("%s", describe(exc))
+        cause = exc.cause if isinstance(exc, PipelineStageError) else exc
+        return EXIT_SERVICE if isinstance(cause, ExternalServiceError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -64,9 +64,17 @@ class PipelineStageError(LexalignError):
     """Wraps any failure inside a named pipeline stage."""
 
     def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"stage={stage}: {cause}")
+        super().__init__(f"stage={stage}: {describe(cause)}")
         self.stage = stage
         self.cause = cause
+
+
+def describe(exc: BaseException) -> str:
+    """The message to show for exc: "<path>: <reason>" for an OSError that
+    names a file, as in "en.vec: No such file or directory", else str(exc)."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"{exc.filename}: {exc.strerror}"
+    return str(exc)
 
 
 def read_lines(path, error=LocatedError):

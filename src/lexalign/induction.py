@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,25 +45,37 @@ def _row_blocks(n: int, size: int):
     return zip([0] + stops, stops + [n])
 
 
+def _scores(q: np.ndarray, matrix: np.ndarray, rows: int,
+            norms: np.ndarray | None = None) -> np.ndarray:
+    """matrix @ q, computed `rows` matrix rows at a time. With norms, the
+    matrix's row norms, each block is divided by them before its product, so
+    no normalized copy of the whole matrix is made. rows = len(matrix) is the
+    one-block case: one product over the whole matrix (an empty matrix is
+    one empty block)."""
+    out = np.empty(len(matrix))
+    for start, stop in _row_blocks(len(matrix), max(rows, 1)):
+        block = matrix[start:stop]
+        if norms is not None:
+            block = _unit_rows(block, norms[start:stop])
+        out[start:stop] = block @ q
+    return out
+
+
 def cosine_scores(query: np.ndarray, unit_matrix: np.ndarray,
                   backend: str = "blocked") -> np.ndarray:
     """Cosine of `query` against every row of a row-normalized matrix.
 
-    backend "exact" is the brute-force reference: one dense product over the
-    whole matrix. backend "blocked" computes the same product in row blocks to
-    bound the working set; each row's accumulation is unchanged by blocking,
-    so the two backends return identical scores and therefore identical
-    rankings (the retrieval tests enforce this, tie order included).
+    Both backends run the same row-block loop. backend "blocked" scores
+    _BLOCK_ROWS rows at a time to bound the working set; "exact", the
+    brute-force reference, is the one-block case: one dense product over the
+    whole matrix. Each row's accumulation is unchanged by blocking, so the
+    two backends return identical scores and therefore identical rankings
+    (the retrieval tests enforce this, tie order included).
     """
-    q = query / max(np.linalg.norm(query), _EPS)
-    if backend == "exact":
-        return unit_matrix @ q
-    if backend != "blocked":
+    rows = {"blocked": _BLOCK_ROWS, "exact": len(unit_matrix)}.get(backend)
+    if rows is None:
         raise ValueError(f"unknown backend {backend!r}")
-    out = np.empty(unit_matrix.shape[0])
-    for start, stop in _row_blocks(unit_matrix.shape[0], _BLOCK_ROWS):
-        out[start:stop] = unit_matrix[start:stop] @ q
-    return out
+    return _scores(query / max(np.linalg.norm(query), _EPS), unit_matrix, rows)
 
 
 def rank_by_score(scores: np.ndarray) -> np.ndarray:
@@ -128,11 +140,13 @@ def induce(query, target_space, k: int, backend: str = "blocked"):
     Returns (word, score) tuples. Ties break toward the earlier vocabulary
     index, so results are reproducible across runs and backends. The target's
     row norms are the ones its embedding keeps (VocabEmbedding.norms), so
-    only the first call against a space computes them. backend "blocked"
-    normalizes and scores NORM_ROWS target rows at a time and never holds a
-    normalized copy of the whole target; "exact" is the full-matrix
-    reference. Each row's norm and product are the same in a block as in the
-    whole matrix, so both return the same bits, unless a multi-threaded BLAS
+    only the first call against a space computes them. Both backends run
+    cosine_scores' row-block loop, dividing each block by its row norms
+    before its product with the unit query. backend "blocked" takes
+    NORM_ROWS target rows at a time and never holds a normalized copy of the
+    whole target; "exact", the full-matrix reference, is the one-block case.
+    Each row's norm and product are the same in a block as in the whole
+    matrix, so both return the same bits, unless a multi-threaded BLAS
     splits the whole-matrix product at a row that is not a block boundary:
     the rows there can then differ in the last bit.
     """
@@ -146,14 +160,10 @@ def induce(query, target_space, k: int, backend: str = "blocked"):
         raise DataError("query vector is zero")
     if not 1 <= k <= len(emb):
         raise DataError(f"k must be in [1, {len(emb)}], got {k}")
-    if backend == "blocked":
-        q = q / max(np.linalg.norm(q), _EPS)
-        norms = emb.norms
-        scores = np.empty(len(emb))
-        for start, stop in _row_blocks(len(emb), NORM_ROWS):
-            scores[start:stop] = _unit_rows(emb.matrix[start:stop], norms[start:stop]) @ q
-    else:
-        scores = cosine_scores(q, _unit_rows(emb.matrix, emb.norms), backend=backend)
+    rows = {"blocked": NORM_ROWS, "exact": len(emb)}.get(backend)
+    if rows is None:
+        raise ValueError(f"unknown backend {backend!r}")
+    scores = _scores(q / max(np.linalg.norm(q), _EPS), emb.matrix, rows, emb.norms)
     order = _first_k(scores[None, :], k)[0]
     return [(emb.words[i], float(scores[i])) for i in order]
 
@@ -265,28 +275,11 @@ def precision_at_k(src_space, tgt_space, test: "DictionaryPairs", ks=(1, 5, 10),
     return report
 
 
-def _report_dict(r: EvalReport) -> dict:
-    return {
-        "method_label": r.method_label,
-        "src_lang": r.src_lang,
-        "tgt_lang": r.tgt_lang,
-        "k_values": list(r.k_values),
-        "precision": {str(k): r.precision[k] for k in r.k_values},
-        "evaluated": r.evaluated,
-        "skipped_oov_src": r.skipped_oov_src,
-        "gold_oov_tgt": r.gold_oov_tgt,
-    }
-
-
 def reports_from_json(text: str) -> list[EvalReport]:
-    """Inverse of render_report(..., "json")."""
-    return [EvalReport(src_lang=d["src_lang"], tgt_lang=d["tgt_lang"],
-                       k_values=tuple(d["k_values"]),
-                       precision={int(k): v for k, v in d["precision"].items()},
-                       evaluated=d["evaluated"],
-                       skipped_oov_src=d["skipped_oov_src"],
-                       gold_oov_tgt=d["gold_oov_tgt"],
-                       method_label=d["method_label"])
+    """Inverse of render_report(..., "json"). Each object must hold every
+    EvalReport field (a missing one raises KeyError, defaults are not filled
+    in); other keys are ignored."""
+    return [EvalReport(**{f.name: d[f.name] for f in fields(EvalReport)})
             for d in json.loads(text)]
 
 
@@ -297,7 +290,10 @@ def render_report(reports, fmt: str = "table") -> str:
     An empty report list yields just the header."""
     reports = list(reports)
     if fmt == "json":
-        return json.dumps([_report_dict(r) for r in reports], sort_keys=True, indent=2) + "\n"
+        # string keys: sort_keys orders precision "1", "10", "5", not by number
+        return json.dumps([{**asdict(r), "precision": {str(k): r.precision[k]
+                                                       for k in r.k_values}}
+                           for r in reports], sort_keys=True, indent=2) + "\n"
     if fmt == "tsv":
         lines = ["method\tsrc\ttgt\tk\tprecision\tevaluated\tskipped_oov_src\tgold_oov_tgt"]
         for r in reports:
@@ -309,20 +305,13 @@ def render_report(reports, fmt: str = "table") -> str:
     if fmt != "table":
         raise ValueError(f"unknown format {fmt!r}")
 
-    pair_order: list[tuple[str, str]] = []
-    methods: list[str] = []
-    cells = {}
-    all_ks = sorted({k for r in reports for k in r.k_values})
-    for r in reports:
-        key = (r.src_lang, r.tgt_lang)
-        if key not in pair_order:
-            pair_order.append(key)
-        label = r.method_label or "unlabeled"
-        if label not in methods:
-            methods.append(label)
-        for k in r.k_values:
-            cells[(label, r.src_lang, r.tgt_lang, k)] = r.precision[k]
-    columns = [(s, t, k) for s, t in pair_order for k in all_ks]
+    cells = {(r.method_label or "unlabeled", r.src_lang, r.tgt_lang, k): r.precision[k]
+             for r in reports for k in r.k_values}
+    # pairs and methods in order of first appearance, k ascending
+    pairs = dict.fromkeys((s, t) for _, s, t, _ in cells)
+    methods = dict.fromkeys(label for label, *_ in cells)
+    all_ks = sorted({k for *_, k in cells})
+    columns = [(s, t, k) for s, t in pairs for k in all_ks]
     headers = ["method"] + [f"{s}-{t}:P@{k}" for s, t, k in columns]
     rows = []
     for label in methods:

@@ -239,7 +239,8 @@ def _translate_many(client, jobs, workers: int):
     Each distinct job is looked up once and its outcome copied to every
     repeat. min(workers, distinct jobs) loops, 1 <= workers <= MAX_WORKERS,
     claim job indices from one shared counter, so no future is made per
-    lookup. An exception other than TranslationError stops every loop and
+    lookup. An exception other than TranslationError, in a loop or in the
+    calling thread (Ctrl-C), stops every loop after its current lookup and
     propagates.
     """
     if not 1 <= workers <= MAX_WORKERS:
@@ -268,7 +269,11 @@ def _translate_many(client, jobs, workers: int):
     loops = min(workers, len(unique))
     if loops > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(drain, range(loops)))
+            try:
+                list(pool.map(drain, range(loops)))
+            except BaseException:  # such as Ctrl-C: the loops stop after their lookup
+                stop.set()
+                raise
     else:
         drain(0)
     return [outcomes[job] for job in jobs]

@@ -80,6 +80,31 @@ class TestInduce:
         with pytest.raises(ValueError):
             induce(np.ones(2), emb, k=1, backend="gpu")
 
+    def test_unknown_backend_refused_before_any_work(self):
+        emb = triangle_space()
+        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
+            induce(np.ones(2), emb, k=1, backend="gpu")
+        assert "norms" not in emb.__dict__  # the target's norms were not computed
+
+
+class TestCosineScores:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_blocked_equals_exact_at_block_edges(self, monkeypatch, n):
+        """With 4-row blocks, n = 1..13 covers a partial last block, one of a
+        single row (n % 4 == 1, which joins the block before it) and whole
+        blocks: the blocked scores are the exact ones, bit for bit."""
+        monkeypatch.setattr("lexalign.induction._BLOCK_ROWS", 4)
+        rng = np.random.default_rng(n)
+        unit = unit_rows(rng.normal(size=(n, 7)))
+        q = rng.normal(size=7)
+        blocked = cosine_scores(q, unit, "blocked")
+        exact = cosine_scores(q, unit, "exact")
+        assert blocked.tobytes() == exact.tobytes()
+
+    def test_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
+            cosine_scores(np.ones(2), np.eye(2), "gpu")
+
 
 def reference_topk(queries, unit, k):
     return np.array([rank_by_score(cosine_scores(q, unit, "exact"))[:k]
@@ -252,6 +277,15 @@ class TestEvalReport:
         with pytest.raises(DataError):
             EvalReport("en", "tr", (1, 5), {1: 0.9}, evaluated=10)
 
+    def test_from_json_needs_every_field(self):
+        """A report object without gold_oov_tgt is refused, not given the
+        field's default; a key that is not a field is ignored."""
+        d = json.loads(render_report(sample_reports()[:1], "json"))[0]
+        assert reports_from_json(json.dumps([{**d, "note": "x"}])) == sample_reports()[:1]
+        del d["gold_oov_tgt"]
+        with pytest.raises(KeyError, match="gold_oov_tgt"):
+            reports_from_json(json.dumps([d]))
+
 
 def sample_reports():
     return [
@@ -294,6 +328,35 @@ class TestRenderReport:
         assert render_report([], "table") == "method\n"
         assert render_report([], "tsv").splitlines()[0].startswith("method\t")
         assert json.loads(render_report([], "json")) == []
+
+    def test_json_bytes(self):
+        """The report's JSON, key order included: precision keys are strings
+        and sort as strings, so "10" comes before "5"."""
+        report = EvalReport("en", "tr", (1, 5, 10), {1: 0.5, 5: 0.75, 10: 0.875},
+                            evaluated=8, skipped_oov_src=2, gold_oov_tgt=1,
+                            method_label="Meemi")
+        assert render_report([report], "json") == """\
+[
+  {
+    "evaluated": 8,
+    "gold_oov_tgt": 1,
+    "k_values": [
+      1,
+      5,
+      10
+    ],
+    "method_label": "Meemi",
+    "precision": {
+      "1": 0.5,
+      "10": 0.875,
+      "5": 0.75
+    },
+    "skipped_oov_src": 2,
+    "src_lang": "en",
+    "tgt_lang": "tr"
+  }
+]
+"""
 
     def test_deterministic_bytes(self):
         a = render_report(sample_reports(), "json")

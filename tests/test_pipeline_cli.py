@@ -735,7 +735,7 @@ def test_meemi_writes_the_bytes_meemi_bilingual_writes(tmp_path):
 
 
 BAD_VECTORS = {
-    "missing": (None, "No such file"),
+    "missing": (None, "{path}: No such file"),
     "truncated": (b"3 2\na 1 2\nb 3 4\n", "{path}: line 4: header promises 3 rows, file has 2"),
     "huge-count": (b"1000000000000 2\na 1 2\nb 3 4\n",
                    "{path}: line 4: header promises 1000000000000 rows, file has 2"),
@@ -782,7 +782,7 @@ def test_bad_vector_file_exits_two_for_every_reading_command(
 
 
 BAD_DICTIONARIES = {
-    "missing": (None, "No such file"),
+    "missing": (None, "{path}: No such file"),
     "three-columns": (b"w0\tw0\nw1\tw1\tw1\n", "{path}: line 2: expected 2 columns, found 3"),
     "non-utf8": (b"w0\tw0\nw1\tw1\n\xff\tw2\n", "{path}: line 3: can't decode byte 0xff"),
 }

@@ -1,7 +1,9 @@
 import functools
 import gc
 import importlib
+import itertools
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -317,6 +319,34 @@ class TestWorkerCap:
         with pytest.raises(DataError, match="workers"):
             reverse_filter(client, d, workers=workers)
         assert pools == []
+
+
+class SigintClient:
+    """Sleeps `delay` per lookup and sends this process SIGINT (Ctrl-C) from
+    inside its `at`-th lookup."""
+
+    def __init__(self, at, delay):
+        self.at, self.delay = at, delay
+        self.lookups = itertools.count(1)
+        self.words = []
+
+    def translate(self, word, src, tgt):
+        self.words.append(word)
+        if next(self.lookups) == self.at:
+            os.kill(os.getpid(), signal.SIGINT)
+        time.sleep(self.delay)
+        return word
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_ctrl_c_stops_after_the_lookups_in_flight(workers):
+    """Ctrl-C during a lookup raises KeyboardInterrupt once each worker loop
+    has finished its current lookup, instead of after every job."""
+    client = SigintClient(at=5, delay=0.01)
+    with pytest.raises(KeyboardInterrupt):
+        translate._translate_many(client, [(f"w{i}", "en", "uz") for i in range(200)],
+                                  workers)
+    assert 5 <= len(client.words) <= 5 + 2 * workers
 
 
 def cli_code(*argv):
