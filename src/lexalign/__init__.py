@@ -27,10 +27,9 @@ _EXPORTS = {
                     "translate"),
     **dict.fromkeys(["LinearMap", "PairedMatrices", "build_paired_matrices", "procrustes",
                      "least_squares_map", "whitening_transform", "cross_covariance_svd",
-                     "save_map", "save_maps", "load_map", "load_maps"], "maps"),
-    **dict.fromkeys(["AlignedSpace", "MultiSpace", "apply_map", "replay_maps",
-                     "align_orthogonal", "align_multistep", "meemi_bilingual",
-                     "meemi_multilingual"], "align"),
+                     "save_maps", "load_maps"], "maps"),
+    **dict.fromkeys(["AlignedSpace", "MultiSpace", "apply_map", "align_orthogonal",
+                     "align_multistep", "meemi_bilingual", "meemi_multilingual"], "align"),
     **dict.fromkeys(["EvalReport", "induce", "precision_at_k", "render_report",
                      "reports_from_json", "cosine_scores", "rank_by_score", "topk"],
                     "induction"),

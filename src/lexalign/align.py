@@ -84,14 +84,6 @@ def apply_map(emb: VocabEmbedding, m: LinearMap) -> VocabEmbedding:
     return VocabEmbedding._derived(emb, m.apply(emb.matrix), recipe)
 
 
-def replay_maps(emb: VocabEmbedding, maps) -> np.ndarray:
-    """Re-apply a recorded map chain to an embedding's matrix."""
-    out = emb.matrix
-    for m in maps:
-        out = m.apply(out)
-    return out
-
-
 def _check_alignable(reference: VocabEmbedding, other: VocabEmbedding) -> None:
     if reference.language == other.language:
         raise DataError("reference and other space share a language code")
@@ -134,7 +126,7 @@ def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
 # other reference to a space frees it as soon as the output made from it
 # exists. Its orthogonal step calls align_orthogonal once per target, handing
 # over the target popped from the mapping, so each target goes once its
-# rotated copy exists. The multistep and Meemi fits live in helpers that
+# rotated copy exists. The multistep and Meemi fits (_multistep, _meemi) each
 # consume such a mapping in the same way. The public functions pass them a
 # mapping built from their own parameters, which keep every input alive: they
 # free nothing and leave their inputs unchanged.
@@ -197,7 +189,6 @@ def align_multistep(reference: VocabEmbedding, other: VocabEmbedding,
     s**reweight_p, de-whiten each side through the other side's whitening
     inverse (conjugated into the shared basis), then optionally keep the
     first reduce_dim coordinates. Both spaces move."""
-    _check_alignable(reference, other)  # before the two keys below can collapse into one
     spaces = _multistep({reference.language: reference, other.language: other},
                         reference.language, {other.language: pairs}, reweight_p, reduce_dim)
     return MultiSpace(spaces, hub=reference.language)
@@ -208,7 +199,8 @@ def _multistep(spaces: dict[str, VocabEmbedding], hub: str, dictionaries: dict,
     """align_multistep of the one other space onto spaces[hub], fitted on the
     pairs dictionaries holds for it: the aligned spaces keyed by language, the
     other first. Consumes spaces: each side's input is dropped once its first
-    map has been applied, and each intermediate once the next one exists."""
+    map has been applied, and each intermediate once the next one exists.
+    Spaces that share a language code are one key, which the check refuses."""
     ((lang, pairs),) = dictionaries.items()
     _check_alignable(spaces[hub], spaces[lang])
     if not 0.0 <= reweight_p < np.inf:
@@ -216,23 +208,7 @@ def _multistep(spaces: dict[str, VocabEmbedding], hub: str, dictionaries: dict,
     d = spaces[hub].dim
     if reduce_dim is not None and not 1 <= reduce_dim <= d:
         raise DataError(f"reduce_dim must be in [1, {d}], got {reduce_dim}")
-    chains = _multistep_chains(spaces[hub], spaces[lang], pairs, reweight_p, reduce_dim)
-    aligned = {}
-    for side in (lang, hub):
-        moved = spaces.pop(side)
-        for m in chains[side]:
-            moved = apply_map(moved, m)
-        aligned[side] = AlignedSpace(moved, tuple(chains[side]), hub)
-    return aligned
-
-
-def _multistep_chains(reference: VocabEmbedding, other: VocabEmbedding,
-                      pairs: DictionaryPairs, reweight_p: float,
-                      reduce_dim: int | None) -> dict[str, list[LinearMap]]:
-    """The map chain of each side for align_multistep, keyed by language."""
-    d = reference.dim
-    oriented = orient(pairs, other.language, reference.language)
-    pm = build_paired_matrices(other, reference, oriented)
+    pm = build_paired_matrices(spaces[lang], spaces[hub], orient(pairs, lang, hub))
     x, z, used = pm.X, pm.Z, pm.used_pairs
     del pm
 
@@ -243,21 +219,28 @@ def _multistep_chains(reference: VocabEmbedding, other: VocabEmbedding,
     x = x @ wx.matrix
     z = z @ wz.matrix
     u, s, v = cross_covariance_svd(PairedMatrices(x, z, used))
+    del x, z  # the paired rows go before the first output is allocated
     scale = LinearMap(np.diag(s ** reweight_p), "unconstrained")
     dewhite_other = LinearMap(v.T @ spd_inverse(wz.matrix) @ v, "composite")
     dewhite_ref = LinearMap(u.T @ spd_inverse(wx.matrix) @ u, "composite")
 
     chains = {
-        other.language: [wx, LinearMap(u, "orthogonal"), scale, dewhite_other],
-        reference.language: [wz, LinearMap(v, "orthogonal"), scale, dewhite_ref],
+        lang: [wx, LinearMap(u, "orthogonal"), scale, dewhite_other],
+        hub: [wz, LinearMap(v, "orthogonal"), scale, dewhite_ref],
     }
     if reduce_dim is not None and reduce_dim < d:
         truncate = LinearMap(np.eye(d)[:, :reduce_dim], "composite")
         for chain in chains.values():
             chain.append(truncate)
     logger.info("multistep %s/%s: pairs_used=%d reweight_p=%g reduce_dim=%s",
-                other.language, reference.language, len(used), reweight_p, reduce_dim)
-    return chains
+                lang, hub, len(used), reweight_p, reduce_dim)
+    aligned = {}
+    for side in (lang, hub):
+        moved = spaces.pop(side)
+        for m in chains[side]:
+            moved = apply_map(moved, m)
+        aligned[side] = AlignedSpace(moved, tuple(chains[side]), hub)
+    return aligned
 
 
 def meemi_bilingual(ms: MultiSpace, pairs: DictionaryPairs) -> MultiSpace:
@@ -276,7 +259,19 @@ def _meemi(spaces: dict[str, AlignedSpace], hub: str,
     if {pairs.src_lang, pairs.tgt_lang} != set(spaces):
         raise DataError(f"dictionary {pairs.src_lang}->{pairs.tgt_lang} does not "
                         f"match spaces {sorted(spaces)}")
-    return _refit(spaces, _meemi_fits(spaces, pairs), hub)
+    pm = build_paired_matrices(spaces[pairs.src_lang].embedding,
+                               spaces[pairs.tgt_lang].embedding, pairs)
+    # scaled in place: one array, whether or not numpy elides the temporary
+    # of 0.5 * (X + Z); halving is exact, so the bits are the same
+    mid = pm.X + pm.Z
+    mid *= 0.5
+    fits = {
+        pairs.src_lang: least_squares_map(pm.X, mid),
+        pairs.tgt_lang: least_squares_map(pm.Z, mid),
+    }
+    logger.info("meemi %s/%s: pairs_used=%d", pairs.src_lang, pairs.tgt_lang, len(pm))
+    del pm, mid  # the paired rows and midpoints go before the outputs are allocated
+    return _refit(spaces, fits, hub)
 
 
 def _refit(spaces: dict[str, AlignedSpace], fits: dict[str, LinearMap],
@@ -290,23 +285,6 @@ def _refit(spaces: dict[str, AlignedSpace], fits: dict[str, LinearMap],
                                       space.maps_applied + (fits[lang],),
                                       space.reference_language or hub)
     return refitted
-
-
-def _meemi_fits(spaces: dict[str, AlignedSpace],
-                pairs: DictionaryPairs) -> dict[str, LinearMap]:
-    """The least-squares map of each side for meemi_bilingual."""
-    pm = build_paired_matrices(spaces[pairs.src_lang].embedding,
-                               spaces[pairs.tgt_lang].embedding, pairs)
-    # scaled in place: one array, whether or not numpy elides the temporary
-    # of 0.5 * (X + Z); halving is exact, so the bits are the same
-    mid = pm.X + pm.Z
-    mid *= 0.5
-    fits = {
-        pairs.src_lang: least_squares_map(pm.X, mid),
-        pairs.tgt_lang: least_squares_map(pm.Z, mid),
-    }
-    logger.info("meemi %s/%s: pairs_used=%d", pairs.src_lang, pairs.tgt_lang, len(pm))
-    return fits
 
 
 def meemi_multilingual(hub: AlignedSpace, others, source_set,

@@ -178,9 +178,7 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
     error and a file with fewer rows is "truncated", unless max_words stops
     reading first. A byte that is not UTF-8 is an "encoding" error at the line
     errors.read_lines locates (from a pipe, a DataError naming only the file).
-    With several defects the earliest line is reported, except that an
-    "encoding" error can hide defects on the lines before it that were not
-    yet read: the reader decodes ahead of them.
+    With several defects the earliest line is reported, whatever its kind.
     """
     if max_words is not None and max_words < 1:
         raise DataError("max_words must be positive")
@@ -214,7 +212,6 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
         body_lines: list[int] = []
         read = 0
         line_no = 1
-        error = None
 
         def flush():
             if bodies:
@@ -236,17 +233,15 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
                     continue
                 word, _, body = line.partition(" ")
                 if read == count:
-                    error = EmbeddingParseError(f"more rows than the header's {count}",
-                                                code="header", line=line_no, path=path)
-                elif line.count(" ") != dim:
-                    error = EmbeddingParseError(
+                    raise EmbeddingParseError(f"more rows than the header's {count}",
+                                              code="header", line=line_no, path=path)
+                if line.count(" ") != dim:
+                    raise EmbeddingParseError(
                         f"expected {dim + 1} fields, found {line.count(' ') + 1}",
                         code="arity", line=line_no, path=path)
-                elif not single_token(word):
-                    error = EmbeddingParseError(f"bad word field {word!r}", code="arity",
-                                                line=line_no, path=path)
-                if error is not None:
-                    break
+                if not single_token(word):
+                    raise EmbeddingParseError(f"bad word field {word!r}", code="arity",
+                                              line=line_no, path=path)
                 read += 1
                 if lowercase:
                     word = word.lower()
@@ -257,13 +252,12 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
                 body_lines.append(line_no)
                 if len(bodies) == _READ_ROWS:
                     flush()
-        except EmbeddingParseError as exc:
-            if exc.code != "encoding":  # a bad value flush() found comes first
-                raise
-            error = exc
-        flush()  # a bad value on an earlier row is the earlier defect
-        if error is not None:
-            raise error
+        except EmbeddingParseError:
+            # a bad value on a row buffered above the defect comes first (when
+            # flush() raised, its rows are still buffered and raise again)
+            flush()
+            raise
+        flush()
     if read < count and (max_words is None or len(words) < max_words):
         raise EmbeddingParseError(f"header promises {count} rows, file has {read}",
                                   code="truncated", line=line_no + 1, path=path)

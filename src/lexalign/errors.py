@@ -80,14 +80,17 @@ def describe(exc: BaseException) -> str:
 def read_lines(path, error=LocatedError):
     """Yield (line_no, line) for each line of the UTF-8 text file at path,
     newline kept; line_no is 1-based and counted as a text-mode reader counts
-    lines. A byte that is not UTF-8 raises error(message, line=N, path=path)
-    when the reader reaches it, N being the line of the file's first such
-    byte. That line comes from reading the file again, so for a file that
-    cannot be read twice, such as a pipe, the error is a DataError that names
-    only the file."""
+    lines. A byte that is not UTF-8 raises error(message, line=N, path=path),
+    N being the line of the file's first such byte, once every line above it
+    has been yielded: a caller that stops at an earlier defect reports that
+    one. The decoder reads ahead, so line N and the lines above it not yet
+    yielded come from reading the file again; for a file that cannot be read
+    twice, such as a pipe, the error is a DataError that names only the file."""
+    done = 0  # the lines yielded from the first reading
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            yield from enumerate(fh, start=1)
+            for done, line in enumerate(fh, start=1):
+                yield done, line
             return
         except UnicodeDecodeError as exc:
             message = f"can't decode byte 0x{exc.object[exc.start]:02x} as UTF-8 ({exc.reason})"
@@ -96,4 +99,6 @@ def read_lines(path, error=LocatedError):
             for line_no, line in enumerate(fh, start=1):
                 if _ESCAPED_BYTE.search(line):
                     raise error(message, line=line_no, path=path) from None
+                if line_no > done:
+                    yield line_no, line
     raise DataError(f"{os.fspath(path)}: {message}") from None

@@ -223,10 +223,6 @@ def save_maps(maps, path) -> None:
                 fh.write(row_fmt % tuple(row))
 
 
-def save_map(m: LinearMap, path) -> None:
-    save_maps([m], path)
-
-
 def load_maps(path) -> list[LinearMap]:
     """Read the maps save_maps wrote, in order. Any defect raises a DataError
     whose message starts with the file; where the line is known, it is a
@@ -269,10 +265,3 @@ def load_maps(path) -> list[LinearMap]:
     if not maps:
         raise DataError(f"{path}: no maps found")
     return maps
-
-
-def load_map(path) -> LinearMap:
-    maps = load_maps(path)
-    if len(maps) != 1:
-        raise DataError(f"{path}: expected one map, found {len(maps)}")
-    return maps[0]

@@ -193,8 +193,9 @@ class HttpTranslationClient:
                 if not isinstance(translation, str):
                     raise TranslationError(f"malformed response for {word!r}: "
                                            f"translation is {translation!r}")
-                # keep the cache file format valid
-                translation = translation.replace("\t", " ").replace("\n", " ")
+                # keep the cache file format valid: a text-mode reader ends a
+                # line at "\r" as well, so a replay sees what was served
+                translation = translation.replace("\t", " ").replace("\n", " ").replace("\r", " ")
                 with self._lock:
                     self._cache[key] = translation
                     if self.cache_path is not None:

@@ -3,8 +3,7 @@ import pytest
 
 from lexalign import (AlignedSpace, DataError, DictionaryPairs, MultiSpace,
                       VocabEmbedding, align_multistep, align_orthogonal,
-                      meemi_bilingual, meemi_multilingual, normalize, precision_at_k,
-                      replay_maps)
+                      meemi_bilingual, meemi_multilingual, normalize, precision_at_k)
 from lexalign.embeddings import row_norms
 
 from conftest import identity_dict, make_embedding, random_orthogonal, unit_rows
@@ -20,6 +19,14 @@ def rotation_fixture(seed, n=50, d=10, noise=0.0):
     other = VocabEmbedding("xx", words, x)
     reference = VocabEmbedding("zz", words, z)
     return reference, other, identity_dict(words, "xx", "zz"), r
+
+
+def replay_maps(emb, maps):
+    """emb's matrix moved through a recorded map chain, one map at a time."""
+    out = emb.matrix
+    for m in maps:
+        out = m.apply(out)
+    return out
 
 
 def pair_of_spaces(matrix, words, langs=("aa", "bb")):
@@ -369,6 +376,12 @@ class TestMultiSpace:
         b = AlignedSpace(VocabEmbedding("bb", ("x",), np.ones((1, 3))), (), "aa")
         with pytest.raises(DataError):
             MultiSpace({"aa": a, "bb": b}, hub="aa")
+
+    def test_membership_by_language(self):
+        ms = manual_multispace(*pair_of_spaces(np.eye(2), ("x", "y"), ("en", "tr")), "en")
+        assert "tr" in ms
+        assert "xx" not in ms
+        assert ms.languages() == ["en", "tr"]
 
 
 

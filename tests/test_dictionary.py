@@ -129,6 +129,13 @@ class TestIO:
             assert err.value.line == 3
             assert f"{p}: line 3: can't decode byte 0xff" in str(err.value)
 
+    def test_a_defect_above_a_non_utf8_byte_is_reported(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_bytes(b"a\tb\nc\td\te\n\xff\tx\n")
+        with pytest.raises(DictionaryFormatError, match="line 2: expected 2 columns") as err:
+            load_dictionary(p)
+        assert err.value.line == 2
+
     def test_skip_mode(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("a\t1\nbroken\nb\t2\nx\ty\tz\n", encoding="utf-8")

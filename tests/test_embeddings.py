@@ -119,6 +119,21 @@ class TestLoad:
             assert (err.value.code, err.value.line) == ("encoding", line)
             assert f"{p}: line {line}: can't decode byte 0x" in str(err.value)
 
+    @pytest.mark.parametrize("data, code, line", [
+        (b"3 2\na 1 2\nb 1 2 3\n\xff 1 2\n", "arity", 3),
+        (b"3 2\na 1 x\nb 1 2\n\xff 1 2\n", "value", 2),
+        (b"1 2\na 1 2\nb 1 2\n\xff 1 2\n", "header", 3),
+        # the decoder has handed out lines of the first reading already
+        (b"2002 1\n" + "".join(f"w{i} 0.5\n" for i in range(2000)).encode()
+         + b"x 1 2\ncaf\xe9 1\n", "arity", 2002),
+    ], ids=["arity", "value", "header", "past-the-first-block"])
+    def test_a_defect_above_a_non_utf8_byte_is_reported(self, tmp_path, data, code, line):
+        p = tmp_path / "en.vec"
+        p.write_bytes(data)
+        with pytest.raises(EmbeddingParseError) as err:
+            load_embeddings(p)
+        assert (err.value.code, err.value.line) == (code, line)
+
     def test_non_utf8_byte_in_a_pipe_names_the_file(self, tmp_path):
         # a pipe cannot be read again to find the line
         p = tmp_path / "en.vec"

@@ -253,6 +253,23 @@ class TestHttpClient:
             assert client.translate("x", "en", "uz") == "a b"
             assert load_cache(path) == {("x", "en", "uz"): "a b"}
 
+    def test_a_cached_translation_replays_as_it_was_served(self, tmp_path):
+        # a text-mode reader ends a cache line at "\r" as well as at "\n"
+        served = {"one": "bir", "two": "two\rthree", "four": "\rthree", "five": "a\r\nb"}
+
+        class MappingSession:
+            def post(self, url, json=None, headers=None, timeout=None):
+                return FakeResponse(200, {"translation": served[json["q"]]})
+
+        path = tmp_path / "cache.tsv"
+        with HttpTranslationClient("http://svc", session=MappingSession(), cache_path=path,
+                                   sleep=lambda s: None) as client:
+            live = translate_wordlist(client, list(served), "en", "uz")
+        replayed = translate_wordlist(ReplayClient(path), list(served), "en", "uz")
+        assert replayed == live
+        assert live[0].pairs == (("one", "bir"), ("four", "three"))
+        assert live[1].dropped_multi_token == 2
+
     def test_malformed_body_raises(self):
         session = FakeSession([FakeResponse(200, {"nope": 1})])
         client = HttpTranslationClient("http://svc", api_key="k", session=session,
