@@ -94,10 +94,12 @@ def _check_alignable(reference: VocabEmbedding, other: VocabEmbedding) -> None:
                         f"vs {other.norm_recipe}")
 
 
-def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
+def check_method(method: str, ref_lang: str, langs: list, sources,
+                 reduce_dim: int | None = None, all_combinations: bool = False) -> list:
     """Validate a fitting method against the reference language, the target
-    languages and the languages named as meemi-multi sources. Returns the
-    sources as fit_method takes them: sorted with the reference added for
+    languages, and the fit parameters only one method reads: the sources and
+    all_combinations of meemi-multi and the reduce_dim of multistep. Returns
+    the sources as fit_method takes them: sorted with the reference added for
     meemi-multi, empty otherwise. Raises DataError."""
     if method not in METHODS:
         raise DataError(f"method must be one of {METHODS}, got {method!r}")
@@ -111,9 +113,12 @@ def check_method(method: str, ref_lang: str, langs: list, sources) -> list:
         raise DataError(f"method {method!r} aligns one language pair per run; "
                         f"use {MEEMI_MULTI} for several targets")
     sources = set(sources)
+    for name, given, owner in (("sources", sources, MEEMI_MULTI),
+                               ("reduce_dim", reduce_dim is not None, MULTISTEP),
+                               ("all_combinations", all_combinations, MEEMI_MULTI)):
+        if given and method != owner:
+            raise DataError(f"{name} only applies to method {owner}")
     if method != MEEMI_MULTI:
-        if sources:
-            raise DataError(f"sources only applies to method {MEEMI_MULTI}")
         return []
     bad = sources - {ref_lang, *langs}
     if bad:

@@ -177,8 +177,8 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
     folded, counts against the header: a row past the count is a "header"
     error and a file with fewer rows is "truncated", unless max_words stops
     reading first. A byte that is not UTF-8 is an "encoding" error at the line
-    errors.read_lines locates (from a pipe, a DataError naming only the file).
-    With several defects the earliest line is reported, whatever its kind.
+    errors.read_lines locates. With several defects the earliest line is
+    reported, whatever its kind, from any file, a pipe included.
     """
     if max_words is not None and max_words < 1:
         raise DataError("max_words must be positive")

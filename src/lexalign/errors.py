@@ -7,10 +7,6 @@ Anything the toolkit raises on purpose derives from LexalignError, so callers
 from __future__ import annotations
 
 import os
-import re
-
-# what a byte that is not UTF-8 decodes to under errors="surrogateescape"
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class LexalignError(Exception):
@@ -83,22 +79,17 @@ def read_lines(path, error=LocatedError):
     lines. A byte that is not UTF-8 raises error(message, line=N, path=path),
     N being the line of the file's first such byte, once every line above it
     has been yielded: a caller that stops at an earlier defect reports that
-    one. The decoder reads ahead, so line N and the lines above it not yet
-    yielded come from reading the file again; for a file that cannot be read
-    twice, such as a pipe, the error is a DataError that names only the file."""
-    done = 0  # the lines yielded from the first reading
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for done, line in enumerate(fh, start=1):
-                yield done, line
-            return
-        except UnicodeDecodeError as exc:
-            message = f"can't decode byte 0x{exc.object[exc.start]:02x} as UTF-8 ({exc.reason})"
-    if os.path.isfile(path):
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if _ESCAPED_BYTE.search(line):
-                    raise error(message, line=line_no, path=path) from None
-                if line_no > done:
-                    yield line_no, line
-    raise DataError(f"{os.fspath(path)}: {message}") from None
+    one. The file is read once, so a pipe is located as a regular file is."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    # an escaped byte: the line's own bytes, strictly decoded, locate it
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise error(f"can't decode byte 0x{exc.object[exc.start]:02x} "
+                                    f"as UTF-8 ({exc.reason})", line=line_no, path=path) from None
+            yield line_no, line

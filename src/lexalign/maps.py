@@ -9,6 +9,8 @@ is flipped with it, which leaves every product this package uses unchanged.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,44 +226,42 @@ def save_maps(maps, path) -> None:
 
 
 def load_maps(path) -> list[LinearMap]:
-    """Read the maps save_maps wrote, in order. Any defect raises a DataError
-    whose message starts with the file; where the line is known, it is a
-    LocatedError, "<path>: line N: <what>"."""
-    lines = [line.rstrip("\n") for _, line in read_lines(path)]
+    """Read the maps save_maps wrote, in order, one block at a time, so the
+    first bad line of the file is the one reported. Any defect raises a
+    DataError whose message starts with the file; where the line is known, it
+    is a LocatedError, "<path>: line N: <what>"."""
     maps = []
-    pos = 0
-    while pos < len(lines):
-        if not lines[pos].strip():
-            pos += 1
-            continue
-        header = lines[pos].split()
-        try:
-            kind, d_in, d_out = header
-            d_in, d_out = int(d_in), int(d_out)
-        except ValueError:
-            raise LocatedError(f"bad map header {lines[pos]!r}", pos + 1, path) from None
-        block = lines[pos + 1: pos + 1 + d_in]
-        if len(block) != d_in:
-            raise LocatedError("map block is truncated", pos + 1, path)
-        rows = []
-        for line_no, row in enumerate(block, start=pos + 2):
+    with contextlib.closing(read_lines(path)) as lines:
+        for header_no, line in lines:
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
             try:
-                values = [float(value) for value in row.split()]
-            except ValueError as exc:
-                raise LocatedError(f"bad map value: {exc}", line_no, path) from None
-            if len(values) != d_out:
-                raise LocatedError(f"map row has {len(values)} values, header says {d_out}",
-                                   line_no, path)
-            rows.append(values)
-        matrix = np.array(rows, dtype=np.float64)
-        if matrix.shape != (d_in, d_out):
-            raise LocatedError(f"map block has shape {matrix.shape}, "
-                               f"header says ({d_in}, {d_out})", pos + 1, path)
-        try:
-            maps.append(LinearMap(matrix, kind))
-        except (DataError, ValueError) as exc:
-            raise LocatedError(str(exc), pos + 1, path) from None
-        pos += 1 + d_in
+                kind, d_in, d_out = line.split()
+                d_in, d_out = int(d_in), int(d_out)
+            except ValueError:
+                raise LocatedError(f"bad map header {line!r}", header_no, path) from None
+            block = list(itertools.islice(lines, max(d_in, 0)))
+            if len(block) != d_in:
+                raise LocatedError("map block is truncated", header_no, path)
+            rows = []
+            for line_no, row in block:
+                try:
+                    values = [float(value) for value in row.split()]
+                except ValueError as exc:
+                    raise LocatedError(f"bad map value: {exc}", line_no, path) from None
+                if len(values) != d_out:
+                    raise LocatedError(f"map row has {len(values)} values, header says {d_out}",
+                                       line_no, path)
+                rows.append(values)
+            matrix = np.array(rows, dtype=np.float64)
+            if matrix.shape != (d_in, d_out):
+                raise LocatedError(f"map block has shape {matrix.shape}, "
+                                   f"header says ({d_in}, {d_out})", header_no, path)
+            try:
+                maps.append(LinearMap(matrix, kind))
+            except (DataError, ValueError) as exc:
+                raise LocatedError(str(exc), header_no, path) from None
     if not maps:
         raise DataError(f"{path}: no maps found")
     return maps

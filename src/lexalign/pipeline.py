@@ -108,13 +108,14 @@ class PipelineConfig:
                 raise DataError(f"config key {key} must not be an empty string")
         if any(t.dict_direction not in DICT_DIRECTIONS for t in cfg.targets):
             raise DataError(f"dict_direction must be one of {DICT_DIRECTIONS}")
-        cfg.sources = check_method(cfg.method, cfg.reference.lang,
-                                   [t.lang for t in cfg.targets], cfg.sources or [])
+        # before check_method, which refuses any reduce_dim with a method other than multistep
+        if cfg.reduce_dim is not None and cfg.reduce_dim < 1:
+            raise DataError("reduce_dim must be positive")
+        cfg.sources = check_method(cfg.method, cfg.reference.lang, [t.lang for t in cfg.targets],
+                                   cfg.sources or [], cfg.reduce_dim)
         cfg.normalize = list(check_steps(cfg.normalize))
         if cfg.reweight_p < 0.0:
             raise DataError("reweight_p must be >= 0")
-        if cfg.reduce_dim is not None and cfg.reduce_dim < 1:
-            raise DataError("reduce_dim must be positive")
         if cfg.max_words is not None and cfg.max_words < 1:
             raise DataError("max_words must be positive")
         if cfg.split:
@@ -190,11 +191,12 @@ def read_dictionary(path, ref_lang: str, lang: str, direction: str) -> Dictionar
 def fit_files(method: str, reference, targets, dictionaries: dict, steps=(),
               max_words=None, lowercase=False, sources=(), **fit_params) -> MultiSpace:
     """fit_method over (path, lang) files, after check_method has accepted the
-    target list as given, so a repeated target is caught. dictionaries maps
-    each target language to its pairs. No space is kept here: fit_method
-    consumes each one, so every input goes once its output exists."""
+    target list as given, so a repeated target is caught, and fit_params.
+    dictionaries maps each target language to its pairs. fit_method consumes
+    every space, so each input goes once its output exists."""
     ref_lang = reference[1]
-    sources = check_method(method, ref_lang, [lang for _, lang in targets], sources)
+    sources = check_method(method, ref_lang, [lang for _, lang in targets], sources,
+                           fit_params.get("reduce_dim"), fit_params.get("all_combinations", False))
     spaces = {lang: load_space(path, lang, steps, max_words, lowercase)
               for path, lang in [reference, *targets]}
     return fit_method(method, ref_lang, spaces, dictionaries, sources=sources, **fit_params)

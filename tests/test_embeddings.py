@@ -134,19 +134,23 @@ class TestLoad:
             load_embeddings(p)
         assert (err.value.code, err.value.line) == (code, line)
 
-    def test_non_utf8_byte_in_a_pipe_names_the_file(self, tmp_path):
-        # a pipe cannot be read again to find the line
+    @pytest.mark.parametrize("data, code, line, message", [
+        (b"1 1\n\xff 1\n", "encoding", 2, "can't decode byte 0xff as UTF-8 (invalid start byte)"),
+        (b"2 1\na 1 2\n\xff 1\n", "arity", 2, "expected 2 fields, found 3"),
+    ], ids=["encoding", "arity-above"])
+    def test_non_utf8_byte_in_a_pipe_is_located(self, tmp_path, data, code, line, message):
+        # a pipe is read once, as a regular file is
         p = tmp_path / "en.vec"
         os.mkfifo(p)
-        writer = threading.Thread(target=p.write_bytes, args=(b"1 1\n\xff 1\n",))
+        writer = threading.Thread(target=p.write_bytes, args=(data,))
         writer.start()
         try:
-            with pytest.raises(DataError) as err:
+            with pytest.raises(EmbeddingParseError) as err:
                 load_embeddings(p)
         finally:
             writer.join()
-        assert not isinstance(err.value, EmbeddingParseError)
-        assert str(err.value).startswith(f"{p}: can't decode byte 0xff")
+        assert (err.value.code, err.value.line) == (code, line)
+        assert str(err.value) == f"{p}: line {line}: {message}"
 
     def test_empty_vocabulary(self, tmp_path):
         p = write(tmp_path / "en.vec", "0 3\n")

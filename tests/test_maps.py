@@ -91,6 +91,22 @@ class TestMapIO:
             assert str(path) in str(info.value) and line in str(info.value), body
 
 
+    @pytest.mark.parametrize("body, message", [
+        (b"orthogonal 2\n\xff\n", "line 1: bad map header 'orthogonal 2'"),
+        # the second block's header is bad; the byte below it is never read
+        (b"orthogonal 1 1\n1\n\nwhitening 1\n\xff\n1\n",
+         "line 4: bad map header 'whitening 1'"),
+    ], ids=["header-above-byte", "second-header-above-byte"])
+    def test_first_bad_line_is_reported(self, tmp_path, body, message):
+        """Maps are read block by block, so a bad header is reported before
+        a byte that is not UTF-8 below it."""
+        path = tmp_path / "bad.map"
+        path.write_bytes(body)
+        with pytest.raises(DataError) as info:
+            load_maps(path)
+        assert str(info.value) == f"{path}: {message}"
+
+
 class TestBuildPaired:
     def test_gathers_in_dictionary_order(self):
         src = VocabEmbedding("aa", ("x", "y"), np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -517,9 +517,9 @@ class TestCli:
             "config.json", "xx.vec", "zz-xx.tsv", "zz.vec"]
 
     def test_valid_config_values_keep_their_canonical_form(self, rotation_files, tmp_path):
-        cfg = {**base_config(rotation_files, tmp_path / "x"), "reweight_p": 1, "reduce_dim": 3,
-               "normalize": ["unit"], "lowercase": True, "clean_dicts": False,
-               "max_words": 30, "seed": 4, "split": {"test_size": 5}}
+        cfg = {**base_config(rotation_files, tmp_path / "x"), "method": "multistep",
+               "reweight_p": 1, "reduce_dim": 3, "normalize": ["unit"], "lowercase": True,
+               "clean_dicts": False, "max_words": 30, "seed": 4, "split": {"test_size": 5}}
         cfg["eval"] = {**cfg["eval"], "ks": [10, 1, 5, 1]}
         canonical = PipelineConfig.from_dict(cfg).canonical()
         assert json.dumps({key: canonical[key] for key in (
@@ -557,6 +557,34 @@ class TestCli:
                         "--out-dir", str(tmp_path / "multi"))
         assert code == 2
         assert not (tmp_path / "multi").exists()
+
+    def test_align_reduce_dim_needs_multistep(self, rotation_files, tmp_path, caplog):
+        files, out = rotation_files, tmp_path / "xx.aligned.vec"
+        code = self.run("align", "--ref", str(files["ref"]), "--other", str(files["other"]),
+                        "--dict", str(files["dict"]), "--out", str(out),
+                        "--method", "orthogonal", "--reduce-dim", "3")
+        assert code == 2
+        assert "reduce_dim only applies to method multistep" in caplog.text
+        assert not out.exists() and not (tmp_path / "xx.aligned.vec.map").exists()
+
+    def test_align_multi_all_combinations_needs_meemi_multi(self, rotation_files, tmp_path,
+                                                            caplog):
+        files = rotation_files
+        code = self.run("align-multi", "--ref", str(files["ref"]),
+                        "--pair", f"xx:{files['other']}:{files['dict']}",
+                        "--method", "orthogonal", "--all-combinations",
+                        "--out-dir", str(tmp_path / "multi"))
+        assert code == 2
+        assert "all_combinations only applies to method meemi-multi" in caplog.text
+        assert not (tmp_path / "multi").exists()
+
+    def test_run_reduce_dim_needs_multistep(self, rotation_files, tmp_path, caplog):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**base_config(rotation_files, tmp_path / "x"),
+                                        "reduce_dim": 3}), encoding="utf-8")
+        assert self.run("run", "--config", str(cfg_path)) == 2
+        assert "reduce_dim only applies to method multistep" in caplog.text
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["align", "align-multi"])
     def test_empty_language_exits_two(self, rotation_files, tmp_path, caplog, command):
