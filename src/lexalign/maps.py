@@ -10,6 +10,8 @@ is flipped with it, which leaves every product this package uses unchanged.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -21,6 +23,8 @@ MAP_KINDS = ("orthogonal", "unconstrained", "whitening", "composite")
 
 # ||A^T (A W - B)||_F <= RESIDUAL_RTOL * ||A^T B||_F is the solver contract
 RESIDUAL_RTOL = 1e-6
+
+_LAPACK_COL_MAJOR = 102
 
 
 @dataclass(frozen=True)
@@ -145,12 +149,74 @@ def procrustes(pm: PairedMatrices) -> LinearMap:
     return LinearMap(u @ v.T, "orthogonal")
 
 
+@functools.cache
+def _lapacke():
+    """numpy's own LAPACKE dpotrf and dpotrs, or None where numpy lacks them.
+
+    numpy's Linux and Windows wheels link a 64-bit-integer OpenBLAS whose
+    LAPACKE entry points carry a "scipy_" prefix and a "64_" suffix; a
+    lookup on numpy's linalg extension finds them among the libraries it
+    already loaded. Other builds (conda with MKL, macOS Accelerate, numpy
+    built from source) return None.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        potrf = lib.scipy_LAPACKE_dpotrf64_
+        potrs = lib.scipy_LAPACKE_dpotrs64_
+    except (AttributeError, OSError):
+        return None
+    matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+    c_int64 = ctypes.c_int64
+    potrf.argtypes = [ctypes.c_int, ctypes.c_char, c_int64, matrix, c_int64]
+    potrf.restype = c_int64
+    potrs.argtypes = [ctypes.c_int, ctypes.c_char, c_int64, c_int64, matrix, c_int64,
+                      matrix, c_int64]
+    potrs.restype = c_int64
+    return potrf, potrs
+
+
+def _cholesky_solve(ata, atb) -> np.ndarray:
+    """scipy.linalg.cho_solve(scipy.linalg.cho_factor(ata), atb), on numpy's LAPACK.
+
+    Makes the same LAPACK calls as scipy's defaults (upper factor, on
+    Fortran-order copies, finite inputs only) for a 2-d atb and returns the
+    same Fortran-order solution. A matrix that is not positive definite raises
+    np.linalg.LinAlgError. Where numpy has no LAPACKE, scipy.linalg does
+    the solve.
+    """
+    lapacke = _lapacke()
+    if lapacke is None:
+        import scipy.linalg
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(ata), atb)
+    potrf, potrs = lapacke
+    factor = np.array(np.asarray_chkfinite(ata), order="F")
+    if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
+        raise ValueError(f"cannot factor a matrix of shape {factor.shape}")
+    n = factor.shape[0]
+    if n:
+        info = potrf(_LAPACK_COL_MAJOR, b"U", n, factor, n)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
+        if info < 0:
+            raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpotrf")
+    solution = np.array(np.asarray_chkfinite(atb), order="F")
+    if solution.ndim != 2 or solution.shape[0] != n:
+        raise ValueError(f"right-hand sides of shape {solution.shape} do not match {factor.shape}")
+    if solution.size:
+        info = potrs(_LAPACK_COL_MAJOR, b"U", n, solution.shape[1], factor, n, solution, n)
+        if info:
+            raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpotrs")
+    return solution
+
+
 def least_squares_map(A, B) -> LinearMap:
     """The unconstrained map minimizing ||A W - B||_F.
 
-    Solves the normal equations by Cholesky. When A^T A is not positive
-    definite, or the factorization fails the residual contract, falls back to
-    the SVD minimum-norm solution.
+    Solves the normal equations by Cholesky, through the LAPACKE in numpy's
+    own OpenBLAS where the numpy wheel has one and through scipy.linalg
+    elsewhere. When A^T A is not positive definite, or the factorization
+    fails the residual contract, falls back to the SVD minimum-norm solution.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -160,17 +226,13 @@ def least_squares_map(A, B) -> LinearMap:
         raise DataError("least squares needs at least one row")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise DataError("non-finite values in least-squares inputs")
-    # imported here, not at module level: scipy.linalg takes most of a CLI
-    # start, and only this solve needs it
-    import scipy.linalg
-
     ata = A.T @ A
     atb = A.T @ B
     try:
-        W = scipy.linalg.cho_solve(scipy.linalg.cho_factor(ata), atb)
+        W = _cholesky_solve(ata, atb)
         residual = np.linalg.norm(ata @ W - atb)
         solved = residual <= RESIDUAL_RTOL * max(np.linalg.norm(atb), np.finfo(float).tiny)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         solved = False
     if not solved:
         W, _, _, _ = np.linalg.lstsq(A, B, rcond=None)

@@ -299,8 +299,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             emit("report.txt").write_text(render_report(reports, "table"),
                                           encoding="utf-8")
 
-    # imported here, not at module level: a run without a Meemi fit needs
-    # scipy only for this version string
+    # imported here, not at module level: a run needs scipy only for this
+    # version string, unless numpy's LAPACK lacks what a Meemi fit solves with
     import scipy
 
     canonical = cfg.canonical()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from lexalign import maps
 from lexalign import (DataError, DictionaryPairs, LinearMap, PairedMatrices,
                       VocabEmbedding, build_paired_matrices, cross_covariance_svd,
                       least_squares_map, load_maps, procrustes, save_maps,
@@ -254,18 +257,17 @@ class TestLeastSquares:
     def test_failed_residual_check_falls_back_to_lstsq(self, monkeypatch):
         # a Cholesky solve that returns a wrong solution fails the residual
         # check, and the map is then the SVD minimum-norm solution, bit for bit
-        import scipy.linalg
         rng = np.random.default_rng(10)
         a = rng.normal(size=(30, 5))
         b = rng.normal(size=(30, 3))
-        solve = scipy.linalg.cho_solve
+        solve = maps._cholesky_solve
         calls = []
 
-        def wrong_solve(factor, rhs):
-            calls.append(rhs.shape)
-            return solve(factor, rhs) + 1.0
+        def wrong_solve(ata, atb):
+            calls.append(atb.shape)
+            return solve(ata, atb) + 1.0
 
-        monkeypatch.setattr(scipy.linalg, "cho_solve", wrong_solve)
+        monkeypatch.setattr(maps, "_cholesky_solve", wrong_solve)
         w = least_squares_map(a, b)
         assert calls == [(5, 3)]
         assert w.matrix.tobytes() == np.linalg.lstsq(a, b, rcond=None)[0].tobytes()
@@ -273,6 +275,54 @@ class TestLeastSquares:
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             least_squares_map(np.ones((3, 2)), np.ones((4, 2)))
+
+
+@st.composite
+def normal_equations(draw):
+    """(A, B) with A^T A positive definite, near-singular (two columns a
+    relative 1e-9 apart) or singular (a repeated or zero column), widths
+    from 0, and from 1 to 4 right-hand sides."""
+    rows = draw(st.integers(1, 40))
+    width = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(rows, width))
+    kind = draw(st.sampled_from(["spd", "near-singular", "repeated", "zero"]))
+    if width >= 2 and kind == "near-singular":
+        a[:, 1] = a[:, 0] * (1.0 + 1e-9)
+    elif width >= 2 and kind == "repeated":
+        a[:, 1] = a[:, 0]
+    elif width >= 1 and kind == "zero":
+        a[:, -1] = 0.0
+    return a, rng.normal(size=(rows, draw(st.integers(1, 4))))
+
+
+def outcome(solve, *args):
+    """The bytes, shape and memory order solve returns, or the type it raises."""
+    try:
+        x = solve(*args)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        return type(exc)
+    return x.tobytes(), x.shape, x.flags.c_contiguous, x.flags.f_contiguous
+
+
+@pytest.mark.skipif(maps._lapacke() is None,
+                    reason="this numpy's LAPACK has no 64-bit-integer LAPACKE")
+@settings(max_examples=200, deadline=None)
+@given(normal_equations())
+def test_cholesky_solve_on_numpys_lapack_is_scipys_bit_for_bit(system):
+    """numpy's LAPACKE and scipy.linalg give the same solution bits and
+    layout, or raise the same error, so least_squares_map writes the same
+    map either way. The bitwise match depends on both OpenBLAS builds, and
+    was checked with numpy's OpenBLAS 0.3.31 (64-bit integers) beside
+    scipy's OpenBLAS 0.3.30."""
+    a, b = system
+    ata, atb = a.T @ a, a.T @ b
+    assert outcome(maps._cholesky_solve, ata, atb) == outcome(
+        lambda m, r: scipy.linalg.cho_solve(scipy.linalg.cho_factor(m), r), ata, atb)
+    fast = least_squares_map(a, b).matrix.tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_lapacke", lambda: None)
+        assert least_squares_map(a, b).matrix.tobytes() == fast
 
 
 class TestWhitening:

@@ -62,7 +62,8 @@ def pairs(count):
 @pytest.mark.parametrize("fit", ["orthogonal", "meemi"])
 def test_fits_free_their_paired_rows_before_any_output(fit):
     reference, other = spaces(1)
-    # the least-squares solve imports scipy.linalg on first use
+    # the first least-squares solve looks up numpy's LAPACKE, or imports
+    # scipy.linalg where numpy has none
     meemi_bilingual(align_orthogonal(reference, other, pairs(100)), pairs(100))
 
     def peak(count):
@@ -159,7 +160,7 @@ def test_commands_drop_each_input_once_its_output_exists(command_inputs, command
     # three spaces at most (a finished side, an input and the output made
     # from it), plus its maps; eval holds both spaces, divides its target in
     # place and adds the query rows. The command runs once unmeasured first,
-    # so that one-time allocations (scipy.linalg, imported by the first Meemi
+    # so that one-time allocations (the LAPACK lookup of the first Meemi
     # solve, among them) count at neither width, whichever row runs first
     assert main(command_argv(command_inputs, command, method, COMMAND_DIM)) == 0
     peaks = []
