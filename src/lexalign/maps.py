@@ -153,11 +153,9 @@ def procrustes(pm: PairedMatrices) -> LinearMap:
 def _lapacke():
     """numpy's own LAPACKE dpotrf and dpotrs, or None where numpy lacks them.
 
-    numpy's Linux and Windows wheels link a 64-bit-integer OpenBLAS whose
-    LAPACKE entry points carry a "scipy_" prefix and a "64_" suffix; a
-    lookup on numpy's linalg extension finds them among the libraries it
-    already loaded. Other builds (conda with MKL, macOS Accelerate, numpy
-    built from source) return None.
+    numpy's Linux and Windows wheels link an OpenBLAS with 64-bit integers
+    whose LAPACKE names carry a "scipy_" prefix and a "64_" suffix; they are
+    looked up through numpy's linalg extension, so no library is loaded.
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
@@ -168,45 +166,39 @@ def _lapacke():
     matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
     c_int64 = ctypes.c_int64
     potrf.argtypes = [ctypes.c_int, ctypes.c_char, c_int64, matrix, c_int64]
-    potrf.restype = c_int64
     potrs.argtypes = [ctypes.c_int, ctypes.c_char, c_int64, c_int64, matrix, c_int64,
                       matrix, c_int64]
-    potrs.restype = c_int64
+    potrf.restype = potrs.restype = c_int64
     return potrf, potrs
 
 
 def _cholesky_solve(ata, atb) -> np.ndarray:
-    """scipy.linalg.cho_solve(scipy.linalg.cho_factor(ata), atb), on numpy's LAPACK.
+    """scipy.linalg.cho_solve(scipy.linalg.cho_factor(ata), atb) for a 2-d atb.
 
-    Makes the same LAPACK calls as scipy's defaults (upper factor, on
-    Fortran-order copies, finite inputs only) for a 2-d atb and returns the
-    same Fortran-order solution. A matrix that is not positive definite raises
-    np.linalg.LinAlgError. Where numpy has no LAPACKE, scipy.linalg does
-    the solve.
+    Makes the LAPACK calls scipy makes by default (upper factor, Fortran-order
+    copies, finite inputs only) in numpy's LAPACKE, and returns the same
+    Fortran-order solution. A matrix that is not positive definite raises
+    np.linalg.LinAlgError. Where numpy has no LAPACKE, scipy.linalg solves.
     """
     lapacke = _lapacke()
     if lapacke is None:
         import scipy.linalg
         return scipy.linalg.cho_solve(scipy.linalg.cho_factor(ata), atb)
     potrf, potrs = lapacke
+    n = len(ata)
+    if np.shape(ata) != (n, n) or np.ndim(atb) != 2 or len(atb) != n:
+        raise ValueError(f"cannot solve shapes {np.shape(ata)} and {np.shape(atb)}")
+    lda = max(n, 1)  # LAPACK's minimum, also for n = 0
     factor = np.array(np.asarray_chkfinite(ata), order="F")
-    if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
-        raise ValueError(f"cannot factor a matrix of shape {factor.shape}")
-    n = factor.shape[0]
-    if n:
-        info = potrf(_LAPACK_COL_MAJOR, b"U", n, factor, n)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"{info}-th leading minor of the array is not positive definite")
-        if info < 0:
-            raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpotrf")
+    info = potrf(_LAPACK_COL_MAJOR, b"U", n, factor, lda)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpotrf")
     solution = np.array(np.asarray_chkfinite(atb), order="F")
-    if solution.ndim != 2 or solution.shape[0] != n:
-        raise ValueError(f"right-hand sides of shape {solution.shape} do not match {factor.shape}")
-    if solution.size:
-        info = potrs(_LAPACK_COL_MAJOR, b"U", n, solution.shape[1], factor, n, solution, n)
-        if info:
-            raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpotrs")
+    info = potrs(_LAPACK_COL_MAJOR, b"U", n, solution.shape[1], factor, lda, solution, lda)
+    if info:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info} of dpotrs")
     return solution
 
 

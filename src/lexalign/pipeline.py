@@ -299,8 +299,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             emit("report.txt").write_text(render_report(reports, "table"),
                                           encoding="utf-8")
 
-    # imported here, not at module level: a run needs scipy only for this
-    # version string, unless numpy's LAPACK lacks what a Meemi fit solves with
+    # imported here, not at module level: where numpy has the LAPACKE that
+    # maps._lapacke finds, a run needs scipy only for this version string
     import scipy
 
     canonical = cfg.canonical()
