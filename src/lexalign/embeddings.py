@@ -133,19 +133,32 @@ _LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
 _EXACT_INT = 2.0 ** 52
 
 
+def _arity_error(body: str, dim: int, line_no: int, path) -> EmbeddingParseError:
+    """The error for a row whose body (the text after the word and its
+    space, "" when there is none) does not hold dim fields."""
+    found = body.count(" ") + 2 if body else 1
+    return EmbeddingParseError(f"expected {dim + 1} fields, found {found}", code="arity",
+                               line=line_no, path=path)
+
+
 def _parse_bodies(bodies: list[str], line_nos: list[int], dim: int,
                   path=None) -> np.ndarray:
     """Parse row bodies ("v1 ... v_dim") into a (len(bodies), dim) matrix.
 
-    One np.loadtxt call does the work. If it fails, returns the wrong shape or a
-    non-finite value, the chunk is parsed again row by row with the reference
-    np.array(tokens, dtype=float64): that names the first bad line, and it
-    accepts the tokens float() takes but loadtxt refuses ("1_0", non-ASCII
-    digits). Where loadtxt accepts a row, its values are bitwise the reference's.
-    path is the file the rows come from, for the error message.
+    One np.loadtxt call does the work, and its field count is the only one a
+    good chunk gets: it splits each body on single spaces, refuses an empty
+    field and a row of another length, and its shape must be (rows, dim). If
+    it fails, returns the wrong shape or a non-finite value, the chunk is
+    parsed again row by row: a body without dim - 1 spaces is an "arity"
+    error, and the rest go through the reference np.array(tokens,
+    dtype=float64). That names the first bad line, and it accepts the tokens
+    float() takes but loadtxt refuses ("1_0", non-ASCII digits). Where
+    loadtxt accepts a row, its values are bitwise the reference's. path is
+    the file the rows come from, for the error message.
     """
     text = "\n".join(bodies)
-    if not any(c in text for c in _LOADTXT_ONLY_SPACE):
+    # loadtxt skips an empty body (a row with no value), and warns when none is left
+    if "" not in bodies and not any(c in text for c in _LOADTXT_ONLY_SPACE):
         try:
             block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
         except ValueError:
@@ -155,6 +168,8 @@ def _parse_bodies(bodies: list[str], line_nos: list[int], dim: int,
                 return block
     block = np.empty((len(bodies), dim))
     for i, (body, line_no) in enumerate(zip(bodies, line_nos)):
+        if body.count(" ") != dim - 1 or not body:
+            raise _arity_error(body, dim, line_no, path)
         try:
             block[i] = np.array(body.split(" "), dtype=np.float64)
         except ValueError as exc:
@@ -235,17 +250,18 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
                 if read == count:
                     raise EmbeddingParseError(f"more rows than the header's {count}",
                                               code="header", line=line_no, path=path)
-                if line.count(" ") != dim:
-                    raise EmbeddingParseError(
-                        f"expected {dim + 1} fields, found {line.count(' ') + 1}",
-                        code="arity", line=line_no, path=path)
+                # a kept row's fields are counted when its chunk is parsed
                 if not single_token(word):
+                    if line.count(" ") != dim:
+                        raise _arity_error(body, dim, line_no, path)
                     raise EmbeddingParseError(f"bad word field {word!r}", code="arity",
                                               line=line_no, path=path)
                 read += 1
                 if lowercase:
                     word = word.lower()
                 if word in words:
+                    if line.count(" ") != dim:  # a folded row is never parsed
+                        raise _arity_error(body, dim, line_no, path)
                     continue
                 words[word] = None
                 bodies.append(body)
@@ -314,12 +330,14 @@ def _format_block(block: np.ndarray, decimals: int) -> list[bytes | None]:
         n = q
     buf[..., -1] = ord(" ")
     buf[:, -1, -1] = ord("\n")
-    flat = buf.reshape(len(block), -1)
-    keep = flat != 0
-    data = flat[keep].tobytes()
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    return [None if bad else data[start:end]
-            for bad, start, end in zip(python.any(axis=1).tolist(), [0] + ends, ends)]
+    return _row_bytes(buf.reshape(len(block), -1), python.any(axis=1))
+
+
+def _row_bytes(rows: np.ndarray, python: np.ndarray) -> list[bytes | None]:
+    """Each row of the uint8 array rows as bytes with its zero bytes (the
+    padding) dropped, or None where python is true."""
+    return [None if bad else row.tobytes().translate(None, b"\0")
+            for bad, row in zip(python.tolist(), rows)]
 
 
 def save_embeddings(emb: VocabEmbedding, path, decimals: int = 6) -> None:

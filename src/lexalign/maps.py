@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embeddings import _row_bytes
 from .errors import DataError, LocatedError, read_lines
 
 MAP_KINDS = ("orthogonal", "unconstrained", "whitening", "composite")
@@ -218,8 +219,11 @@ def least_squares_map(A, B) -> LinearMap:
         raise DataError("least squares needs at least one row")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise DataError("non-finite values in least-squares inputs")
-    ata = A.T @ A
-    atb = A.T @ B
+    with np.errstate(over="ignore", invalid="ignore"):
+        ata = A.T @ A
+        atb = A.T @ B
+    if not (np.isfinite(ata).all() and np.isfinite(atb).all()):
+        raise DataError("least-squares inputs too large: A^T A or A^T B overflows")
     try:
         W = _cholesky_solve(ata, atb)
         residual = np.linalg.norm(ata @ W - atb)
@@ -265,18 +269,173 @@ def spd_inverse(M: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
+# Values per formatted block in save_maps, in whole rows: the block's
+# temporaries stay below save_embeddings' block temporaries.
+_MAP_VALUES = 1 << 12
+# uint32 words per value in _format_g17's output
+_SLOT = 7
+# value classes in _format_g17: a decimal exponent of -6 ... -1 (classes
+# 0 ... 5; 0 and 1 print an exponent), a zero, or a value Python formats
+_ZERO_CLASS, _PYTHON_CLASS = 6, 7
+
+
+def _words(text: str) -> np.ndarray:
+    """text's bytes as uint32 words, 4 characters each ("\0" pads)."""
+    return np.frombuffer(text.encode("latin-1"), np.uint8).view(np.uint32)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a == hi + lo, each half with at most 26 bits."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _head(cls: int) -> str:
+    """The two characters after the sign in a value's first word."""
+    if cls < 2 or cls == _PYTHON_CLASS:
+        return "\0\0"
+    return "0." if cls < _ZERO_CLASS else "0\0"
+
+
+def _lead(cls: int, digit: str, more: bool) -> str:
+    """A value's second word: the zeros after the point and the leading
+    digit, or with an exponent the leading digit and a point if more digits
+    follow."""
+    if cls < 2:
+        return "\0\0" + digit + ("." if more else "\0")
+    if cls < _ZERO_CLASS:
+        return ("0" * (5 - cls)).ljust(3, "\0") + digit
+    return "\0" * 4
+
+
+@functools.cache
+def _g17_tables():
+    """The lookup tables of _format_g17, built on its first use: the exact
+    powers 10**p (0 <= p <= 22) and their Veltkamp halves, then its words."""
+    pow10 = np.array([float(10 ** p) for p in range(23)])
+    # each group below 10**4, then each again with its trailing zeros as "\0"
+    text = [f"{i:04d}" for i in range(10 ** 4)]
+    groups = _words("".join(text) + "".join(t.rstrip("0").ljust(4, "\0") for t in text))
+    heads = _words("".join(sep + sign + _head(cls) for sep in "\0 " for sign in "\0-"
+                           for cls in range(8)))
+    leads = _words("".join(_lead(cls, digit, more) for cls in range(8)
+                           for digit in "0123456789" for more in (False, True)))
+    suffixes = _words("e-06e-05" + "\0" * 24)
+    return (pow10, *_split(pow10), groups, heads, leads, suffixes)
+
+
+def _format_g17(block: np.ndarray, out: np.ndarray) -> None:
+    """Write block's rows into out[:, :-1], each value as the bytes of
+    "%.17g" % v in 7 uint32 words with "\0" as padding: the separator ("\0"
+    in the first column, " " elsewhere), the sign and "0." or "0"; the zeros
+    after the point and the leading digit; four words of four digits, whose
+    trailing zeros at the end are padding; and "e-05", "e-06" or padding.
+
+    Why this is exact: for 1e-6 <= |x| < 1e16 take E = floor(log10|x|) as
+    numpy computes it and p = 16 - E, clipped to 0 <= p <= 22 so that 10**p
+    is an exact double. Dekker's product of |x| and 10**p, built from
+    Veltkamp splits without a fused multiply-add, gives hi + lo == |x| *
+    10**p exactly: nothing overflows or underflows at these sizes. When that
+    product lies in [10**16, 10**17), decided from hi and the sign of lo, E
+    is the decimal exponent of x, and hi, above 2**53, is an even integer. So
+    N = hi + rint(lo) is the integer nearest the product, half to even: the
+    17 significant digits Python's correctly rounded "%.17g" prints. N ==
+    10**17 carries into the exponent. "%g" prints N's digits without their
+    trailing zeros, after "0." and -E - 1 zeros for -4 <= E < 0 and with
+    "e-05" or "e-06" below, and a zero as "0" or "-0". Every other value (an
+    exponent of 0 or more or below -6, a log10 off by one next to a power of
+    ten, or a value that is not finite) is formatted by Python in its slot.
+    """
+    pow10, pow10_hi, pow10_lo, groups, heads, leads, suffixes = _g17_tables()
+    rows, cols = block.shape
+    x = block.ravel()
+    a = np.abs(x)
+    inside = (a >= 1e-6) & (a < 1e16)
+    zero = a == 0.0
+    a[~inside] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    p = 16 - np.maximum(e, -6, out=e)  # log10 of a double below 1e16 is at most 16
+    a_hi, a_lo = _split(a)
+    hi = a * pow10.take(p)
+    b_hi = pow10_hi.take(p)
+    lo = a_hi * b_hi - hi
+    lo += a_lo * b_hi
+    b_lo = pow10_lo.take(p)
+    lo += a_hi * b_lo
+    lo += a_lo * b_lo
+    ok = inside & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0.0))) \
+        & ((hi < 1e17) | ((hi == 1e17) & (lo < 0.0)))
+    n = hi.astype(np.int64)
+    n += np.rint(lo).astype(np.int64)
+    carry = n == 10 ** 17
+    n[carry] = 10 ** 16
+    e += carry
+    fast = ok & (e < 0)
+    cls = np.add(e, 6, out=e)
+    cls[~fast] = _PYTHON_CLASS
+    cls[zero] = _ZERO_CLASS
+    n[~fast] = 0  # a zero prints only its head; Python's text overwrites the rest
+    n = n.view(np.uint64)
+    top = n // 10 ** 8
+    low = n - top * 10 ** 8
+    lead = top // 10 ** 8
+    mid = top - lead * 10 ** 8
+    g1 = mid // 10 ** 4
+    g3 = low // 10 ** 4
+    g = [d.view(np.int64) for d in (g1, mid - g1 * 10 ** 4, g3, low - g3 * 10 ** 4)]
+    # a group whose following groups are all zero drops its trailing zeros
+    zeros_after = np.ones(len(x), bool)
+    for k in (3, 2, 1, 0):
+        zero_group = g[k] == 0
+        g[k] += zeros_after * 10 ** 4
+        zeros_after &= zero_group
+    words = out[:, :cols]
+    key = (np.signbit(x) * 8 + cls).reshape(rows, cols)
+    key[:, 1:] += 16
+    words[..., 0] = heads.take(key)
+    lead = lead.view(np.int64)
+    lead += cls * 10
+    lead *= 2
+    lead += ~zeros_after
+    words[..., 1] = leads.take(lead).reshape(rows, cols)
+    for k in range(4):
+        words[..., 2 + k] = groups.take(g[k]).reshape(rows, cols)
+    words[..., 6] = suffixes.take(np.minimum(cls, 2)).reshape(rows, cols)
+    python = np.flatnonzero(cls == _PYTHON_CLASS)
+    if python.size:
+        text = b"".join((b"%.17g" % v).ljust(4 * _SLOT - 1, b"\0") for v in x[python].tolist())
+        chars = out.view(np.uint8)
+        chars[python // cols, python % cols, 1:] = \
+            np.frombuffer(text, np.uint8).reshape(len(python), -1)
+
+
 def save_maps(maps, path) -> None:
     """Write maps as concatenated text blocks: a "kind d_in d_out" header line,
-    then d_in rows of %.17g values (lossless for doubles)."""
+    then d_in rows of %.17g values (lossless for doubles).
+
+    The bytes are those of "%.17g" % v per value. Blocks of rows are formatted
+    in numpy (see _format_g17 for why that is exact). Python formats each
+    value that is not zero and lies below 1e-6 or at 1 or more in magnitude,
+    and the rare one next to a power of ten whose log10 misleads.
+    """
     maps = list(maps)
     if not maps:
         raise DataError("no maps to save")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    newline = _words("\n\0\0\0")[0]
+    with open(path, "wb") as fh:
         for m in maps:
-            fh.write(f"{m.kind} {m.d_in} {m.d_out}\n")
-            row_fmt = " ".join(["%.17g"] * m.d_out) + "\n"
-            for row in m.matrix.tolist():
-                fh.write(row_fmt % tuple(row))
+            fh.write(f"{m.kind} {m.d_in} {m.d_out}\n".encode())
+            step = max(1, _MAP_VALUES // m.d_out)
+            # one slot past each row's values holds its newline
+            out = np.zeros((min(step, m.d_in), m.d_out + 1, _SLOT), np.uint32)
+            out[:, -1, 0] = newline
+            for start in range(0, m.d_in, step):
+                block = np.ascontiguousarray(m.matrix[start:start + step])
+                rows = out[:len(block)]
+                _format_g17(block, rows)
+                fh.write(b"".join(_row_bytes(rows.view(np.uint8).reshape(len(block), -1),
+                                             np.zeros(len(block), bool))))
 
 
 def load_maps(path) -> list[LinearMap]:

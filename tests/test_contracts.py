@@ -58,6 +58,9 @@ CASES = {
                               DataError, "at least one row"),
     "least-squares-nan": (lambda p: least_squares_map([[NAN, 1.0]], [[1.0, 1.0]]),
                           DataError, "non-finite values"),
+    "least-squares-overflow": (lambda p: least_squares_map([[1e160, 2e160], [3e160, -1e160]],
+                                                           [[1.0, 0.0], [0.0, 1.0]]),
+                               DataError, "A^T A or A^T B overflows"),
     "whitening-no-rows": (lambda p: whitening_transform(np.ones((0, 2))),
                           DataError, "non-empty 2-d"),
     "whitening-nan": (lambda p: whitening_transform([[NAN, 1.0]]),

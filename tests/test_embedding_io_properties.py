@@ -62,14 +62,21 @@ def test_writer_bytes_equal_percent_f(tmp_path, monkeypatch, matrix, decimals, b
 
 # ---------------------------------------------------------------- reader
 
-def reference_load(rows, dim):
+def reference_load(rows, dim, lowercase=False):
     """What the one-row-at-a-time reader returns for the body lines `rows`
-    (lines 2, 3, ...): the matrix, or the (code, line) of the first defect."""
+    (lines 2, 3, ...): the matrix, or the (code, line) of the first defect.
+    Every row's fields are counted; a row whose word folds into an earlier
+    one is not parsed."""
     parsed = []
+    seen = set()
     for line_no, line in enumerate(rows, start=2):
         parts = line.rstrip(" ").split(" ")
         if len(parts) != dim + 1 or parts[0].split() != [parts[0]]:
             return "arity", line_no
+        word = parts[0].lower() if lowercase else parts[0]
+        if word in seen:
+            continue
+        seen.add(word)
         try:
             vec = np.array(parts[1:], dtype=np.float64)
         except ValueError:
@@ -122,10 +129,10 @@ def corrupt(draw, dim, row):
     return " ".join(parts)
 
 
-def load_rows(path, dim, rows):
+def load_rows(path, dim, rows, lowercase=False):
     path.write_text(f"{len(rows)} {dim}\n" + "\n".join(rows) + "\n", encoding="utf-8")
     try:
-        return load_embeddings(path).matrix
+        return load_embeddings(path, lowercase=lowercase).matrix
     except EmbeddingParseError as exc:
         return exc.code, exc.line
 
@@ -165,6 +172,60 @@ def test_two_defects_report_the_earlier_line(tmp_path, monkeypatch, data, body, 
     want = reference_load(rows, dim)
     assert want[1] == first + 2
     assert load_rows(tmp_path / "en.vec", dim, rows) == want
+
+
+@PROPERTY
+@given(data=st.data(), dim=st.integers(1, 4), read_rows=st.integers(1, 5),
+       lowercase=st.booleans())
+def test_a_defect_among_folded_rows_reports_the_reference_error(tmp_path, monkeypatch, data,
+                                                                 dim, read_rows, lowercase):
+    """A kept row's fields are counted when its chunk is parsed and a folded
+    row's as it is read; either way the first bad line is the reference's."""
+    monkeypatch.setattr(embeddings, "_READ_ROWS", read_rows)
+    words = data.draw(st.lists(st.sampled_from(["a", "A", "b", "B", "c"]), min_size=2,
+                               max_size=10))
+    rows = [" ".join([word] + data.draw(st.lists(good_tokens, min_size=dim, max_size=dim)))
+            for word in words]
+    for i in data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=2,
+                                unique=True)):
+        rows[i] = corrupt(data.draw, dim, rows[i])
+    want = reference_load(rows, dim, lowercase)
+    got = load_rows(tmp_path / "en.vec", dim, rows, lowercase)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("read_rows", [1, 2, 1024])
+@pytest.mark.parametrize("later", [b"c 5 6\n", b"\xff 5 6\n"], ids=["past-header", "encoding"])
+def test_an_arity_defect_comes_before_a_later_defect_in_its_chunk(tmp_path, monkeypatch,
+                                                                   read_rows, later):
+    """A row past the header's count or a byte that is not UTF-8 below an
+    arity defect, with both in one chunk of rows or not: the arity defect is
+    reported, as the per-line count reported it."""
+    monkeypatch.setattr(embeddings, "_READ_ROWS", read_rows)
+    path = tmp_path / "en.vec"
+    path.write_bytes(b"2 2\na 1 2\nb 3\n" + later)
+    with pytest.raises(EmbeddingParseError) as err:
+        load_embeddings(path)
+    assert (err.value.code, err.value.line) == ("arity", 3)
+    assert str(err.value) == f"{path}: line 3: expected 3 fields, found 2"
+
+
+@pytest.mark.parametrize("lowercase", [False, True])
+@pytest.mark.parametrize("read_rows", [1, 1024])
+def test_a_folded_row_is_counted_as_it_is_read(tmp_path, monkeypatch, lowercase, read_rows):
+    """A repeated word's row is never parsed, so its fields are counted when
+    it is read: the defect is reported with the line, before a bad value on a
+    later kept row."""
+    monkeypatch.setattr(embeddings, "_READ_ROWS", read_rows)
+    path = tmp_path / "en.vec"
+    repeat = b"A" if lowercase else b"a"
+    path.write_bytes(b"3 2\na 1 2\n" + repeat + b" 1 2 3\nb 1 x\n")
+    with pytest.raises(EmbeddingParseError) as err:
+        load_embeddings(path, lowercase=lowercase)
+    assert str(err.value) == f"{path}: line 3: expected 3 fields, found 4"
 
 
 @pytest.mark.parametrize("read_rows", [1, 2, 1024])

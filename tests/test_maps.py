@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lexalign import maps
 from lexalign import (DataError, DictionaryPairs, LinearMap, PairedMatrices,
@@ -108,6 +108,51 @@ class TestMapIO:
         with pytest.raises(DataError) as info:
             load_maps(path)
         assert str(info.value) == f"{path}: {message}"
+
+
+def tie_values(rng, size):
+    """Doubles whose exact decimal expansion has 18 significant digits, the
+    last a 5: (k + 1/2) * 2**-m halfway between two 17-digit decimals."""
+    values = []
+    for m in rng.integers(2, 26, size).tolist():
+        five = 5 ** m
+        low, high = -(-10 ** 17 // five), min((10 ** 18 - 1) // five, 2 ** 53 - 1)
+        odd = int(rng.integers(low, high + 1)) | 1
+        values.append((odd if odd <= high else odd - 2) * 2.0 ** -m)
+    return np.array(values)
+
+
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-7, 18)])
+MAP_VALUES = {
+    "normal": lambda rng, n: rng.normal(0.0, 0.06, n),
+    "spread": lambda rng, n: 10.0 ** rng.uniform(-8, 17, n),
+    "ties": tie_values,
+    "edges": lambda rng, n: rng.choice([0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300], n),
+    "near-powers-of-ten": lambda rng, n: (lambda p: p + rng.integers(-4, 5, n) * np.spacing(p))(
+        rng.choice(POWERS_OF_TEN, n)),
+}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       classes=st.sets(st.sampled_from(sorted(MAP_VALUES)), min_size=1),
+       fortran=st.booleans(), block_values=st.sampled_from([1, 7, 1 << 12]))
+def test_saved_map_bytes_are_percent_17g_and_load_back_bitwise(
+        tmp_path, monkeypatch, rows, cols, seed, classes, fortran, block_values):
+    monkeypatch.setattr(maps, "_MAP_VALUES", block_values)
+    rng = np.random.default_rng(seed)
+    pools = np.stack([MAP_VALUES[name](rng, rows * cols) for name in sorted(classes)])
+    cells = pools[rng.integers(len(pools), size=rows * cols), np.arange(rows * cols)]
+    matrix = (cells * rng.choice([-1.0, 1.0], rows * cols)).reshape(rows, cols)
+    m = LinearMap(np.asfortranarray(matrix) if fortran else matrix, "unconstrained")
+    path = tmp_path / "w.map"
+    save_maps([m], path)
+    expected = f"unconstrained {rows} {cols}\n" + "".join(
+        " ".join("%.17g" % v for v in row) + "\n" for row in matrix.tolist())
+    assert path.read_bytes() == expected.encode("ascii")
+    (back,) = load_maps(path)
+    assert back.matrix.tobytes() == matrix.tobytes()
 
 
 class TestBuildPaired:

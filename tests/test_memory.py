@@ -13,8 +13,9 @@ import json
 import numpy as np
 import pytest
 
-from lexalign import (DEFAULT_NORMALIZE, DictionaryPairs, VocabEmbedding, align_orthogonal,
-                      load_embeddings, meemi_bilingual, save_embeddings)
+from lexalign import (DEFAULT_NORMALIZE, DictionaryPairs, LinearMap, VocabEmbedding,
+                      align_orthogonal, load_embeddings, meemi_bilingual, save_embeddings,
+                      save_maps)
 from lexalign.cli import main
 from lexalign.pipeline import fit_method, load_space
 
@@ -170,3 +171,9 @@ def test_commands_drop_each_input_once_its_output_exists(command_inputs, command
         peaks.append(peak_bytes(lambda: codes.append(main(argv))))
         assert codes == [0]
     assert (peaks[1] - peaks[0]) / (COMMAND_ROWS * COMMAND_DIM * 8) <= most
+
+
+def test_saving_a_map_allocates_no_full_size_temporary(tmp_path):
+    # save_maps formats a few rows at a time, so its peak does not grow with the map
+    m = LinearMap(np.random.default_rng(0).normal(0.0, 0.06, size=(2000, 300)), "unconstrained")
+    assert peak_bytes(lambda: save_maps([m], tmp_path / "w.map")) < m.matrix.nbytes / 4

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -760,6 +761,25 @@ def test_meemi_writes_the_bytes_meemi_bilingual_writes(tmp_path):
         for suffix in (".vec", ".vec.map"):
             assert (tmp_path / f"cli.{lang}{suffix}").read_bytes() == \
                 (tmp_path / f"lib.{lang}{suffix}").read_bytes()
+
+
+def test_meemi_with_overflowing_normal_equations_is_a_data_error(tmp_path, caplog, capsys):
+    """Finite vectors too large for A^T A in doubles: exit 2 with the
+    overflow named, nothing written, no warning and no traceback."""
+    (tmp_path / "xx.vec").write_text("3 2\na 1e160 2e160\nb 3e160 -1e160\nc 2e160 5e160\n",
+                                     encoding="utf-8")
+    (tmp_path / "zz.vec").write_text("3 2\nx 1 2\ny 3 -1\nz 2 5\n", encoding="utf-8")
+    (tmp_path / "xx-zz.tsv").write_text("a\tx\nb\ty\nc\tz\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["meemi", "--src", str(tmp_path / "xx.vec"), "--tgt", str(tmp_path / "zz.vec"),
+                     "--dict", str(tmp_path / "xx-zz.tsv"), "--out-src", str(out / "xx.vec"),
+                     "--out-tgt", str(out / "zz.vec")]) == 2
+    assert "A^T A or A^T B overflows" in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 BAD_VECTORS = {

@@ -42,8 +42,9 @@ N_LIST = 122  # the dict-build word list
 TRAIN = range(300)
 TEST = range(300, 400)
 
-# each command runs as `lexalign ARGV` unless its argv starts with "load-maps",
-# which reads a map file through the library (no subcommand reads maps). {fix}
+# each command runs as `lexalign ARGV` unless its argv starts with "load-maps"
+# or "resave-maps", which read a map file through the library (no subcommand
+# reads maps) and, for "resave-maps", write it back with save_maps. {fix}
 # is the fixture, {out} the output root and {dir} the command's own directory
 # under it. A third field names a file fed to the command's stdin.
 COMMANDS = [
@@ -176,11 +177,17 @@ COMMANDS = [
     *[(f"load-maps-{name}", ["load-maps", f"{{out}}/{name}/run/{lang}.map"])
       for name, lang in (("run-orth", "tr"), ("run-multistep", "en"), ("run-meemi", "kk"),
                          ("run-meemi-multi", "uz"))],
+    # maps written back: one Python's "%.17g" wrote, and two the runs wrote
+    ("resave-maps-values", ["resave-maps", "{fix}/values.map", "{dir}/values.map"]),
+    *[(f"resave-maps-{name}", ["resave-maps", f"{{out}}/{name}/run/{lang}.map",
+                               f"{{dir}}/{lang}.map"])
+      for name, lang in (("run-multistep", "en"), ("run-meemi", "kk"))],
     # a byte that is not UTF-8 in each kind of text input, and other defects
     *[(f"vec-{name}", ["induce", "--space", f"{{fix}}/defects/{name}.vec", "--lang", "xx",
                        "--word", "a"])
       for name in ("enc", "enc-far", "cr", "header", "arity", "value", "truncated",
-                   "arity-above-byte", "value-above-byte", "header-above-byte")],
+                   "arity-above-byte", "value-above-byte", "header-above-byte",
+                   "arity-above-header", "arity-folded")],
     ("dict-enc", ["dict-clean", "--in", "{fix}/defects/enc.tsv", "--out", "{dir}/clean.tsv"]),
     ("dict-cr", ["dict-clean", "--in", "{fix}/defects/cr.tsv", "--out", "{dir}/clean.tsv"]),
     ("words-enc", ["dict-build", "--words", "{fix}/defects/enc.words", "--cache",
@@ -209,6 +216,14 @@ except DataError as exc:
 for m in maps:
     print(m.kind, m.d_in, m.d_out, hashlib.sha256(m.matrix.tobytes()).hexdigest())
 """
+RESAVE_MAPS = """import hashlib, sys
+from pathlib import Path
+from lexalign import load_maps, save_maps
+save_maps(load_maps(sys.argv[1]), sys.argv[2])
+for path in sys.argv[1:]:
+    print(hashlib.sha256(Path(path).read_bytes()).hexdigest(), Path(path).name)
+"""
+LIBRARY = {"load-maps": LOAD_MAPS, "resave-maps": RESAVE_MAPS}
 
 
 def _words(lang: str) -> list[str]:
@@ -220,6 +235,24 @@ def _write_vectors(path: Path, words, matrix) -> None:
     rows = [f"{w} " + " ".join(f"{v:.6f}" for v in row) for w, row in zip(words, matrix)]
     path.write_text(f"{len(rows)} {matrix.shape[1]}\n" + "\n".join(rows) + "\n",
                     encoding="utf-8")
+
+
+def _write_map_values(path: Path, rng) -> None:
+    """A 40 x 30 "unconstrained" map written with Python's own "%.17g": normal
+    entries, values spread over 1e-8 to 1e17, exact 17-digit ties, zeros of
+    both signs, subnormals, 1e300 and neighbours of powers of ten."""
+    rows, cols = 40, 30
+    size = rows * cols
+    ties = [(int(rng.integers(-(-10 ** 17 // 5 ** m), (10 ** 18 - 1) // 5 ** m)) | 1)
+            * 2.0 ** -m for m in range(13, 26) for _ in range(8)]
+    powers = np.array([float(f"1e{k}") for k in range(-7, 18)])
+    special = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300]
+    values = np.concatenate([rng.normal(0.0, 0.06, size // 2), 10.0 ** rng.uniform(-8, 17, 200),
+                             ties, special, powers + rng.integers(-4, 5, 25) * np.spacing(powers)])
+    values = rng.permutation(np.resize(values, size) * rng.choice([-1.0, 1.0], size))
+    lines = [" ".join("%.17g" % v for v in row) for row in values.reshape(rows, cols).tolist()]
+    path.write_text(f"unconstrained {rows} {cols}\n" + "\n".join(lines) + "\n",
+                    encoding="ascii")
 
 
 def _write_pairs(path: Path, pairs) -> None:
@@ -273,6 +306,8 @@ def make_fixture(fix: Path) -> None:
     lines.insert(40, "en40\ten\ttr")
     (fix / "cache.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+    _write_map_values(fix / "values.map", rng)
+
     base = {"reference": {"lang": "en", "path": str(fix / "en.vec")},
             "split": {"test_size": 40}, "seed": 7, "eval": {"ks": [1, 5, 10]}}
 
@@ -310,6 +345,8 @@ def make_fixture(fix: Path) -> None:
         "arity-above-byte.vec": b"3 2\na 1 2\nb 1 2 3\n\xff 1 2\n",
         "value-above-byte.vec": b"3 2\na 1 x\nb 1 2\n\xff 1 2\n",
         "header-above-byte.vec": b"1 2\na 1 2\nb 1 2\n\xff 1 2\n",
+        "arity-above-header.vec": b"2 2\na 1 2\nb 1\nc 1 2\n",
+        "arity-folded.vec": b"3 2\na 1 2\na 1 2 3\nb 1 x\n",
         "enc.tsv": b"a\tb\nc\td\n\xff\tx\n",
         "cr.tsv": b"a\tb\rc\td\r\n\xe4\xb8\tx\n",
         "columns.tsv": b"a\tb\nc\td\te\nf\tg\n",
@@ -344,7 +381,8 @@ def run_side(tree: Path, fix: Path, out: Path) -> tuple[dict, dict]:
     for cmd_id, argv, *stdin in COMMANDS:
         (out / cmd_id).mkdir(parents=True)
         argv = [_fill(arg, fix, out, cmd_id) for arg in argv]
-        code = [LOAD_MAPS, *argv[1:]] if argv[:1] == ["load-maps"] else [LEXALIGN, *argv]
+        code = [LIBRARY[argv[0]], *argv[1:]] if argv[:1] and argv[0] in LIBRARY \
+            else [LEXALIGN, *argv]
         feed = Path(_fill(stdin[0], fix, out, cmd_id)).read_bytes() if stdin else b""
         proc = subprocess.run([sys.executable, "-c", *code], env=env, cwd=out, input=feed,
                               capture_output=True, timeout=300)
