@@ -314,9 +314,12 @@ def _g17_tables():
     """The lookup tables of _format_g17, built on its first use: the exact
     powers 10**p (0 <= p <= 22) and their Veltkamp halves, then its words."""
     pow10 = np.array([float(10 ** p) for p in range(23)])
-    # each group below 10**4, then each again with its trailing zeros as "\0"
-    text = [f"{i:04d}" for i in range(10 ** 4)]
-    groups = _words("".join(text) + "".join(t.rstrip("0").ljust(4, "\0") for t in text))
+    # the four ASCII digits of each integer below 10**4, then each again with
+    # its trailing zeros as "\0"
+    digits = np.arange(10 ** 4)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1)[:, ::-1].astype(bool)
+    text = (digits + ord("0")).astype(np.uint8)
+    groups = np.concatenate([text, np.where(trailing, 0, text)]).view(np.uint32).ravel()
     heads = _words("".join(sep + sign + _head(cls) for sep in "\0 " for sign in "\0-"
                            for cls in range(8)))
     leads = _words("".join(_lead(cls, digit, more) for cls in range(8)
