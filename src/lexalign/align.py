@@ -81,7 +81,7 @@ def apply_map(emb: VocabEmbedding, m: LinearMap) -> VocabEmbedding:
     """Move every row through m. The normalization recipe survives only under
     orthogonal maps; anything else invalidates it."""
     recipe = emb.norm_recipe if m.kind == "orthogonal" else ()
-    return VocabEmbedding._derived(emb, m.apply(emb.matrix), recipe)
+    return VocabEmbedding(emb.language, emb.words, m.apply(emb.matrix), recipe)
 
 
 def _check_alignable(reference: VocabEmbedding, other: VocabEmbedding) -> None:

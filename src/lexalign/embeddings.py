@@ -27,10 +27,35 @@ logger = logging.getLogger(__name__)
 NORM_ROWS = 256
 
 
+class Vocabulary(tuple):
+    """An ordered tuple of distinct words, each a single token. Building one
+    checks that, once; embeddings built over the same Vocabulary share it and
+    its word_index."""
+
+    def __new__(cls, words=()):
+        vocab = super().__new__(cls, words)
+        # one split over the joined vocabulary gives back the words exactly
+        # when every word is a single token, without a call per word
+        if " ".join(vocab).split() != list(vocab):
+            bad = next(w for w in vocab if not single_token(w))
+            raise DataError(f"invalid word {bad!r}: empty or contains whitespace")
+        if len(set(vocab)) != len(vocab):
+            raise DataError("duplicate words in vocabulary")
+        return vocab
+
+    @cached_property
+    def word_index(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self)}
+
+
 @dataclass(frozen=True)
 class VocabEmbedding:
     """An ordered vocabulary with one double-precision row vector per word.
 
+    words is made a Vocabulary, which checks it, unless it is one already:
+    normalize, align.apply_map and every map of a chain pass their input's
+    Vocabulary on, so their results share its checked words and its
+    word -> row index (built on first use) instead of copying them.
     norm_recipe records the normalization steps already applied, in order.
     The first retrieval against the embedding computes its row norms and
     keeps them (see norms), so the matrix is treated as read-only from then
@@ -38,54 +63,22 @@ class VocabEmbedding:
     """
 
     language: str
-    words: tuple[str, ...]
+    words: Vocabulary
     matrix: np.ndarray
     norm_recipe: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "words", tuple(self.words))
+        if not isinstance(self.words, Vocabulary):
+            object.__setattr__(self, "words", Vocabulary(self.words))
         object.__setattr__(self, "norm_recipe", tuple(self.norm_recipe))
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.float64))
-        self._check_shape()
-        # one split over the joined vocabulary gives back the words exactly
-        # when every word is a single token, without a call per word
-        if " ".join(self.words).split() != list(self.words):
-            bad = next(w for w in self.words if not single_token(w))
-            raise DataError(f"invalid word {bad!r}: empty or contains whitespace")
-        if len(set(self.words)) != len(self.words):
-            raise DataError("duplicate words in vocabulary")
-
-    def _check_shape(self):
-        matrix = self.matrix
+        matrix = np.asarray(self.matrix, dtype=np.float64)
+        object.__setattr__(self, "matrix", matrix)
         if matrix.ndim != 2:
             raise DataError(f"embedding matrix must be 2-d, got shape {matrix.shape}")
         if matrix.shape[0] != len(self.words):
             raise DataError(f"{len(self.words)} words but {matrix.shape[0]} matrix rows")
         if matrix.shape[1] < 1:
             raise DataError("embedding dimension must be positive")
-
-    @classmethod
-    def _checked(cls, language: str, words: tuple[str, ...], matrix: np.ndarray,
-                 norm_recipe: tuple[str, ...] = ()) -> VocabEmbedding:
-        """An embedding over a vocabulary its caller has already checked:
-        words is a tuple of distinct single tokens. Only the shape checks run."""
-        emb = cls.__new__(cls)
-        emb.__dict__.update(language=language, words=words,
-                            matrix=np.asarray(matrix, dtype=np.float64),
-                            norm_recipe=tuple(norm_recipe))
-        emb._check_shape()
-        return emb
-
-    @classmethod
-    def _derived(cls, parent: VocabEmbedding, matrix: np.ndarray,
-                 norm_recipe: tuple[str, ...]) -> VocabEmbedding:
-        """A new embedding over parent's vocabulary, which parent's own
-        construction already checked. It shares parent's word_index when
-        that is built, but never its norms."""
-        emb = cls._checked(parent.language, parent.words, matrix, norm_recipe)
-        if "word_index" in parent.__dict__:
-            emb.__dict__["word_index"] = parent.word_index
-        return emb
 
     @property
     def dim(self) -> int:
@@ -97,9 +90,9 @@ class VocabEmbedding:
     def __contains__(self, word) -> bool:
         return word in self.word_index
 
-    @cached_property
+    @property
     def word_index(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.words)}
+        return self.words.word_index
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -284,8 +277,8 @@ def load_embeddings(path, max_words: int | None = None, lowercase: bool = False,
                     path, read - len(words))
     if len(matrix) > len(words):
         matrix.resize((len(words), dim), refcheck=False)  # no view keeps the spare rows
-    # every word passed single_token and is kept once, so the vocabulary is not checked again
-    return VocabEmbedding._checked(language_of(path, language), tuple(words), matrix)
+    # every word passed single_token and is kept once: a Vocabulary without the check
+    return VocabEmbedding(language_of(path, language), tuple.__new__(Vocabulary, words), matrix)
 
 
 def _format_block(block: np.ndarray, decimals: int) -> list[bytes | None]:
@@ -408,4 +401,4 @@ def normalize(emb: VocabEmbedding, steps, *, copy: bool = True) -> VocabEmbeddin
             matrix /= norms[:, None]
         else:
             matrix -= matrix.mean(axis=0)
-    return VocabEmbedding._derived(emb, matrix, emb.norm_recipe + steps)
+    return VocabEmbedding(emb.language, emb.words, matrix, emb.norm_recipe + steps)

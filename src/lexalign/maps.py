@@ -274,9 +274,9 @@ def spd_inverse(M: np.ndarray) -> np.ndarray:
 _MAP_VALUES = 1 << 12
 # uint32 words per value in _format_g17's output
 _SLOT = 7
-# value classes in _format_g17: a decimal exponent of -6 ... -1 (classes
-# 0 ... 5; 0 and 1 print an exponent), a zero, or a value Python formats
-_ZERO_CLASS, _PYTHON_CLASS = 6, 7
+# value classes in _format_g17: a decimal exponent of -4 ... -1 (classes
+# 0 ... 3), a zero, or a value Python formats
+_ZERO_CLASS, _PYTHON_CLASS = 4, 5
 
 
 def _words(text: str) -> np.ndarray:
@@ -291,24 +291,6 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _head(cls: int) -> str:
-    """The two characters after the sign in a value's first word."""
-    if cls < 2 or cls == _PYTHON_CLASS:
-        return "\0\0"
-    return "0." if cls < _ZERO_CLASS else "0\0"
-
-
-def _lead(cls: int, digit: str, more: bool) -> str:
-    """A value's second word: the zeros after the point and the leading
-    digit, or with an exponent the leading digit and a point if more digits
-    follow."""
-    if cls < 2:
-        return "\0\0" + digit + ("." if more else "\0")
-    if cls < _ZERO_CLASS:
-        return ("0" * (5 - cls)).ljust(3, "\0") + digit
-    return "\0" * 4
-
-
 @functools.cache
 def _g17_tables():
     """The lookup tables of _format_g17, built on its first use: the exact
@@ -320,12 +302,12 @@ def _g17_tables():
     trailing = np.cumprod(digits[:, ::-1] == 0, axis=1)[:, ::-1].astype(bool)
     text = (digits + ord("0")).astype(np.uint8)
     groups = np.concatenate([text, np.where(trailing, 0, text)]).view(np.uint32).ravel()
-    heads = _words("".join(sep + sign + _head(cls) for sep in "\0 " for sign in "\0-"
-                           for cls in range(8)))
-    leads = _words("".join(_lead(cls, digit, more) for cls in range(8)
-                           for digit in "0123456789" for more in (False, True)))
-    suffixes = _words("e-06e-05" + "\0" * 24)
-    return (pow10, *_split(pow10), groups, heads, leads, suffixes)
+    # by (separator, sign, class) and by (class, leading digit)
+    heads = _words("".join(sep + sign + ("0." if cls < _ZERO_CLASS else "0\0")
+                           for sep in "\0 " for sign in "\0-" for cls in range(6)))
+    leads = _words("".join(("0" * (3 - cls)).ljust(3, "\0") + digit if cls < _ZERO_CLASS
+                           else "\0" * 4 for cls in range(6) for digit in "0123456789"))
+    return (pow10, *_split(pow10), groups, heads, leads)
 
 
 def _format_g17(block: np.ndarray, out: np.ndarray) -> None:
@@ -333,32 +315,32 @@ def _format_g17(block: np.ndarray, out: np.ndarray) -> None:
     "%.17g" % v in 7 uint32 words with "\0" as padding: the separator ("\0"
     in the first column, " " elsewhere), the sign and "0." or "0"; the zeros
     after the point and the leading digit; four words of four digits, whose
-    trailing zeros at the end are padding; and "e-05", "e-06" or padding.
+    trailing zeros at the end are padding; and a word of padding.
 
-    Why this is exact: for 1e-6 <= |x| < 1e16 take E = floor(log10|x|) as
-    numpy computes it and p = 16 - E, clipped to 0 <= p <= 22 so that 10**p
-    is an exact double. Dekker's product of |x| and 10**p, built from
-    Veltkamp splits without a fused multiply-add, gives hi + lo == |x| *
-    10**p exactly: nothing overflows or underflows at these sizes. When that
-    product lies in [10**16, 10**17), decided from hi and the sign of lo, E
-    is the decimal exponent of x, and hi, above 2**53, is an even integer. So
-    N = hi + rint(lo) is the integer nearest the product, half to even: the
-    17 significant digits Python's correctly rounded "%.17g" prints. N ==
-    10**17 carries into the exponent. "%g" prints N's digits without their
-    trailing zeros, after "0." and -E - 1 zeros for -4 <= E < 0 and with
-    "e-05" or "e-06" below, and a zero as "0" or "-0". Every other value (an
-    exponent of 0 or more or below -6, a log10 off by one next to a power of
-    ten, or a value that is not finite) is formatted by Python in its slot.
+    Why this is exact: for 1e-4 <= |x| < 1 take E = floor(log10|x|) as numpy
+    computes it and p = 16 - E, so 16 <= p <= 21 and 10**p is an exact
+    double. Dekker's product of |x| and 10**p, built from Veltkamp splits
+    without a fused multiply-add, gives hi + lo == |x| * 10**p exactly:
+    nothing overflows or underflows at these sizes. When that product lies in
+    [10**16, 10**17), decided from hi and the sign of lo, E is the decimal
+    exponent of x, and hi, above 2**53, is an even integer. So N = hi +
+    rint(lo) is the integer nearest the product, half to even: the 17
+    significant digits Python's correctly rounded "%.17g" prints. N == 10**17
+    carries into the exponent. For -4 <= E < 0 "%g" prints "0.", -E - 1 zeros
+    and N's digits without their trailing zeros, and a zero as "0" or "-0".
+    Every other value (one that carries to 1, a log10 off by one next to a
+    power of ten, or one outside that range or not finite) is formatted by
+    Python in its slot.
     """
-    pow10, pow10_hi, pow10_lo, groups, heads, leads, suffixes = _g17_tables()
+    pow10, pow10_hi, pow10_lo, groups, heads, leads = _g17_tables()
     rows, cols = block.shape
     x = block.ravel()
     a = np.abs(x)
-    inside = (a >= 1e-6) & (a < 1e16)
+    inside = (a >= 1e-4) & (a < 1.0)
     zero = a == 0.0
     a[~inside] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
-    p = 16 - np.maximum(e, -6, out=e)  # log10 of a double below 1e16 is at most 16
+    p = 16 - e
     a_hi, a_lo = _split(a)
     hi = a * pow10.take(p)
     b_hi = pow10_hi.take(p)
@@ -375,7 +357,7 @@ def _format_g17(block: np.ndarray, out: np.ndarray) -> None:
     n[carry] = 10 ** 16
     e += carry
     fast = ok & (e < 0)
-    cls = np.add(e, 6, out=e)
+    cls = np.add(e, 4, out=e)
     cls[~fast] = _PYTHON_CLASS
     cls[zero] = _ZERO_CLASS
     n[~fast] = 0  # a zero prints only its head; Python's text overwrites the rest
@@ -394,17 +376,15 @@ def _format_g17(block: np.ndarray, out: np.ndarray) -> None:
         g[k] += zeros_after * 10 ** 4
         zeros_after &= zero_group
     words = out[:, :cols]
-    key = (np.signbit(x) * 8 + cls).reshape(rows, cols)
-    key[:, 1:] += 16
+    key = (np.signbit(x) * 6 + cls).reshape(rows, cols)
+    key[:, 1:] += 12
     words[..., 0] = heads.take(key)
     lead = lead.view(np.int64)
     lead += cls * 10
-    lead *= 2
-    lead += ~zeros_after
     words[..., 1] = leads.take(lead).reshape(rows, cols)
     for k in range(4):
         words[..., 2 + k] = groups.take(g[k]).reshape(rows, cols)
-    words[..., 6] = suffixes.take(np.minimum(cls, 2)).reshape(rows, cols)
+    words[..., 6] = 0
     python = np.flatnonzero(cls == _PYTHON_CLASS)
     if python.size:
         text = b"".join((b"%.17g" % v).ljust(4 * _SLOT - 1, b"\0") for v in x[python].tolist())
@@ -419,7 +399,7 @@ def save_maps(maps, path) -> None:
 
     The bytes are those of "%.17g" % v per value. Blocks of rows are formatted
     in numpy (see _format_g17 for why that is exact). Python formats each
-    value that is not zero and lies below 1e-6 or at 1 or more in magnitude,
+    value that is not zero and lies below 1e-4 or at 1 or more in magnitude,
     and the rare one next to a power of ten whose log10 misleads.
     """
     maps = list(maps)

@@ -27,11 +27,11 @@ class TestLoad:
 
     def test_vocabulary_is_not_checked_again(self, tmp_path, monkeypatch):
         # the reader checks each word and drops duplicates as it goes, so the
-        # result skips the public constructor's vocabulary check
+        # result's Vocabulary is built without the vocabulary check
         calls = []
-        post_init = VocabEmbedding.__post_init__
-        monkeypatch.setattr(VocabEmbedding, "__post_init__",
-                            lambda self: calls.append(1) or post_init(self))
+        new = embeddings.Vocabulary.__new__
+        monkeypatch.setattr(embeddings.Vocabulary, "__new__",
+                            lambda cls, words=(): calls.append(1) or new(cls, words))
         p = write(tmp_path / "en.vec", "3 2\ncat 1 0\nCat 0 1\ncat 2 2\n")
         emb = load_embeddings(p, lowercase=True)
         assert calls == []
