@@ -82,7 +82,7 @@ _retry_count = _bounded(int, 0, math.inf, "an integer of 0 or more")
 def run_pipeline(config):
     """pipeline.run_pipeline, imported when called. perfbench/tracer.py times a
     `run` by wrapping this module attribute, so cmd_run calls it by this name
-    until the library records its own stage timings (ROADMAP item 1)."""
+    until the library records its own stage timings (ROADMAP item 5)."""
     from .pipeline import run_pipeline
     return run_pipeline(config)
 

@@ -98,7 +98,7 @@ class VocabEmbedding:
     def norms(self) -> np.ndarray:
         """row_norms(self.matrix), computed on first use and kept (8 bytes
         per word): repeated retrieval against one space computes them once."""
-        return row_norms(self.matrix)
+        return row_norms(self.matrix, self.words)
 
     def vector(self, word: str) -> np.ndarray:
         try:
@@ -149,9 +149,8 @@ def _parse_bodies(bodies: list[str], line_nos: list[int], dim: int,
     loadtxt accepts a row, its values are bitwise the reference's. path is
     the file the rows come from, for the error message.
     """
-    text = "\n".join(bodies)
     # loadtxt skips an empty body (a row with no value), and warns when none is left
-    if "" not in bodies and not any(c in text for c in _LOADTXT_ONLY_SPACE):
+    if "" not in bodies and not any(c in body for body in bodies for c in _LOADTXT_ONLY_SPACE):
         try:
             block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
         except ValueError:
@@ -365,12 +364,21 @@ def check_steps(steps) -> tuple:
     return steps
 
 
-def row_norms(matrix: np.ndarray) -> np.ndarray:
+def row_norms(matrix: np.ndarray, words=None) -> np.ndarray:
     """np.linalg.norm(matrix, axis=1), computed NORM_ROWS rows at a time so no
-    full-size temporary exists; the bits are those of the one-call form."""
+    full-size temporary exists; the bits are those of the one-call form. A
+    finite row whose squared length overflows raises DataError, which names
+    the row's word when words, the matrix's vocabulary, is given."""
     norms = np.empty(matrix.shape[0])
-    for start in range(0, matrix.shape[0], NORM_ROWS):
-        norms[start:start + NORM_ROWS] = np.linalg.norm(matrix[start:start + NORM_ROWS], axis=1)
+    with np.errstate(over="ignore"):
+        for start in range(0, matrix.shape[0], NORM_ROWS):
+            norms[start:start + NORM_ROWS] = np.linalg.norm(matrix[start:start + NORM_ROWS],
+                                                            axis=1)
+    inf = np.flatnonzero(np.isinf(norms))
+    over = inf[np.isfinite(matrix[inf]).all(axis=1)]
+    if over.size:
+        where = "a vector" if words is None else f"the vector of word {words[over[0]]!r}"
+        raise DataError(f"{where} is too large: its squared length overflows")
     return norms
 
 
@@ -393,7 +401,7 @@ def normalize(emb: VocabEmbedding, steps, *, copy: bool = True) -> VocabEmbeddin
     matrix = np.array(emb.matrix, copy=True) if copy else emb.matrix
     for step in steps:
         if step == "unit":
-            norms = row_norms(matrix)
+            norms = row_norms(matrix, emb.words)
             zero = np.flatnonzero(norms == 0.0)
             if zero.size:
                 raise DataError(

@@ -156,14 +156,18 @@ def induce(query, target_space, k: int, backend: str = "blocked"):
         raise DataError(f"query has dimension {q.shape[0]}, space has {emb.dim}")
     if not np.isfinite(q).all():
         raise DataError("query has non-finite values")
-    if np.linalg.norm(q) == 0.0:
+    with np.errstate(over="ignore"):
+        length = np.linalg.norm(q)
+    if length == 0.0:
         raise DataError("query vector is zero")
+    if length == np.inf:
+        raise DataError("the query vector is too large: its squared length overflows")
     if not 1 <= k <= len(emb):
         raise DataError(f"k must be in [1, {len(emb)}], got {k}")
     rows = {"blocked": NORM_ROWS, "exact": len(emb)}.get(backend)
     if rows is None:
         raise ValueError(f"unknown backend {backend!r}")
-    scores = _scores(q / max(np.linalg.norm(q), _EPS), emb.matrix, rows, emb.norms)
+    scores = _scores(q / max(length, _EPS), emb.matrix, rows, emb.norms)
     order = _first_k(scores[None, :], k)[0]
     return [(emb.words[i], float(scores[i])) for i in order]
 

@@ -132,9 +132,11 @@ def cross_covariance_svd(pm: PairedMatrices):
 
     Returns (U, s, V) with X^T Z = U diag(s) V^T, singular values descending.
     """
-    C = pm.X.T @ pm.Z
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = pm.X.T @ pm.Z
     if not np.isfinite(C).all():
-        raise DataError("non-finite values in the cross-covariance")
+        raise DataError("non-finite values in the cross-covariance: "
+                        "X^T Z overflows, or X or Z is not finite")
     try:
         u, s, vt = np.linalg.svd(C, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -235,6 +237,17 @@ def least_squares_map(A, B) -> LinearMap:
     return LinearMap(W, "unconstrained")
 
 
+def _eigh(C: np.ndarray, overflow: str):
+    """np.linalg.eigh(C), or DataError: the message overflow when C is not
+    finite, and LAPACK's when the decomposition does not converge."""
+    if not np.isfinite(C).all():
+        raise DataError(overflow)
+    try:
+        return np.linalg.eigh(C)
+    except np.linalg.LinAlgError as exc:
+        raise DataError(f"eigendecomposition failed: {exc}") from None
+
+
 def whitening_transform(A) -> LinearMap:
     """The symmetric inverse square root of A^T A.
 
@@ -246,14 +259,16 @@ def whitening_transform(A) -> LinearMap:
         raise DataError(f"whitening input must be a non-empty 2-d matrix, got {A.shape}")
     if not np.isfinite(A).all():
         raise DataError("non-finite values in whitening input")
-    C = A.T @ A
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = A.T @ A
+    overflow = "whitening input too large: A^T A overflows"
     d = C.shape[0]
-    evals, evecs = np.linalg.eigh(C)
+    evals, evecs = _eigh(C, overflow)
     if evals[-1] <= 0.0 or evals[0] < 1e-10 * evals[-1]:
         lam = 1e-8 * np.trace(C) / d
         if lam <= 0.0:
             raise DataError("covariance is identically zero, cannot whiten")
-        evals, evecs = np.linalg.eigh(C + lam * np.eye(d))
+        evals, evecs = _eigh(C + lam * np.eye(d), overflow)
         if evals[0] <= 0.0:
             raise DataError("covariance is not positive definite even after regularization")
     W = (evecs * evals ** -0.5) @ evecs.T
@@ -262,7 +277,7 @@ def whitening_transform(A) -> LinearMap:
 
 def spd_inverse(M: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, kept symmetric."""
-    evals, evecs = np.linalg.eigh(np.asarray(M, dtype=np.float64))
+    evals, evecs = _eigh(np.asarray(M, dtype=np.float64), "matrix to invert is not finite")
     if evals[0] <= 0.0:
         raise DataError("matrix is not positive definite")
     inv = (evecs * evals ** -1.0) @ evecs.T
@@ -435,9 +450,11 @@ def load_maps(path) -> list[LinearMap]:
             try:
                 kind, d_in, d_out = line.split()
                 d_in, d_out = int(d_in), int(d_out)
+                if d_in < 1 or d_out < 1:
+                    raise ValueError
             except ValueError:
                 raise LocatedError(f"bad map header {line!r}", header_no, path) from None
-            block = list(itertools.islice(lines, max(d_in, 0)))
+            block = list(itertools.islice(lines, d_in))
             if len(block) != d_in:
                 raise LocatedError("map block is truncated", header_no, path)
             rows = []
@@ -450,12 +467,8 @@ def load_maps(path) -> list[LinearMap]:
                     raise LocatedError(f"map row has {len(values)} values, header says {d_out}",
                                        line_no, path)
                 rows.append(values)
-            matrix = np.array(rows, dtype=np.float64)
-            if matrix.shape != (d_in, d_out):
-                raise LocatedError(f"map block has shape {matrix.shape}, "
-                                   f"header says ({d_in}, {d_out})", header_no, path)
             try:
-                maps.append(LinearMap(matrix, kind))
+                maps.append(LinearMap(rows, kind))
             except (DataError, ValueError) as exc:
                 raise LocatedError(str(exc), header_no, path) from None
     if not maps:

@@ -65,11 +65,15 @@ CASES = {
                           DataError, "non-empty 2-d"),
     "whitening-nan": (lambda p: whitening_transform([[NAN, 1.0]]),
                       DataError, "non-finite values"),
+    "whitening-overflow": (lambda p: whitening_transform([[1e160, 2e160], [3e160, -1e160]]),
+                           DataError, "A^T A overflows"),
     "cross-covariance-inf": (lambda p: cross_covariance_svd(PairedMatrices(
                                  [[np.inf, 0.0], [0.0, 1.0]], np.ones((2, 2)), PAIRS)),
                              DataError, "non-finite values in the cross-covariance"),
     "spd-inverse-negative": (lambda p: spd_inverse(-np.eye(2)),
                              DataError, "not positive definite"),
+    "spd-inverse-inf": (lambda p: spd_inverse(np.array([[np.inf, 0.0], [0.0, 1.0]])),
+                        DataError, "matrix to invert is not finite"),
     "save-no-maps": (lambda p: save_maps([], p / "maps.txt"), DataError, "no maps to save"),
     "dictionary-bad-lines-policy": (lambda p: load_dictionary(p / "d.txt", on_bad_lines="x"),
                                     ValueError, "on_bad_lines must be"),

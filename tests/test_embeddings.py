@@ -137,7 +137,9 @@ class TestLoad:
     @pytest.mark.parametrize("data, code, line, message", [
         (b"1 1\n\xff 1\n", "encoding", 2, "can't decode byte 0xff as UTF-8 (invalid start byte)"),
         (b"2 1\na 1 2\n\xff 1\n", "arity", 2, "expected 2 fields, found 3"),
-    ], ids=["encoding", "arity-above"])
+        # a word field that is not one token, on a row of the wrong length
+        (b"2 1\na\tb 1 2\n\xff 1\n", "arity", 2, "expected 2 fields, found 3"),
+    ], ids=["encoding", "arity-above", "bad-word-arity-above"])
     def test_non_utf8_byte_in_a_pipe_is_located(self, tmp_path, data, code, line, message):
         # a pipe is read once, as a regular file is
         p = tmp_path / "en.vec"

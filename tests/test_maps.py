@@ -83,7 +83,8 @@ class TestMapIO:
                   (b"rotation 2 2\n1 0\n0 1\n", "line 1"),
                   (b"orthogonal 2 2\n1 0\n0 x\n", "line 3"),
                   (b"orthogonal 2 2\n1 0\n0 1 0\n", "line 3"),
-                  (b"orthogonal 0 2\n", "line 1"),
+                  (b"orthogonal 0 2\n", "line 1: bad map header"),
+                  (b"unconstrained 2 0\n\n\n", "line 1: bad map header"),
                   (b"unconstrained 2 2\n1 0\n0 nan\n", "line 1"),
                   (b"orthogonal 2 2\n1 1\n0 1\n", "line 1"),
                   (b"orthogonal 2 2\n1 0\n\xff 1\n", "line 3")]

@@ -782,6 +782,43 @@ def test_meemi_with_overflowing_normal_equations_is_a_data_error(tmp_path, caplo
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, message", [
+    (["align", "--method", "multistep", "--normalize", "none", "--out", "{out}/tr.vec",
+      "--out-ref", "{out}/en.vec"], "whitening input too large: A^T A overflows"),
+    (["align", "--normalize", "unit,center", "--out", "{out}/tr.vec"],
+     "the vector of word 'en0' is too large: its squared length overflows"),
+    (["align", "--out", "{out}/tr.vec"],
+     "the vector of word 'en0' is too large: its squared length overflows"),
+    (["eval", "--test", "{fix}/en-tr.tsv"],
+     "the vector of word 'tr0' is too large: its squared length overflows"),
+    (["induce", "--space", "{fix}/tr.vec", "--word", "tr3"],
+     "the query vector is too large: its squared length overflows"),
+], ids=["multistep-none", "unit-center", "default-steps", "eval", "induce"])
+def test_vectors_whose_squares_overflow_are_a_data_error(tmp_path, caplog, capsys, args,
+                                                         message):
+    """Finite entries near 1e200 load, but their squares overflow: exit 2
+    with the overflow named, nothing written, no warning and no traceback."""
+    rng = np.random.default_rng(5)
+    fix, out = tmp_path / "fix", tmp_path / "out"
+    fix.mkdir()
+    out.mkdir()
+    for lang in ("en", "tr"):
+        save_embeddings(VocabEmbedding(lang, tuple(f"{lang}{i}" for i in range(30)),
+                                       rng.normal(size=(30, 4)) * 1e200), fix / f"{lang}.vec")
+    (fix / "en-tr.tsv").write_text("".join(f"en{i}\ttr{i}\n" for i in range(20)),
+                                   encoding="utf-8")
+    inputs = {"align": ["--ref", "{fix}/en.vec", "--other", "{fix}/tr.vec",
+                        "--dict", "{fix}/en-tr.tsv"],
+              "eval": ["--src", "{fix}/en.vec", "--tgt", "{fix}/tr.vec"], "induce": []}
+    argv = [arg.format(fix=fix, out=out) for arg in args[:1] + inputs[args[0]] + args[1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert message in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 BAD_VECTORS = {
     "missing": (None, "{path}: No such file"),
     "truncated": (b"3 2\na 1 2\nb 3 4\n", "{path}: line 4: header promises 3 rows, file has 2"),

@@ -197,7 +197,20 @@ COMMANDS = [
                    "{fix}/defects/enc.cache", "--src-lang", "en", "--tgt-lang", "tr",
                    "--out", "{dir}/en-tr.tsv"]),
     *[(f"maps-{name}", ["load-maps", f"{{fix}}/defects/{name}.map"])
-      for name in ("enc", "header", "short", "kind", "header-above-byte")],
+      for name in ("enc", "header", "short", "kind", "header-above-byte", "zero-rows",
+                   "zero-cols")],
+    # finite vectors near 1e200, whose squares overflow
+    *[(f"overflow-{name}", ["align", "--ref", "{fix}/huge/en.vec", "--other",
+                            "{fix}/huge/tr.vec", "--dict", "{fix}/huge/en-tr.tsv",
+                            "--out", "{dir}/tr.vec", *extra])
+      for name, extra in (("multistep-none", ["--method", "multistep", "--normalize", "none",
+                                              "--out-ref", "{dir}/en.vec"]),
+                          ("unit-center", ["--normalize", "unit,center"]),
+                          ("default-steps", []),
+                          ("orth-none", ["--normalize", "none"]))],
+    ("overflow-eval", ["eval", "--src", "{fix}/huge/en.vec", "--tgt", "{fix}/huge/tr.vec",
+                       "--test", "{fix}/huge/en-tr.tsv"]),
+    ("overflow-induce", ["induce", "--space", "{fix}/huge/tr.vec", "--word", "söz3"]),
     # vectors through a pipe
     ("pipe-good", ["induce", "--space", "/dev/stdin", "--lang", "en", "--word", "en1"],
      "{fix}/en.vec"),
@@ -360,9 +373,17 @@ def make_fixture(fix: Path) -> None:
         "short.map": b"orthogonal 2 2\n1 0\n",
         "kind.map": b"rotation 2 2\n1 0\n0 1\n",
         "header-above-byte.map": b"orthogonal 2\n\xff\n",
+        "zero-rows.map": b"orthogonal 0 2\n",
+        "zero-cols.map": b"unconstrained 2 0\n\n\n",
     }
     for name, data in defects.items():
         (fix / "defects" / name).write_bytes(data)
+
+    (fix / "huge").mkdir()
+    for lang in ("en", "tr"):
+        _write_vectors(fix / "huge" / f"{lang}.vec", words[lang][:30],
+                       rng.normal(size=(30, 4)) * 1e200)
+    _write_pairs(fix / "huge" / "en-tr.tsv", zip(words["en"][:20], words["tr"][:20]))
 
 
 def _fill(text: str, fix: Path, out: Path, cmd_id: str) -> str:
