@@ -32,7 +32,7 @@ class Vocabulary(tuple):
     checks that, once; embeddings built over the same Vocabulary share it and
     its word_index."""
 
-    def __new__(cls, words=()):
+    def __new__(cls, words):
         vocab = super().__new__(cls, words)
         # one split over the joined vocabulary gives back the words exactly
         # when every word is a single token, without a call per word

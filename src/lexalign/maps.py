@@ -237,11 +237,11 @@ def least_squares_map(A, B) -> LinearMap:
     return LinearMap(W, "unconstrained")
 
 
-def _eigh(C: np.ndarray, overflow: str):
-    """np.linalg.eigh(C), or DataError: the message overflow when C is not
+def _eigh(C: np.ndarray, not_finite: str):
+    """np.linalg.eigh(C), or DataError: the message not_finite when C is not
     finite, and LAPACK's when the decomposition does not converge."""
     if not np.isfinite(C).all():
-        raise DataError(overflow)
+        raise DataError(not_finite)
     try:
         return np.linalg.eigh(C)
     except np.linalg.LinAlgError as exc:

@@ -31,7 +31,7 @@ class TestLoad:
         calls = []
         new = embeddings.Vocabulary.__new__
         monkeypatch.setattr(embeddings.Vocabulary, "__new__",
-                            lambda cls, words=(): calls.append(1) or new(cls, words))
+                            lambda cls, words: calls.append(1) or new(cls, words))
         p = write(tmp_path / "en.vec", "3 2\ncat 1 0\nCat 0 1\ncat 2 2\n")
         emb = load_embeddings(p, lowercase=True)
         assert calls == []
