@@ -270,10 +270,8 @@ def _meemi(spaces: dict[str, AlignedSpace], hub: str,
     # of 0.5 * (X + Z); halving is exact, so the bits are the same
     mid = pm.X + pm.Z
     mid *= 0.5
-    fits = {
-        pairs.src_lang: least_squares_map(pm.X, mid),
-        pairs.tgt_lang: least_squares_map(pm.Z, mid),
-    }
+    fits = {pairs.src_lang: least_squares_map(pm.X, mid),
+            pairs.tgt_lang: least_squares_map(pm.Z, mid)}
     logger.info("meemi %s/%s: pairs_used=%d", pairs.src_lang, pairs.tgt_lang, len(pm))
     del pm, mid  # the paired rows and midpoints go before the outputs are allocated
     return _refit(spaces, fits, hub)

@@ -89,7 +89,7 @@ def run_pipeline(config):
 
 def cmd_align(args) -> int:
     from .embeddings import language_of
-    from .pipeline import fit_files, read_dictionary, write_space
+    from .pipeline import fit_files, read_dictionary, write_spaces
     steps = _parse_steps(args.normalize)
     if args.method in ONE_PAIR_METHODS and not args.out_ref:
         raise _UsageError(f"method {args.method} moves the reference space too; "
@@ -100,15 +100,14 @@ def cmd_align(args) -> int:
     aligned = fit_files(args.method, (args.ref, ref_lang), [(args.other, lang)], dictionaries,
                         steps, args.max_words, args.lowercase,
                         reweight_p=args.reweight_p, reduce_dim=args.reduce_dim)
-    write_space(aligned[lang], args.out)
-    if args.out_ref:
-        write_space(aligned[ref_lang], args.out_ref)
+    write_spaces([(aligned[lang], args.out, None)]
+                 + ([(aligned[ref_lang], args.out_ref, None)] if args.out_ref else []))
     return EXIT_OK
 
 
 def cmd_align_multi(args) -> int:
     from .embeddings import language_of
-    from .pipeline import fit_files, read_dictionary, write_space
+    from .pipeline import fit_files, read_dictionary, write_spaces
     steps = _parse_steps(args.normalize)
     pair_parts = [text.split(":") for text in args.pair]
     for text, parts in zip(args.pair, pair_parts):
@@ -123,41 +122,37 @@ def cmd_align_multi(args) -> int:
                         args.sources.split(",") if args.sources else [],
                         all_combinations=args.all_combinations)
     os.makedirs(args.out_dir, exist_ok=True)
-    for lang in aligned.languages():
-        write_space(aligned[lang], os.path.join(args.out_dir, f"{lang}.aligned.vec"))
+    write_spaces([(aligned[lang], os.path.join(args.out_dir, f"{lang}.aligned.vec"), None)
+                  for lang in aligned.languages()])
     return EXIT_OK
 
 
 def cmd_meemi(args) -> int:
     from .embeddings import language_of
-    from .pipeline import fit_files, read_dictionary, write_space
+    from .pipeline import fit_files, read_dictionary, write_spaces
     src_lang, hub = language_of(args.src, args.src_lang), language_of(args.tgt, args.tgt_lang)
     dictionaries = {src_lang: read_dictionary(args.dict, hub, src_lang, "other2ref")}
     # the two spaces share coordinates already: only the midpoint refit runs
     result = fit_files(MEEMI, (args.tgt, hub), [(args.src, src_lang)], dictionaries,
                        prealigned=True)
-    write_space(result[src_lang], args.out_src)
-    write_space(result[hub], args.out_tgt)
+    write_spaces([(result[src_lang], args.out_src, None), (result[hub], args.out_tgt, None)])
     return EXIT_OK
 
 
 def cmd_induce(args) -> int:
-    from .embeddings import load_embeddings
     from .induction import induce
-    tgt = load_embeddings(args.space, language=args.lang)
-    query_emb = tgt if args.query_space is None \
-        else load_embeddings(args.query_space, language=args.query_lang)
-    query = query_emb.vector(args.word)
-    for word, score in induce(query, tgt, args.k):
+    from .pipeline import load_spaces
+    files = [(args.space, args.lang), (args.query_space, args.query_lang)]
+    spaces = load_spaces(files if args.query_space is not None else files[:1])
+    for word, score in induce(spaces[-1].vector(args.word), spaces[0], args.k):  # query, target
         print(f"{word}\t{score:.6f}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    from .embeddings import load_embeddings
     from .induction import precision_at_k, render_report
-    src = load_embeddings(args.src, language=args.src_lang)
-    tgt = load_embeddings(args.tgt, language=args.tgt_lang)
+    from .pipeline import load_spaces
+    src, tgt = load_spaces([(args.src, args.src_lang), (args.tgt, args.tgt_lang)])
     test = load_dictionary(args.test, src.language, tgt.language)
     # nothing reads tgt after this call, so it is divided in place
     report = precision_at_k(src, tgt, test, ks=_parse_ks(args.ks),

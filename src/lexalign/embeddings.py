@@ -47,6 +47,9 @@ class Vocabulary(tuple):
     def word_index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self)}
 
+    def __reduce__(self):  # unpickled without a second check, and without word_index
+        return tuple.__new__, (Vocabulary, tuple(self))
+
 
 @dataclass(frozen=True)
 class VocabEmbedding:
@@ -408,5 +411,9 @@ def normalize(emb: VocabEmbedding, steps, *, copy: bool = True) -> VocabEmbeddin
                     f"zero-length row at 'unit' step: word {emb.words[zero[0]]!r}")
             matrix /= norms[:, None]
         else:
-            matrix -= matrix.mean(axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = matrix.mean(axis=0)
+            if not np.isfinite(mean).all():
+                raise DataError("a column sum overflows at the 'center' step")
+            matrix -= mean
     return VocabEmbedding(emb.language, emb.words, matrix, emb.norm_recipe + steps)

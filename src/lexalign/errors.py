@@ -12,6 +12,9 @@ import os
 class LexalignError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __reduce__(self):  # pickled with its attributes: subclasses take other arguments
+        return Exception.__new__, (type(self), *self.args), self.__dict__
+
 
 class DataError(LexalignError):
     """Input data violates a contract: bad shapes, unknown words, empty sets,

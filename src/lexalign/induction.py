@@ -102,7 +102,7 @@ def _first_k(scores: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
-def topk(queries: np.ndarray, unit_targets: np.ndarray, k: int) -> np.ndarray:
+def topk(queries: np.ndarray, unit_targets: np.ndarray, k: int, words=None) -> np.ndarray:
     """Indices of the k targets nearest each query row by cosine, best first.
 
     Row i is rank_by_score(cosine_scores(queries[i], unit_targets))[:k], with
@@ -111,7 +111,8 @@ def topk(queries: np.ndarray, unit_targets: np.ndarray, k: int) -> np.ndarray:
     _QUERY_BLOCK rows at a time, the last block zero-padded: BLAS picks its
     kernel by the number of rows, so a fixed block keeps results bitwise
     reproducible whatever the query count. The score buffer holds one block
-    against every target, never every query against every target.
+    against every target, never every query against every target. words,
+    the queries' words, name a query whose squared length overflows.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != unit_targets.shape[1]:
@@ -125,7 +126,8 @@ def topk(queries: np.ndarray, unit_targets: np.ndarray, k: int) -> np.ndarray:
     scores = np.empty((_QUERY_BLOCK, size))
     for start in range(0, n, _QUERY_BLOCK):
         rows = min(_QUERY_BLOCK, n - start)
-        block[:rows] = _unit_rows(queries[start:start + rows])
+        part = queries[start:start + rows]
+        block[:rows] = _unit_rows(part, row_norms(part, words and words[start:start + rows]))
         block[rows:] = 0.0
         for t in range(0, size, _BLOCK_ROWS):
             np.matmul(block, unit_targets[t:t + _BLOCK_ROWS].T,
@@ -256,7 +258,7 @@ def precision_at_k(src_space, tgt_space, test: "DictionaryPairs", ks=(1, 5, 10),
     unit_targets = _unit_rows(tgt_emb.matrix, tgt_emb.norms, in_place)
     if in_place:
         tgt_emb.__dict__.pop("norms")  # stale: they are those of the matrix before
-    tops = topk(queries, unit_targets, depth)
+    tops = topk(queries, unit_targets, depth, in_vocab)
     hits = {k: 0 for k in ks}
     for word, top in zip(in_vocab, tops):
         position = {tgt_emb.words[i]: rank for rank, i in enumerate(top)}

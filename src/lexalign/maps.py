@@ -110,17 +110,13 @@ def build_paired_matrices(src_emb, tgt_emb, pairs) -> PairedMatrices:
     xi, zi, used = [], [], []
     oov_src = oov_tgt = 0
     for pair in pairs.pairs:
-        i = src_index.get(pair[0])
-        j = tgt_index.get(pair[1])
-        if i is None:
-            oov_src += 1
-        if j is None:
-            oov_tgt += 1
-        if i is None or j is None:
-            continue
-        xi.append(i)
-        zi.append(j)
-        used.append(pair)
+        i, j = src_index.get(pair[0]), tgt_index.get(pair[1])
+        oov_src += i is None
+        oov_tgt += j is None
+        if i is not None and j is not None:
+            xi.append(i)
+            zi.append(j)
+            used.append(pair)
     if not used:
         raise DataError("no dictionary pair has both words in vocabulary")
     return PairedMatrices(src_emb.matrix[xi], tgt_emb.matrix[zi], tuple(used),

@@ -1,7 +1,7 @@
 """Declarative end-to-end runs: dictionary preparation, alignment, evaluation,
 and a manifest that pins configuration and input hashes. read_dictionary,
-fit_files and write_space are the one path from files to a fit and back that
-run and the align, align-multi and meemi commands share.
+fit_files and write_spaces are the one path from files to a fit and back, one
+process per space, that run and the align, align-multi and meemi commands share.
 
 A run is deterministic: the same configuration over the same inputs writes
 byte-identical artifacts. While a run is in flight an INCOMPLETE marker file
@@ -14,23 +14,27 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import pickle
 import platform
+import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .align import AlignedSpace, MultiSpace, check_method, fit_method
+from .align import MultiSpace, check_method, fit_method
 # unused here, but perfbench/tracer.py wraps them as attributes of this module
 from .align import align_orthogonal, meemi_bilingual  # noqa: F401
 from .dictionary import (DictionaryPairs, clean_dictionary, load_dictionary, orient,
                          split_dictionary)
 from .embeddings import check_steps, load_embeddings, normalize, save_embeddings
-from .errors import DataError, PipelineStageError
+from .errors import DataError, LexalignError, PipelineStageError
 from .induction import precision_at_k, render_report
 from .maps import save_maps
 from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, OOV_POLICIES, ORTHOGONAL
@@ -174,11 +178,80 @@ def _convert(kind, value, key: str):
     raise DataError(f"config key {key} has a value of the wrong type: {value!r}")
 
 
+def _answer(call, fd: int) -> None:
+    """In a child: send (its records of the package's loggers, whether call returned,
+    the result or exception) down the pipe fd, pickled with protocol 5, and exit."""
+    try:
+        records, buffers, log = [], [], logging.getLogger(__package__)
+        log.handlers, log.propagate = [logging.Handler()], False
+        log.handlers[0].emit = records.append
+        try:
+            answer = (True, call())
+        except BaseException as exc:
+            answer = (False, exc)
+        chunks = [pickle.dumps((records, *answer), 5, buffer_callback=buffers.append),
+                  *(buffer.raw() for buffer in buffers)]
+        with open(fd, "wb") as pipe:  # the chunk count and sizes, the pickle, its buffers
+            pipe.write(b"".join(n.to_bytes(8, "little") for n in [len(chunks), *map(len, chunks)]))
+            pipe.writelines(chunks)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _forked(calls, names) -> list:
+    """[call() for call in calls]: the first call here, each later one in a child
+    (see _answer), at most one per further CPU this process may run on at a
+    time. Results, log records and the first exception come back in call order;
+    every child is reaped; one that ends without an answer is named by names[i]."""
+    spare = len(os.sched_getaffinity(0)) - 1
+    children, results, started = {}, [], 1  # call index -> (pid, read end of its pipe)
+    try:
+        for i, call in enumerate(calls):
+            while len(children) < spare and started < len(calls):
+                read, write = os.pipe()
+                if not (pid := os.fork()):
+                    _answer(calls[started], write)
+                os.close(write)
+                children[started], started = (pid, read), started + 1
+            if i not in children:
+                results.append(call())
+                continue
+            with open(children[i][1], "rb", closefd=False) as pipe:
+                chunks = [bytearray(int.from_bytes(pipe.read(8), "little"))
+                          for _ in range(int.from_bytes(pipe.read(8), "little"))]
+                answered = chunks and all(pipe.readinto(chunk) == len(chunk) for chunk in chunks)
+            pid, fd = children.pop(i)
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if not answered:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise LexalignError(f"{names[i]}: the process working on it {how}")
+            records, returned, value = pickle.loads(chunks[0], buffers=chunks[1:])
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            if not returned:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, fd in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
+
+
 def load_space(path, lang, steps, max_words=None, lowercase=False):
     """Load an embedding file and apply the normalization steps, if any, in
     place: nothing else holds the matrix just parsed."""
     emb = load_embeddings(path, max_words, lowercase, language=lang)
     return normalize(emb, steps, copy=False) if steps else emb
+
+
+def load_spaces(files, steps=(), max_words=None, lowercase=False) -> list:
+    """load_space over (path, lang) files, each in a process of its own (see _forked)."""
+    return _forked([partial(load_space, path, lang, steps, max_words, lowercase)
+                    for path, lang in files], [path for path, _ in files])
 
 
 def read_dictionary(path, ref_lang: str, lang: str, direction: str) -> DictionaryPairs:
@@ -197,19 +270,40 @@ def fit_files(method: str, reference, targets, dictionaries: dict, steps=(),
     ref_lang = reference[1]
     sources = check_method(method, ref_lang, [lang for _, lang in targets], sources,
                            fit_params.get("reduce_dim"), fit_params.get("all_combinations", False))
-    spaces = {lang: load_space(path, lang, steps, max_words, lowercase)
-              for path, lang in [reference, *targets]}
+    spaces = dict(zip([lang for _, lang in [reference, *targets]],
+                      load_spaces([reference, *targets], steps, max_words, lowercase)))
     return fit_method(method, ref_lang, spaces, dictionaries, sources=sources, **fit_params)
 
 
-def write_space(space: AlignedSpace, vec_path, map_path=None) -> bool:
-    """Write the aligned vectors, and the map chain when maps moved them
-    (to map_path, by default the vector path with .map appended); return
-    whether a map file was written."""
-    save_embeddings(space.embedding, vec_path)
-    if space.maps_applied:
-        save_maps(space.maps_applied, map_path or f"{vec_path}.map")
-    return bool(space.maps_applied)
+def write_spaces(items) -> None:
+    """Write each (space, vec_path, map_path) item in a process of its own (see
+    _forked): the vectors, then the maps that moved them, to map_path or vec_path
+    + ".map". Every file is created here first, in serial order; one that cannot
+    be is raised once those before it are written. Items sharing a file go in order."""
+    jobs, failure = [], None
+    for space, vec_path, map_path in items:
+        files = [(save_embeddings, space.embedding, vec_path)]
+        if space.maps_applied:
+            files.append((save_maps, space.maps_applied, map_path or f"{vec_path}.map"))
+        for n, (*_, path) in enumerate(files):
+            try:
+                open(path, "wb").close()
+            except OSError as exc:
+                failure, files = exc, files[:n]
+                break
+        jobs += [files] if files else []
+        if failure:
+            break
+    paths = [path for files in jobs for *_, path in files]
+    if len({os.stat(path)[1:3] for path in paths}) < len(paths):
+        jobs = [sum(jobs, [])]
+
+    def write(files):
+        for save, what, path in files:
+            save(what, path)
+    _forked([partial(write, files) for files in jobs], [files[0][2] for files in jobs])
+    if failure:
+        raise failure
 
 
 def _sha256_file(path) -> str:
@@ -240,9 +334,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     marker.write_text("run started; artifacts may be partial\n", encoding="utf-8")
 
     ref_lang = cfg.reference.lang
-    input_paths = {cfg.reference.path}
-    input_paths.update(t.path for t in cfg.targets)
-    input_paths.update(t.dict for t in cfg.targets)
+    input_paths = {cfg.reference.path, *(path for t in cfg.targets for path in (t.path, t.dict))}
     if cfg.eval and cfg.eval.test:
         input_paths.add(cfg.eval.test)
     artifact_names: list[str] = []
@@ -273,9 +365,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                            [(t.path, t.lang) for t in cfg.targets], train_dicts,
                            cfg.normalize, cfg.max_words, cfg.lowercase, cfg.sources,
                            reweight_p=cfg.reweight_p, reduce_dim=cfg.reduce_dim)
-        for lang in spaces.languages():
-            if write_space(spaces[lang], emit(f"{lang}.aligned.vec"), out / f"{lang}.map"):
-                emit(f"{lang}.map")
+        write_spaces([(spaces[lang], emit(f"{lang}.aligned.vec"),
+                       emit(f"{lang}.map") if spaces[lang].maps_applied else None)
+                      for lang in spaces.languages()])
 
     if cfg.eval:
         with _stage("eval"):

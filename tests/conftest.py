@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,11 @@ def unit_rows(matrix):
 
 def peak_bytes(call):
     """The most memory Python's allocators held at once while call() ran,
-    counting only what it allocated."""
+    counting only what it allocated. Garbage is collected first, so the
+    collections inside call() come at the same points whatever ran before:
+    the cyclic garbage a command makes (its argparse parser among it) is
+    freed at those points, not at ones the earlier tests' leftovers decide."""
+    gc.collect()
     tracemalloc.start()
     try:
         call()

@@ -793,18 +793,32 @@ def test_meemi_with_overflowing_normal_equations_is_a_data_error(tmp_path, caplo
      "the vector of word 'tr0' is too large: its squared length overflows"),
     (["induce", "--space", "{fix}/tr.vec", "--word", "tr3"],
      "the query vector is too large: its squared length overflows"),
-], ids=["multistep-none", "unit-center", "default-steps", "eval", "induce"])
+    # a later --tgt, --ref or --other replaces the input given before it
+    (["eval", "--tgt", "{fix}/plain/tr.vec", "--test", "{fix}/en-tr.tsv"],
+     "the vector of word 'en0' is too large: its squared length overflows"),
+    (["align", "--ref", "{fix}/max/en.vec", "--other", "{fix}/max/tr.vec",
+      "--normalize", "center", "--out", "{out}/tr.vec"],
+     "a column sum overflows at the 'center' step"),
+], ids=["multistep-none", "unit-center", "default-steps", "eval", "induce", "eval-source",
+        "center"])
 def test_vectors_whose_squares_overflow_are_a_data_error(tmp_path, caplog, capsys, args,
                                                          message):
-    """Finite entries near 1e200 load, but their squares overflow: exit 2
-    with the overflow named, nothing written, no warning and no traceback."""
+    """Finite entries near 1e200 load, but their squares overflow, and the
+    column sums of entries near 1e308 overflow: exit 2 with the overflow
+    named, nothing written, no warning and no traceback. plain/ holds an
+    ordinary target, so eval normalizes its overflowing queries."""
     rng = np.random.default_rng(5)
     fix, out = tmp_path / "fix", tmp_path / "out"
-    fix.mkdir()
-    out.mkdir()
+    for where in (fix / "plain", fix / "max", out):
+        where.mkdir(parents=True)
     for lang in ("en", "tr"):
-        save_embeddings(VocabEmbedding(lang, tuple(f"{lang}{i}" for i in range(30)),
-                                       rng.normal(size=(30, 4)) * 1e200), fix / f"{lang}.vec")
+        words = tuple(f"{lang}{i}" for i in range(30))
+        save_embeddings(VocabEmbedding(lang, words, rng.normal(size=(30, 4)) * 1e200),
+                        fix / f"{lang}.vec")
+        save_embeddings(VocabEmbedding(lang, words, rng.uniform(0.75, 1.5, size=(30, 4)) * 1e308),
+                        fix / "max" / f"{lang}.vec")
+    save_embeddings(VocabEmbedding("tr", tuple(f"tr{i}" for i in range(30)),
+                                   rng.normal(size=(30, 4))), fix / "plain" / "tr.vec")
     (fix / "en-tr.tsv").write_text("".join(f"en{i}\ttr{i}\n" for i in range(20)),
                                    encoding="utf-8")
     inputs = {"align": ["--ref", "{fix}/en.vec", "--other", "{fix}/tr.vec",

@@ -119,6 +119,31 @@ COMMANDS = [
                               "--pair", "tr:{fix}/tr.vec:{fix}/en-tr.tsv"]),
     ("align-multi-bad-pair", ["align-multi", "--ref", "{fix}/en.vec", "--out-dir", "{dir}/multi",
                               "--pair", "tr:{fix}/tr.vec"]),
+    # several inputs, each read in a process of its own: the earliest defect
+    # is the one reported, log records keep their order, and an output that
+    # cannot be opened leaves what a serial loop leaves
+    ("align-both-defective", ["align", "--ref", "{fix}/defects/arity.vec",
+                              "--other", "{fix}/defects/value.vec", "--dict", "{fix}/en-tr.tsv",
+                              "--out", "{dir}/tr.vec"]),
+    ("eval-both-defective", ["eval", "--src", "{fix}/defects/arity.vec",
+                             "--tgt", "{fix}/defects/value.vec",
+                             "--test", "{fix}/en-tr.test.tsv"]),
+    ("align-multi-both-defective", ["align-multi", "--ref", "{fix}/defects/arity.vec",
+                                    "--out-dir", "{dir}/multi",
+                                    "--pair", "tr:{fix}/defects/value.vec:{fix}/en-tr.tsv"]),
+    ("align-multi-second-defective", ["align-multi", "--ref", "{fix}/en.vec",
+                                      "--out-dir", "{dir}/multi",
+                                      "--pair", "tr:{fix}/tr.vec:{fix}/en-tr.tsv",
+                                      "--pair", "kk:{fix}/defects/value.vec:{fix}/en-kk.tsv"]),
+    *[(f"align-unwritable-{name}",
+       ["align", "--ref", "{fix}/en.vec", "--other", "{fix}/tr.vec", "--dict", "{fix}/en-tr.tsv",
+        "--method", "multistep", "--out", out, "--out-ref", out_ref])
+      for name, out, out_ref in (("out-ref", "{dir}/tr.vec", "{dir}/missing/en.vec"),
+                                 ("out", "{dir}/missing/tr.vec", "{dir}/en.vec"))],
+    ("align-lowercase-both-fold", ["align", "--ref", "{fix}/fold/en.vec", "--other",
+                                   "{fix}/tr.vec", "--dict", "{fix}/en-tr.tsv", "--lowercase",
+                                   "--method", "multistep", "--out", "{dir}/tr.vec",
+                                   "--out-ref", "{dir}/en.vec"]),
     # meemi on spaces the orthogonal run aligned
     ("meemi", ["meemi", "--src", "{out}/run-orth/run/tr.aligned.vec",
                "--tgt", "{out}/run-orth/run/en.aligned.vec", "--dict", "{fix}/tr-en.tsv",
@@ -211,6 +236,12 @@ COMMANDS = [
     ("overflow-eval", ["eval", "--src", "{fix}/huge/en.vec", "--tgt", "{fix}/huge/tr.vec",
                        "--test", "{fix}/huge/en-tr.tsv"]),
     ("overflow-induce", ["induce", "--space", "{fix}/huge/tr.vec", "--word", "söz3"]),
+    ("overflow-eval-source", ["eval", "--src", "{fix}/huge/en.vec", "--tgt", "{fix}/plain/tr.vec",
+                              "--test", "{fix}/huge/en-tr.tsv"]),
+    # entries near 1e308, whose column sums overflow
+    ("overflow-center", ["align", "--ref", "{fix}/max/en.vec", "--other", "{fix}/max/tr.vec",
+                         "--dict", "{fix}/huge/en-tr.tsv", "--normalize", "center",
+                         "--out", "{dir}/tr.vec"]),
     # vectors through a pipe
     ("pipe-good", ["induce", "--space", "/dev/stdin", "--lang", "en", "--word", "en1"],
      "{fix}/en.vec"),
@@ -384,6 +415,16 @@ def make_fixture(fix: Path) -> None:
         _write_vectors(fix / "huge" / f"{lang}.vec", words[lang][:30],
                        rng.normal(size=(30, 4)) * 1e200)
     _write_pairs(fix / "huge" / "en-tr.tsv", zip(words["en"][:20], words["tr"][:20]))
+
+    # drawn after every file above, so those keep their bytes
+    for name, lang, scale in (("plain", "tr", 1.0), ("max", "en", 1e308), ("max", "tr", 1e308)):
+        (fix / name).mkdir(exist_ok=True)
+        matrix = rng.uniform(0.75, 1.5, size=(30, 4)) if name == "max" \
+            else rng.normal(size=(30, 4))
+        _write_vectors(fix / name / f"{lang}.vec", words[lang][:30], matrix * scale)
+    (fix / "fold").mkdir()  # two words that --lowercase folds, as in tr.vec
+    _write_vectors(fix / "fold" / "en.vec", words["en"] + ["EN0", "En1"],
+                   np.vstack([en, rng.normal(size=(2, DIM))]))
 
 
 def _fill(text: str, fix: Path, out: Path, cmd_id: str) -> str:
