@@ -201,10 +201,10 @@ def _answer(call, fd: int) -> None:
 
 def _forked(calls, names) -> list:
     """[call() for call in calls]: the first call here, each later one in a child
-    (see _answer), at most one per further CPU this process may run on at a
-    time. Results, log records and the first exception come back in call order;
-    every child is reaped; one that ends without an answer is named by names[i]."""
-    spare = len(os.sched_getaffinity(0)) - 1
+    (see _answer), at most one per further CPU this process may run on (none off
+    Linux) at a time. Results, log records and the first exception come back in
+    call order; every child is reaped; one that ends unanswered is named by names[i]."""
+    spare = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
     children, results, started = {}, [], 1  # call index -> (pid, read end of its pipe)
     try:
         for i, call in enumerate(calls):
