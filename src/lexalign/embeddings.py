@@ -47,9 +47,6 @@ class Vocabulary(tuple):
     def word_index(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self)}
 
-    def __reduce__(self):  # unpickled without a second check, and without word_index
-        return tuple.__new__, (Vocabulary, tuple(self))
-
 
 @dataclass(frozen=True)
 class VocabEmbedding:

@@ -79,7 +79,10 @@ class ReplayClient:
     """Serves translations from a cache only; anything missing fails."""
 
     def __init__(self, cache):
-        self.table = load_cache(cache) if isinstance(cache, (str, os.PathLike)) else dict(cache)
+        if isinstance(cache, (str, os.PathLike)):
+            self.table = load_cache(cache)
+        else:
+            self.table = dict(cache)
 
     def translate(self, word: str, from_lang: str, to_lang: str) -> str:
         try:
