@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .dictionary import DictionaryPairs, orient
-from .embeddings import VocabEmbedding
+from .embeddings import VocabEmbedding, finite
 from .errors import DataError
 from .maps import (LinearMap, PairedMatrices, build_paired_matrices,
                    cross_covariance_svd, least_squares_map, procrustes,
@@ -268,7 +268,7 @@ def _meemi(spaces: dict[str, AlignedSpace], hub: str,
                                spaces[pairs.tgt_lang].embedding, pairs)
     # scaled in place: one array, whether or not numpy elides the temporary
     # of 0.5 * (X + Z); halving is exact, so the bits are the same
-    mid = pm.X + pm.Z
+    mid = finite(lambda: pm.X + pm.Z, "the sum of two paired rows overflows")
     mid *= 0.5
     fits = {pairs.src_lang: least_squares_map(pm.X, mid),
             pairs.tgt_lang: least_squares_map(pm.Z, mid)}

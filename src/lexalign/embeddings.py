@@ -364,6 +364,17 @@ def check_steps(steps) -> tuple:
     return steps
 
 
+def finite(compute, message: str):
+    """compute() run with numpy's floating-point warnings off; DataError(message)
+    unless every array it returns (one, or a tuple of them) is finite. The one
+    check on a product, sum or solve of finite values that may overflow."""
+    with np.errstate(all="ignore"):
+        result = compute()
+    if not all(np.isfinite(r).all() for r in (result if isinstance(result, tuple) else (result,))):
+        raise DataError(message)
+    return result
+
+
 def row_norms(matrix: np.ndarray, words=None) -> np.ndarray:
     """np.linalg.norm(matrix, axis=1), computed NORM_ROWS rows at a time so no
     full-size temporary exists; the bits are those of the one-call form. A
@@ -408,9 +419,11 @@ def normalize(emb: VocabEmbedding, steps, *, copy: bool = True) -> VocabEmbeddin
                     f"zero-length row at 'unit' step: word {emb.words[zero[0]]!r}")
             matrix /= norms[:, None]
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean = matrix.mean(axis=0)
-            if not np.isfinite(mean).all():
-                raise DataError("a column sum overflows at the 'center' step")
+            mean = finite(lambda: matrix.mean(axis=0),
+                          "a column sum overflows at the 'center' step")
+            # |x - mean| cannot round past the largest double while |mean| < 2**970
+            big = np.abs(mean) >= 2.0 ** 970
+            finite(lambda: matrix[:, big] - mean[big],
+                   "a value minus its column mean overflows at the 'center' step")
             matrix -= mean
     return VocabEmbedding(emb.language, emb.words, matrix, emb.norm_recipe + steps)

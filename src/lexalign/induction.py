@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .align import AlignedSpace
-from .embeddings import NORM_ROWS, row_norms
+from .embeddings import NORM_ROWS, finite, row_norms
 from .errors import DataError
 from .options import OOV_POLICIES
 
@@ -158,12 +158,10 @@ def induce(query, target_space, k: int, backend: str = "blocked"):
         raise DataError(f"query has dimension {q.shape[0]}, space has {emb.dim}")
     if not np.isfinite(q).all():
         raise DataError("query has non-finite values")
-    with np.errstate(over="ignore"):
-        length = np.linalg.norm(q)
+    length = finite(lambda: np.linalg.norm(q),
+                    "the query vector is too large: its squared length overflows")
     if length == 0.0:
         raise DataError("query vector is zero")
-    if length == np.inf:
-        raise DataError("the query vector is too large: its squared length overflows")
     if not 1 <= k <= len(emb):
         raise DataError(f"k must be in [1, {len(emb)}], got {k}")
     rows = {"blocked": NORM_ROWS, "exact": len(emb)}.get(backend)

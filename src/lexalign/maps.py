@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import _row_bytes
+from .embeddings import _row_bytes, finite
 from .errors import DataError, LocatedError, read_lines
 
 MAP_KINDS = ("orthogonal", "unconstrained", "whitening", "composite")
@@ -128,11 +128,8 @@ def cross_covariance_svd(pm: PairedMatrices):
 
     Returns (U, s, V) with X^T Z = U diag(s) V^T, singular values descending.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = pm.X.T @ pm.Z
-    if not np.isfinite(C).all():
-        raise DataError("non-finite values in the cross-covariance: "
-                        "X^T Z overflows, or X or Z is not finite")
+    C = finite(lambda: pm.X.T @ pm.Z, "non-finite values in the cross-covariance: "
+               "X^T Z overflows, or X or Z is not finite")
     try:
         u, s, vt = np.linalg.svd(C, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -217,11 +214,8 @@ def least_squares_map(A, B) -> LinearMap:
         raise DataError("least squares needs at least one row")
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise DataError("non-finite values in least-squares inputs")
-    with np.errstate(over="ignore", invalid="ignore"):
-        ata = A.T @ A
-        atb = A.T @ B
-    if not (np.isfinite(ata).all() and np.isfinite(atb).all()):
-        raise DataError("least-squares inputs too large: A^T A or A^T B overflows")
+    ata, atb = finite(lambda: (A.T @ A, A.T @ B),
+                      "least-squares inputs too large: A^T A or A^T B overflows")
     try:
         W = _cholesky_solve(ata, atb)
         residual = np.linalg.norm(ata @ W - atb)
@@ -233,11 +227,8 @@ def least_squares_map(A, B) -> LinearMap:
     return LinearMap(W, "unconstrained")
 
 
-def _eigh(C: np.ndarray, not_finite: str):
-    """np.linalg.eigh(C), or DataError: the message not_finite when C is not
-    finite, and LAPACK's when the decomposition does not converge."""
-    if not np.isfinite(C).all():
-        raise DataError(not_finite)
+def _eigh(C: np.ndarray):
+    """np.linalg.eigh(C), or DataError when LAPACK does not converge."""
     try:
         return np.linalg.eigh(C)
     except np.linalg.LinAlgError as exc:
@@ -255,16 +246,15 @@ def whitening_transform(A) -> LinearMap:
         raise DataError(f"whitening input must be a non-empty 2-d matrix, got {A.shape}")
     if not np.isfinite(A).all():
         raise DataError("non-finite values in whitening input")
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = A.T @ A
     overflow = "whitening input too large: A^T A overflows"
+    C = finite(lambda: A.T @ A, overflow)
     d = C.shape[0]
-    evals, evecs = _eigh(C, overflow)
+    evals, evecs = _eigh(C)
     if evals[-1] <= 0.0 or evals[0] < 1e-10 * evals[-1]:
-        lam = 1e-8 * np.trace(C) / d
+        lam = finite(lambda: 1e-8 * np.trace(C) / d, overflow)
         if lam <= 0.0:
             raise DataError("covariance is identically zero, cannot whiten")
-        evals, evecs = _eigh(C + lam * np.eye(d), overflow)
+        evals, evecs = _eigh(finite(lambda: C + lam * np.eye(d), overflow))
         if evals[0] <= 0.0:
             raise DataError("covariance is not positive definite even after regularization")
     W = (evecs * evals ** -0.5) @ evecs.T
@@ -273,7 +263,7 @@ def whitening_transform(A) -> LinearMap:
 
 def spd_inverse(M: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix, kept symmetric."""
-    evals, evecs = _eigh(np.asarray(M, dtype=np.float64), "matrix to invert is not finite")
+    evals, evecs = _eigh(finite(lambda: M, "matrix to invert is not finite"))
     if evals[0] <= 0.0:
         raise DataError("matrix is not positive definite")
     inv = (evecs * evals ** -1.0) @ evecs.T
@@ -332,16 +322,15 @@ def _format_g17(block: np.ndarray, out: np.ndarray) -> None:
     computes it and p = 16 - E, so 16 <= p <= 21 and 10**p is an exact
     double. Dekker's product of |x| and 10**p, built from Veltkamp splits
     without a fused multiply-add, gives hi + lo == |x| * 10**p exactly:
-    nothing overflows or underflows at these sizes. When that product lies in
-    [10**16, 10**17), decided from hi and the sign of lo, E is the decimal
-    exponent of x, and hi, above 2**53, is an even integer. So N = hi +
-    rint(lo) is the integer nearest the product, half to even: the 17
-    significant digits Python's correctly rounded "%.17g" prints. N == 10**17
-    carries into the exponent. For -4 <= E < 0 "%g" prints "0.", -E - 1 zeros
-    and N's digits without their trailing zeros, and a zero as "0" or "-0".
-    Every other value (one that carries to 1, a log10 off by one next to a
-    power of ten, or one outside that range or not finite) is formatted by
-    Python in its slot.
+    nothing overflows or underflows at these sizes. When 10**16 < hi < 10**17,
+    E is the decimal exponent of x, and hi, above 2**53, is an even integer
+    with |lo| <= 8. So N = hi + rint(lo) is the integer nearest the product,
+    half to even, below 10**17 (nothing carries): the 17 significant digits
+    Python's correctly rounded "%.17g" prints. For -4 <= E < 0 "%g" prints
+    "0.", -E - 1 zeros and N's digits without their trailing zeros, and a zero
+    as "0" or "-0". Every other value (hi at 10**16 or 10**17, as for 1e-4,
+    0.001, 0.01 and 0.1, a log10 off by one next to a power of ten, or a value
+    outside that range or not finite) is formatted by Python in its slot.
     """
     pow10, pow10_hi, pow10_lo, groups, heads, leads = _g17_tables()
     rows, cols = block.shape
@@ -360,14 +349,9 @@ def _format_g17(block: np.ndarray, out: np.ndarray) -> None:
     b_lo = pow10_lo.take(p)
     lo += a_hi * b_lo
     lo += a_lo * b_lo
-    ok = inside & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0.0))) \
-        & ((hi < 1e17) | ((hi == 1e17) & (lo < 0.0)))
+    fast = inside & (hi > 1e16) & (hi < 1e17)
     n = hi.astype(np.int64)
     n += np.rint(lo).astype(np.int64)
-    carry = n == 10 ** 17
-    n[carry] = 10 ** 16
-    e += carry
-    fast = ok & (e < 0)
     cls = np.add(e, 4, out=e)
     cls[~fast] = _PYTHON_CLASS
     cls[zero] = _ZERO_CLASS

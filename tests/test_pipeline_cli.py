@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import warnings
 from types import SimpleNamespace
 
@@ -831,6 +832,38 @@ def test_vectors_whose_squares_overflow_are_a_data_error(tmp_path, caplog, capsy
     assert message in caplog.text
     assert "Traceback" not in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("args, message", [
+    (["align", "--ref", "{d}/tr.vec", "--other", "{d}/en.vec", "--dict", "{d}/tr-en.tsv",
+      "--normalize", "center", "--out", "{d}/out/en.vec"],
+     "a value minus its column mean overflows at the 'center' step"),
+    (["meemi", "--src", "{d}/en.vec", "--tgt", "{d}/zz.vec", "--dict", "{d}/en-zz.tsv",
+      "--out-src", "{d}/out/en.vec", "--out-tgt", "{d}/out/zz.vec"],
+     "the sum of two paired rows overflows"),
+], ids=["center-subtract", "meemi-midpoint"])
+def test_a_center_step_or_midpoint_that_overflows_is_a_data_error(tmp_path, monkeypatch, caplog,
+                                                                   capsys, cpus, args, message):
+    """Column sums and squares that stay finite, but a value minus its column
+    mean, or the sum of two paired rows, that does not: exit 2 with the
+    overflow named, nothing written, no warning and no traceback. With two
+    CPUs the second space is read in a child, and its error crosses the pipe."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "en.vec").write_text("3 2\na 1.7e308 1\nb -1.7e308 2\nc -1.7e308 3\n",
+                                     encoding="utf-8")
+    (tmp_path / "zz.vec").write_text("3 2\nx 1.7e308 1\ny -1.7e308 2\nz 1 3\n",
+                                     encoding="utf-8")
+    (tmp_path / "tr.vec").write_text("3 2\nx 1 2\ny 3 -1\nz 2 5\n", encoding="utf-8")
+    (tmp_path / "tr-en.tsv").write_text("x\ta\ny\tb\nz\tc\n", encoding="utf-8")
+    (tmp_path / "en-zz.tsv").write_text("a\tx\nb\ty\nc\tz\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([arg.format(d=tmp_path) for arg in args]) == 2
+    assert message in caplog.text
+    assert "Traceback" not in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 BAD_VECTORS = {
