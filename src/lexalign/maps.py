@@ -218,9 +218,10 @@ def least_squares_map(A, B) -> LinearMap:
                       "least-squares inputs too large: A^T A or A^T B overflows")
     try:
         W = _cholesky_solve(ata, atb)
-        residual = np.linalg.norm(ata @ W - atb)
-        solved = residual <= RESIDUAL_RTOL * max(np.linalg.norm(atb), np.finfo(float).tiny)
-    except np.linalg.LinAlgError:
+        residual, scale = finite(lambda: (np.linalg.norm(ata @ W - atb), np.linalg.norm(atb)),
+                                 "the residual of the normal equations overflows")
+        solved = residual <= RESIDUAL_RTOL * max(scale, np.finfo(float).tiny)
+    except (np.linalg.LinAlgError, DataError):
         solved = False
     if not solved:
         W, _, _, _ = np.linalg.lstsq(A, B, rcond=None)

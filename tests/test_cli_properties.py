@@ -1,0 +1,129 @@
+"""Property test of the whole command line: every numeric command, run in this
+process on tiny generated spaces whose values are ordinary, huge, subnormal
+or degenerate, exits 0 or 2 and raises no warning. On exit 2 it writes no
+file; on exit 0 every value it writes loads back finite, and the rows an
+orthogonal fit wrote after a final "unit" step have length 1 up to the
+rounding of their six decimals."""
+
+import itertools
+import json
+import math
+import os
+import warnings
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lexalign import load_embeddings, load_maps
+from lexalign.cli import main
+
+KINDS = ("normal", "huge", "subnormal", "zero-row", "constant", "rank-1", "dim-1", "one-pair",
+         "all-oov")
+STEPS = ("none", "unit", "center", "unit,center", "center,unit", "unit,center,unit")
+COMMANDS = {
+    "align-orthogonal": ["align", "--ref", "{d}/en.vec", "--other", "{d}/tr.vec",
+                         "--dict", "{d}/en-tr.tsv", "--out", "{d}/out/tr.vec"],
+    **{f"align-{method}": ["align", "--method", method, "--ref", "{d}/en.vec",
+                           "--other", "{d}/tr.vec", "--dict", "{d}/en-tr.tsv",
+                           "--out", "{d}/out/tr.vec", "--out-ref", "{d}/out/en.vec"]
+       for method in ("multistep", "meemi")},
+    **{f"align-multi-{method}": ["align-multi", "--method", method, "--ref", "{d}/en.vec",
+                                 "--pair", "tr:{d}/tr.vec:{d}/en-tr.tsv",
+                                 "--pair", "kk:{d}/kk.vec:{d}/en-kk.tsv",
+                                 "--out-dir", "{d}/out/multi"]
+       for method in ("orthogonal", "meemi-multi")},
+    "meemi": ["meemi", "--src", "{d}/tr.vec", "--tgt", "{d}/en.vec", "--dict", "{d}/tr-en.tsv",
+              "--out-src", "{d}/out/tr.vec", "--out-tgt", "{d}/out/en.vec"],
+    "eval": ["eval", "--src", "{d}/en.vec", "--tgt", "{d}/tr.vec", "--test", "{d}/en-tr.tsv",
+             "--format", "json", "--out", "{d}/out/report.json"],
+    "induce": ["induce", "--space", "{d}/tr.vec", "--query-space", "{d}/en.vec",
+               "--word", "en0", "-k", "1"],
+}
+ORTHOGONAL_FITS = ("align-orthogonal", "align-multi-orthogonal")
+RUNS = itertools.count()
+
+
+def matrix(kind, n, d, rng):
+    """An n x d matrix of the input kind; the kinds about dictionaries and
+    dimensions get N(0, 1) rows."""
+    if kind == "huge":
+        return rng.choice([-1.0, 1.0], (n, d)) * 10.0 ** rng.uniform(150, 307, (n, d))
+    if kind == "subnormal":
+        tiny = rng.integers(-2 ** 40, 2 ** 40, (n, d)) * 5e-324
+        return np.where(rng.random((n, d)) < 0.5, tiny, rng.normal(size=(n, d)))
+    if kind == "constant":
+        return np.tile(rng.normal(size=d), (n, 1))
+    if kind == "rank-1":
+        return np.outer(rng.normal(size=n), rng.normal(size=d))
+    rows = rng.normal(size=(n, d))
+    if kind == "zero-row":
+        rows[rng.integers(n)] = 0.0
+    return rows
+
+
+def write_inputs(where, kind, defective, n, d, rng):
+    """en, tr and kk spaces of n words each, the ones in defective drawn as
+    kind, and a dictionary between en and each other language, both ways."""
+    for lang in ("en", "tr", "kk"):
+        rows = matrix(kind if lang in defective else "normal", n, d, rng)
+        (where / f"{lang}.vec").write_text(
+            f"{n} {d}\n" + "".join(f"{lang}{i} " + " ".join(map(repr, row)) + "\n"
+                                   for i, row in enumerate(rows.tolist())), encoding="utf-8")
+    pairs = range(1 if kind == "one-pair" else n)
+    for lang in ("tr", "kk"):
+        other = "nowhere" if kind == "all-oov" else lang
+        for name, order in ((f"en-{lang}", 1), (f"{lang}-en", -1)):
+            (where / f"{name}.tsv").write_text(
+                "".join("\t".join((f"en{i}", f"{other}{i}")[::order]) + "\n" for i in pairs),
+                encoding="utf-8")
+
+
+def not_finite(constant):
+    raise AssertionError(f"{constant} written")
+
+
+def check_written(out, command, steps):
+    for path in sorted(out.rglob("*.vec")):
+        emb = load_embeddings(path)
+        assert np.isfinite(emb.matrix).all(), path
+        if command in ORTHOGONAL_FITS and steps.endswith("unit"):
+            error = np.abs(np.linalg.norm(emb.matrix, axis=1) - 1.0)
+            assert error.max() <= math.sqrt(emb.dim) * 5e-7 + 1e-12, (path, error.max())
+    for path in sorted(out.rglob("*.map")):
+        assert all(np.isfinite(m.matrix).all() for m in load_maps(path))
+    for path in sorted(out.rglob("*.json")):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=not_finite)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(COMMANDS)), kind=st.sampled_from(KINDS),
+       steps=st.sampled_from(STEPS), n=st.integers(1, 6), d=st.integers(2, 4),
+       defective=st.sets(st.sampled_from(("en", "tr", "kk")), min_size=1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_command_exits_0_or_2_without_a_warning(tmp_path, monkeypatch, capsys, command,
+                                                      kind, steps, n, d, defective, seed):
+    # one CPU: no child is forked, so every warning is raised in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    where = tmp_path / str(next(RUNS))
+    (where / "out").mkdir(parents=True)
+    write_inputs(where, kind, defective, n, 1 if kind == "dim-1" else d,
+                 np.random.default_rng(seed))
+    argv = [arg.format(d=where) for arg in COMMANDS[command]]
+    if argv[0] in ("align", "align-multi"):
+        argv += ["--normalize", steps]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    stdout = capsys.readouterr().out
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2)
+    written = [path for path in (where / "out").rglob("*") if path.is_file()]
+    if code == 2:
+        assert written == []
+        return
+    check_written(where / "out", command, steps)
+    if command == "induce":
+        assert all(math.isfinite(float(line.split("\t")[1])) for line in stdout.splitlines())

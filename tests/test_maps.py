@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -371,6 +373,18 @@ def test_cholesky_solve_on_numpys_lapack_is_scipys_bit_for_bit(system):
         assert least_squares_map(a, b).matrix.tobytes() == fast
 
 
+def test_a_residual_whose_square_overflows_falls_back_to_lstsq_without_a_warning():
+    """A^T A and A^T B are finite and Cholesky solves them, but the residual's
+    squared length overflows: the SVD solution is taken, and no warning is
+    printed."""
+    a = [[0.36159505490948474, 1.3040000451301372, 0.9470809631292422]]
+    b = [[1.354606834075871e+156, 1.9670200299499817e+152, 2.4121124972818764e+277]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = least_squares_map(a, b)
+    np.testing.assert_allclose(np.array(a) @ w.matrix, b, rtol=1e-12)
+
+
 class TestWhitening:
     def test_diagonal_example(self):
         a = np.array([[2.0, 0.0], [0.0, 3.0]])
@@ -404,6 +418,15 @@ class TestWhitening:
     def test_zero_matrix_rejected(self):
         with pytest.raises(DataError):
             whitening_transform(np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("a", [[[1e154, 1e154]], [[9.6e153, 9.6e153], [1e-100, 2e-100]]])
+    def test_a_trace_that_overflows_is_a_data_error(self, a):
+        """A^T A is finite and singular, but the trace that sets its
+        regularization overflows: the overflow is named, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="A\\^T A overflows"):
+                whitening_transform(a)
 
 
 class TestCrossCovarianceSvd:
