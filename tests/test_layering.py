@@ -10,6 +10,12 @@ errors.read_lines reads a UTF-8 text file line by line and locates a byte
 that is not UTF-8. Every text input goes through it, so any other function
 that opens a file for text reading is a second copy of that job and fails
 here.
+
+embeddings.finite computes with numpy's floating-point warnings off and
+raises a DataError unless the result is finite. Every product, sum or solve
+of finite values that can overflow goes through it, so any other function
+that calls np.errstate is a second, hand-written copy of that check and
+fails here.
 """
 
 import ast
@@ -60,9 +66,9 @@ def opens_text_for_reading(call):
     return "b" not in mode and ("r" in mode or "+" in mode)
 
 
-def text_reading_functions(path):
-    """module.function for each text-reading call in path, function being the
-    innermost def around the call."""
+def calling_functions(path, matches):
+    """module.function for each call in path that matches accepts, function
+    being the innermost def around the call."""
     found = []
 
     def visit(node, owner):
@@ -70,7 +76,7 @@ def text_reading_functions(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and opens_text_for_reading(child):
+            if isinstance(child, ast.Call) and matches(child):
                 found.append(f"{path.stem}.{owner}")
             visit(child, owner)
 
@@ -79,6 +85,24 @@ def text_reading_functions(path):
 
 
 def test_only_the_line_reader_and_listed_functions_read_text_files():
-    found = [name for path in sorted(SRC.glob("*.py")) for name in text_reading_functions(path)]
+    found = [name for path in sorted(SRC.glob("*.py"))
+             for name in calling_functions(path, opens_text_for_reading)]
     assert "errors.read_lines" in found
     assert sorted(set(found) - TEXT_READERS) == []
+
+
+# The only functions that may call np.errstate: the overflow guard, row_norms,
+# whose error names the word of the row that overflows, and the writer's
+# check of which values Python formats, where non-finite values are expected.
+ERRSTATE_CALLERS = {"embeddings.finite", "embeddings.row_norms", "embeddings._format_block"}
+
+
+def calls_errstate(call):
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "errstate"
+
+
+def test_only_the_overflow_guard_and_listed_functions_call_errstate():
+    found = [name for path in sorted(SRC.glob("*.py"))
+             for name in calling_functions(path, calls_errstate)]
+    assert sorted(set(found)) == sorted(ERRSTATE_CALLERS)
