@@ -7,6 +7,7 @@ import os
 import pickle
 import signal
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -195,3 +196,20 @@ def test_items_sharing_a_file_are_written_in_order(tmp_path, two_cpus):
     write_spaces([(en, path, tmp_path / "en.map"), (tr, path, tmp_path / "tr.map")])
     save_embeddings(tr.embedding, tmp_path / "want.vec")
     assert path.read_bytes() == (tmp_path / "want.vec").read_bytes()
+
+
+def test_a_call_no_child_has_started_runs_here(two_cpus, caplog):
+    """On two CPUs this process runs calls 0, 2 and 4 while a child runs 1, 3
+    and 5; results and log records still come back in call order."""
+    caplog.set_level(logging.INFO)
+
+    def call(i):
+        logging.getLogger("lexalign.test").info("call %d", i)
+        return i, os.getpid()
+
+    results = _forked([partial(call, i) for i in range(6)], [f"call {i}" for i in range(6)])
+    assert [i for i, _ in results] == list(range(6))
+    assert [pid == os.getpid() for _, pid in results] == [True, False] * 3
+    assert [r.getMessage() for r in caplog.records if r.name == "lexalign.test"] == \
+        [f"call {i}" for i in range(6)]
+    assert no_child_left()
