@@ -242,6 +242,23 @@ COMMANDS = [
     ("overflow-center", ["align", "--ref", "{fix}/max/en.vec", "--other", "{fix}/max/tr.vec",
                          "--dict", "{fix}/huge/en-tr.tsv", "--normalize", "center",
                          "--out", "{dir}/tr.vec"]),
+    # a value minus its column mean that overflows, read in a child (the
+    # --other space), and paired rows whose sum overflows
+    ("overflow-center-subtract", ["align", "--ref", "{fix}/subtract/en.vec",
+                                  "--other", "{fix}/subtract/tr.vec",
+                                  "--dict", "{fix}/huge/en-tr.tsv", "--normalize", "center",
+                                  "--out", "{dir}/tr.vec"]),
+    ("overflow-meemi-midpoint", ["meemi", "--src", "{fix}/midpoint/tr.vec",
+                                 "--tgt", "{fix}/midpoint/en.vec",
+                                 "--dict", "{fix}/midpoint/tr-en.tsv",
+                                 "--out-src", "{dir}/tr.vec", "--out-tgt", "{dir}/en.vec"]),
+    # four spaces, the last one defective: with two CPUs it is read in a child
+    # while this process reads the one before it
+    ("align-multi-last-defective", ["align-multi", "--ref", "{fix}/en.vec",
+                                    "--out-dir", "{dir}/multi",
+                                    "--pair", "tr:{fix}/tr.vec:{fix}/en-tr.tsv",
+                                    "--pair", "kk:{fix}/kk.vec:{fix}/en-kk.tsv",
+                                    "--pair", "uz:{fix}/defects/value.vec:{fix}/en-uz.tsv"]),
     # vectors through a pipe
     ("pipe-good", ["induce", "--space", "/dev/stdin", "--lang", "en", "--word", "en1"],
      "{fix}/en.vec"),
@@ -425,6 +442,24 @@ def make_fixture(fix: Path) -> None:
     (fix / "fold").mkdir()  # two words that --lowercase folds, as in tr.vec
     _write_vectors(fix / "fold" / "en.vec", words["en"] + ["EN0", "En1"],
                    np.vstack([en, rng.normal(size=(2, DIM))]))
+
+    # drawn after every file above, so those keep their bytes: an ordinary en
+    # space and a tr space whose first column alternates between -1.79e308 and
+    # 1.79e308, so its sum stays finite and its mean is about -1.79e308 / 30;
+    # then two spaces whose paired rows near 1.7e308 share their signs
+    (fix / "subtract").mkdir()
+    column = np.where(np.arange(30) % 2, 1.79e308, -1.79e308)
+    column[-1] = 0.5
+    for lang, first in (("en", None), ("tr", column)):
+        matrix = rng.normal(size=(30, 4))
+        if first is not None:
+            matrix[:, 0] = first
+        _write_vectors(fix / "subtract" / f"{lang}.vec", words[lang][:30], matrix)
+    (fix / "midpoint").mkdir()
+    for lang in ("en", "tr"):
+        _write_vectors(fix / "midpoint" / f"{lang}.vec", words[lang][:30],
+                       rng.uniform(0.9, 1.0, size=(30, 4)) * 1.7e308)
+    _write_pairs(fix / "midpoint" / "tr-en.tsv", zip(words["tr"][:20], words["en"][:20]))
 
 
 def _fill(text: str, fix: Path, out: Path, cmd_id: str) -> str:
