@@ -25,13 +25,13 @@ def _embedding_of(space):
 
 
 def _unit_rows(matrix: np.ndarray, norms: np.ndarray | None = None,
-               in_place: bool = False) -> np.ndarray:
-    """matrix / max(row norm, _EPS): the result is the only full-size array,
-    and with in_place it is matrix itself, divided by the same element-wise
-    division. norms, when given, are row_norms(matrix), already computed."""
+               out: np.ndarray | None = None) -> np.ndarray:
+    """matrix / max(row norm, _EPS), written into out when given (out=matrix
+    divides in place, with the same bits). norms, when given, are
+    row_norms(matrix), already computed."""
     if norms is None:
         norms = row_norms(matrix)
-    return np.divide(matrix, np.maximum(norms[:, None], _EPS), out=matrix if in_place else None)
+    return np.divide(matrix, np.maximum(norms[:, None], _EPS), out=out)
 
 
 def _row_blocks(n: int, size: int):
@@ -102,38 +102,90 @@ def _first_k(scores: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
+def _merge_top(top, best, scores: np.ndarray, offset: int, k: int):
+    """Each row's running top k (indices top, their scores best, ranked)
+    merged with the scores of the next target block, whose columns are
+    targets offset, offset + 1, ...: the ranked first min(k, ...) of both,
+    and their scores. The first block (no running top yet) goes to _first_k.
+    A later block's targets all have higher indices than the running ones,
+    so they lose ties: once a row holds k, only a score above its k-th score
+    is a candidate, or any number where the k-th score is NaN (NaN ranks last)."""
+    n, have = top.shape
+    if not have:
+        first = _first_k(scores, min(k, scores.shape[1]))
+        return first, np.take_along_axis(scores, first, 1)
+    if have < k:
+        keep = np.ones(scores.shape, dtype=bool)
+    else:
+        keep = scores > best[:, -1:]
+        nan = np.isnan(best[:, -1])
+        keep[nan] = ~np.isnan(scores[nan])
+    rows, cols = np.divmod(np.flatnonzero(keep), keep.shape[1])  # faster than 2-d nonzero
+    owner = np.concatenate([np.repeat(np.arange(n), have), rows])
+    index = np.concatenate([top.ravel(), cols + offset])
+    score = np.concatenate([best.ravel(), scores[rows, cols]])
+    order = np.lexsort((index, -score, owner))  # by row, then as rank_by_score
+    counts = np.bincount(owner, minlength=n)
+    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(min(k, have + scores.shape[1]))]
+    return index[pick], score[pick]
+
+
+def _topk(queries, targets: np.ndarray, k: int, words=None,
+          norms: np.ndarray | None = None, in_place: bool = False) -> np.ndarray:
+    """topk, streamed over _BLOCK_ROWS target rows at a time. With norms, the
+    targets' row norms, each block is first divided by them: into one reused
+    block-sized buffer, or with in_place in the targets' own rows. Every
+    query block is then scored against the block and the scores merged into
+    the running top k (_merge_top), so the score buffer holds one query block
+    against one target block."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != targets.shape[1]:
+        raise DataError(f"queries of shape {queries.shape} do not match targets of "
+                        f"dimension {targets.shape[1]}")
+    (n, dim), size = queries.shape, targets.shape[0]
+    if not 1 <= k <= size:
+        raise DataError(f"k must be in [1, {size}], got {k}")
+    query_norms = row_norms(queries, words)
+    block_rows = min(_BLOCK_ROWS, size)
+    unit = np.empty((block_rows, dim)) if norms is not None and not in_place else None
+    query_block = np.empty((_QUERY_BLOCK, dim))
+    scores = np.empty((_QUERY_BLOCK, block_rows))
+    top, best = np.empty((n, 0), dtype=np.intp), np.empty((n, 0))
+    for t in range(0, size, _BLOCK_ROWS):
+        block = targets[t:t + _BLOCK_ROWS]
+        if norms is not None:
+            block = _unit_rows(block, norms[t:t + len(block)],
+                               block if in_place else unit[:len(block)])
+        width = min(k, t + len(block))
+        next_top, next_best = np.empty((n, width), dtype=np.intp), np.empty((n, width))
+        for start in range(0, n, _QUERY_BLOCK):
+            rows = slice(start, start + _QUERY_BLOCK)
+            part = queries[rows]
+            _unit_rows(part, query_norms[rows], query_block[:len(part)])
+            query_block[len(part):] = 0.0
+            out = scores[:, :len(block)]
+            np.matmul(query_block, block.T, out=out)
+            next_top[rows], next_best[rows] = _merge_top(top[rows], best[rows],
+                                                         out[:len(part)], t, k)
+        top, best = next_top, next_best
+    return top
+
+
 def topk(queries: np.ndarray, unit_targets: np.ndarray, k: int, words=None) -> np.ndarray:
     """Indices of the k targets nearest each query row by cosine, best first.
 
     Row i is rank_by_score(cosine_scores(queries[i], unit_targets))[:k], with
     the scores computed by GEMM instead of one product per query, so they may
     differ from cosine_scores in the last bit. Queries are scored
-    _QUERY_BLOCK rows at a time, the last block zero-padded: BLAS picks its
-    kernel by the number of rows, so a fixed block keeps results bitwise
-    reproducible whatever the query count. The score buffer holds one block
-    against every target, never every query against every target. words,
-    the queries' words, name a query whose squared length overflows.
+    _QUERY_BLOCK rows at a time, the last block zero-padded, against
+    _BLOCK_ROWS targets at a time: BLAS picks its kernel by the operands'
+    shapes, so fixed blocks keep results bitwise reproducible whatever the
+    query count. The top k is kept per row as the target blocks stream past
+    (see _topk), so the score buffer holds one query block against one target
+    block, never a query against every target. words, the queries' words,
+    name a query whose squared length overflows.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != unit_targets.shape[1]:
-        raise DataError(f"queries of shape {queries.shape} do not match targets of "
-                        f"dimension {unit_targets.shape[1]}")
-    n, size = queries.shape[0], unit_targets.shape[0]
-    if not 1 <= k <= size:
-        raise DataError(f"k must be in [1, {size}], got {k}")
-    top = np.empty((n, k), dtype=np.intp)
-    block = np.empty((_QUERY_BLOCK, queries.shape[1]))
-    scores = np.empty((_QUERY_BLOCK, size))
-    for start in range(0, n, _QUERY_BLOCK):
-        rows = min(_QUERY_BLOCK, n - start)
-        part = queries[start:start + rows]
-        block[:rows] = _unit_rows(part, row_norms(part, words and words[start:start + rows]))
-        block[rows:] = 0.0
-        for t in range(0, size, _BLOCK_ROWS):
-            np.matmul(block, unit_targets[t:t + _BLOCK_ROWS].T,
-                      out=scores[:, t:t + _BLOCK_ROWS])
-        top[start:start + rows] = _first_k(scores[:rows], k)
-    return top
+    return _topk(queries, unit_targets, k, words)
 
 
 def induce(query, target_space, k: int, backend: str = "blocked"):
@@ -218,11 +270,14 @@ def precision_at_k(src_space, tgt_space, test: "DictionaryPairs", ks=(1, 5, 10),
     removes out-of-vocabulary source words from the denominator (they are
     counted in skipped_oov_src); "fail" keeps them as guaranteed misses.
 
-    By default both spaces are left unchanged, and the target is divided by
-    its row norms into a new array. in_place=True divides the target's own
-    matrix instead, with the same bits, and drops the norms the target kept:
-    it is for a caller that owns the target and will not read it again,
-    since its values no longer match its recipe afterwards.
+    Retrieval streams over the target (see _topk): each block of
+    _BLOCK_ROWS target rows is divided by its row norms, then scored against
+    every query, so no normalized copy of the whole target is made. By
+    default both spaces are left unchanged, and each block is divided into
+    one reused block-sized buffer. in_place=True divides each block in the
+    target's own rows instead, with the same bits, and drops the norms the
+    target kept: it is for a caller that owns the target and will not read
+    it again, since its values no longer match its recipe afterwards.
     """
     if oov_policy not in OOV_POLICIES:
         raise ValueError(f"oov_policy must be one of {OOV_POLICIES}, got {oov_policy!r}")
@@ -253,10 +308,9 @@ def precision_at_k(src_space, tgt_space, test: "DictionaryPairs", ks=(1, 5, 10),
 
     depth = min(max(ks), len(tgt_emb))
     queries = src_emb.matrix[[src_emb.word_index[w] for w in in_vocab]]
-    unit_targets = _unit_rows(tgt_emb.matrix, tgt_emb.norms, in_place)
+    tops = _topk(queries, tgt_emb.matrix, depth, in_vocab, tgt_emb.norms, in_place)
     if in_place:
         tgt_emb.__dict__.pop("norms")  # stale: they are those of the matrix before
-    tops = topk(queries, unit_targets, depth, in_vocab)
     hits = {k: 0 for k in ks}
     for word, top in zip(in_vocab, tops):
         position = {tgt_emb.words[i]: rank for rank, i in enumerate(top)}

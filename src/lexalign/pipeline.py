@@ -19,6 +19,7 @@ import pickle
 import platform
 import signal
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import partial
@@ -178,67 +179,98 @@ def _convert(kind, value, key: str):
     raise DataError(f"config key {key} has a value of the wrong type: {value!r}")
 
 
-def _answer(call, fd: int) -> None:
-    """In a child: send (its records of the package's loggers, whether call returned,
-    the result or exception) down the pipe fd, pickled with protocol 5, and exit."""
+def _serve(calls, indices, fd: int) -> None:
+    """In a child: run calls[i] for each i of indices in turn, and send down the pipe
+    fd, for each, (the records of the package's loggers and the warnings it raised, in
+    the order they came, whether it returned, the result or exception), pickled with
+    protocol 5. Stop after an exception; exit."""
     try:
-        records, buffers, log = [], [], logging.getLogger(__package__)
+        events, log = [], logging.getLogger(__package__)
         log.handlers, log.propagate = [logging.Handler()], False
-        log.handlers[0].emit = records.append
-        try:
-            answer = (True, call())
-        except BaseException as exc:
-            answer = (False, exc)
-        chunks = [pickle.dumps((records, *answer), 5, buffer_callback=buffers.append),
-                  *(buffer.raw() for buffer in buffers)]
-        with open(fd, "wb") as pipe:  # the chunk count and sizes, the pickle, its buffers
-            pipe.write(b"".join(n.to_bytes(8, "little") for n in [len(chunks), *map(len, chunks)]))
-            pipe.writelines(chunks)
+        log.handlers[0].emit = events.append
+        warnings.showwarning = lambda message, category, filename, lineno, *_: \
+            events.append((message, category, filename, lineno))
+        with open(fd, "wb") as pipe:  # per call: the chunk count and sizes, the pickle, its buffers
+            for i in indices:
+                try:
+                    answer = (True, calls[i]())
+                except BaseException as exc:
+                    answer = (False, exc)
+                buffers = []
+                chunks = [pickle.dumps((events, *answer), 5, buffer_callback=buffers.append),
+                          *(buffer.raw() for buffer in buffers)]
+                pipe.write(b"".join(n.to_bytes(8, "little")
+                                    for n in [len(chunks), *map(len, chunks)]))
+                pipe.writelines(chunks)
+                pipe.flush()
+                if not answer[0]:
+                    break
+                events.clear()
+                del answer, buffers, chunks  # the result goes before the next call runs
         os._exit(0)
     finally:
         os._exit(1)
 
 
+def _replay(events) -> None:
+    """Emit a child's log records and warnings here, as if raised here: a warning goes
+    through the filters and the registry of the module that raised it, so one shown
+    here already is not shown again."""
+    for event in events:
+        if isinstance(event, logging.LogRecord):
+            logging.getLogger(event.name).handle(event)
+            continue
+        message, category, filename, lineno = event
+        module = next((vars(m) for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        warnings.warn_explicit(message, category, filename, lineno,
+                               module and module["__name__"],
+                               module and module.setdefault("__warningregistry__", {}))
+
+
 def _forked(calls, names) -> list:
-    """[call() for call in calls], each call here unless a child has started it, at
-    most one child per further CPU this process may run on (none off Linux) at a time
-    (see _answer). Results, log records and the first exception come back in call
-    order; every child is reaped; one that ends unanswered is named by names[i]."""
-    spare = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
-    children, results, started = {}, [], 1  # call index -> (pid, read end of its pipe)
+    """[call() for call in calls], spread over this process and at most one child per
+    further CPU it may run on (none off Linux): with n processes, call i runs in
+    process i % n, this one being process 0, and each child runs its calls one after
+    another (see _serve). Results, log records, warnings and the first exception come
+    back in call order; every child is reaped; one that ends unanswered is named by
+    names[i]."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = max(1, min(cpus, len(calls)))
+    children = {}  # process number -> (pid, read end of its pipe)
     try:
+        for child in range(1, n):
+            read, write = os.pipe()
+            if not (pid := os.fork()):
+                _serve(calls, range(child, len(calls), n), write)
+            os.close(write)
+            children[child] = (pid, open(read, "rb"))
+        results = []
         for i, call in enumerate(calls):
-            started = max(started, i + 1)  # call i runs here unless a child has it
-            while len(children) < spare and started < len(calls):
-                read, write = os.pipe()
-                if not (pid := os.fork()):
-                    _answer(calls[started], write)
-                os.close(write)
-                children[started], started = (pid, read), started + 1
-            if i not in children:
+            if not i % n:
                 results.append(call())
                 continue
-            with open(children[i][1], "rb", closefd=False) as pipe:
-                chunks = [bytearray(int.from_bytes(pipe.read(8), "little"))
-                          for _ in range(int.from_bytes(pipe.read(8), "little"))]
-                answered = chunks and all(pipe.readinto(chunk) == len(chunk) for chunk in chunks)
-            pid, fd = children.pop(i)
-            os.close(fd)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid, pipe = children[i % n]
+            chunks = [bytearray(int.from_bytes(pipe.read(8), "little"))
+                      for _ in range(int.from_bytes(pipe.read(8), "little"))]
+            answered = chunks and all(pipe.readinto(chunk) == len(chunk) for chunk in chunks)
+            if not answered or i + n >= len(calls):  # the child's last answer
+                del children[i % n]
+                pipe.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if not answered:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 raise LexalignError(f"{names[i]}: the process working on it {how}")
-            records, returned, value = pickle.loads(chunks[0], buffers=chunks[1:])
-            for record in records:
-                logging.getLogger(record.name).handle(record)
+            events, returned, value = pickle.loads(chunks[0], buffers=chunks[1:])
+            _replay(events)
             if not returned:
                 raise value
             results.append(value)
         return results
     finally:
-        for pid, fd in children.values():
+        for pid, pipe in children.values():
             os.kill(pid, signal.SIGKILL)
-            os.close(fd)
+            pipe.close()
             os.waitpid(pid, 0)
 
 

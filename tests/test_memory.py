@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from lexalign import (DEFAULT_NORMALIZE, DictionaryPairs, LinearMap, VocabEmbedding,
-                      align_orthogonal, load_embeddings, meemi_bilingual, save_embeddings,
-                      save_maps)
+                      align_orthogonal, load_embeddings, meemi_bilingual, precision_at_k,
+                      save_embeddings, save_maps)
 from lexalign.cli import main
 from lexalign.pipeline import fit_method, load_space
 
@@ -177,3 +177,25 @@ def test_saving_a_map_allocates_no_full_size_temporary(tmp_path):
     # save_maps formats a few rows at a time, so its peak does not grow with the map
     m = LinearMap(np.random.default_rng(0).normal(0.0, 0.06, size=(2000, 300)), "unconstrained")
     assert peak_bytes(lambda: save_maps([m], tmp_path / "w.map")) < m.matrix.nbytes / 4
+
+
+def test_precision_at_k_streams_the_target(monkeypatch):
+    # eight target blocks and a one-row ninth, 256 wide: a block is 1 MB,
+    # four times the 64-query score buffer, and the target is 8 MB
+    block, dim = 512, 256
+    monkeypatch.setattr("lexalign.induction._BLOCK_ROWS", block)
+    rng = np.random.default_rng(5)
+    words = WORDS[:8 * block + 1]
+    src = VocabEmbedding("tr", words, rng.normal(size=(len(words), dim)))
+    test = DictionaryPairs("tr", "en", tuple((w, w) for w in words[:40]))
+
+    def peak(in_place):
+        tgt = VocabEmbedding("en", words, rng.normal(size=(len(words), dim)))
+        tgt.norms, tgt.word_index, src.word_index  # computed outside the traced call
+        return peak_bytes(lambda: precision_at_k(src, tgt, test, in_place=in_place))
+
+    target_bytes, block_bytes = len(words) * dim * 8, block * dim * 8
+    # no unit-length copy of the target: one reused block-sized buffer
+    assert peak(False) < target_bytes / 2
+    # in place, each block is divided in the target's rows: no buffer at all
+    assert peak(True) < block_bytes

@@ -7,6 +7,7 @@ import os
 import pickle
 import signal
 import time
+import warnings
 from functools import partial
 
 import numpy as np
@@ -212,4 +213,45 @@ def test_a_call_no_child_has_started_runs_here(two_cpus, caplog):
     assert [pid == os.getpid() for _, pid in results] == [True, False] * 3
     assert [r.getMessage() for r in caplog.records if r.name == "lexalign.test"] == \
         [f"call {i}" for i in range(6)]
+    assert no_child_left()
+
+
+def test_every_process_runs_its_share_of_the_calls_in_turn(monkeypatch):
+    """On four CPUs call i runs in process i % 4, each child its two calls
+    one after the other: eight calls of 0.3 s take two rounds, not three."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+    def call(i):
+        time.sleep(0.3)
+        return i, os.getpid()
+
+    start = time.monotonic()
+    results = _forked([partial(call, i) for i in range(8)], [f"call {i}" for i in range(8)])
+    elapsed = time.monotonic() - start
+    assert [i for i, _ in results] == list(range(8))
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid() and len(set(pids)) == 4 and pids[:4] == pids[4:]
+    assert elapsed < 0.8
+    assert no_child_left()
+
+
+def warn(i):
+    warnings.warn(f"call {i}")
+    warnings.warn("every call")  # one site and text: the registry shows it once
+    return i
+
+
+def test_warnings_are_those_of_a_serial_loop(two_cpus, capfd):
+    calls = [partial(warn, i) for i in range(3)]
+
+    def shown(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert run() == [0, 1, 2]
+        return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    serial = shown(lambda: [call() for call in calls])
+    assert [message for message, *_ in serial] == ["call 0", "every call", "call 1", "call 2"]
+    assert shown(lambda: _forked(calls, ["a", "b", "c"])) == serial
+    assert capfd.readouterr().err == ""  # the child printed none of them
     assert no_child_left()
