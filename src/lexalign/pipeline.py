@@ -190,7 +190,7 @@ def _serve(calls, indices, fd: int) -> None:
         log.handlers[0].emit = events.append
         warnings.showwarning = lambda message, category, filename, lineno, *_: \
             events.append((message, category, filename, lineno))
-        with open(fd, "wb") as pipe:  # per call: the chunk count and sizes, the pickle, its buffers
+        with open(fd, "wb") as pipe:  # per call: chunk count and sizes, the pickle, its buffers
             for i in indices:
                 try:
                     answer = (True, calls[i]())
