@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import random
 from dataclasses import dataclass, replace
@@ -25,7 +26,10 @@ class DictionaryPairs:
     provenance: str = "file"
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((s, t) for s, t in self.pairs))
+        pairs = tuple(self.pairs)  # 2-tuples already are checked in C, not unpacked
+        if not (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}):
+            pairs = tuple((s, t) for s, t in pairs)
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -56,11 +60,22 @@ def single_token(word: str) -> bool:
     return bool(word) and word.split() == [word]
 
 
+def first_bad_token(words) -> str | None:
+    """The first of words that single_token rejects, or None. The words joined by
+    spaces split back into them exactly when all are single tokens."""
+    words = list(words)
+    if " ".join(words).split() == words:
+        return None
+    return next(w for w in words if not single_token(w))
+
+
 def clean_dictionary(d: DictionaryPairs) -> DictionaryPairs:
     """Drop exact duplicate pairs (first kept) and pairs where either side is
     empty or spans more than one token. Idempotent, order-preserving."""
-    return replace(d, pairs=tuple(pair for pair in dict.fromkeys(d.pairs)
-                                  if single_token(pair[0]) and single_token(pair[1])))
+    pairs = tuple(dict.fromkeys(d.pairs))
+    if first_bad_token(itertools.chain.from_iterable(pairs)) is not None:
+        pairs = tuple(p for p in pairs if single_token(p[0]) and single_token(p[1]))
+    return replace(d, pairs=pairs)
 
 
 def merge_dictionaries(a: DictionaryPairs, b: DictionaryPairs,
@@ -125,5 +140,4 @@ def load_dictionary(path, src_lang: str = "src", tgt_lang: str = "tgt",
 def save_dictionary(d: DictionaryPairs, path) -> None:
     """Write tab-separated pairs; loading the file back is lossless."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s, t in d.pairs:
-            fh.write(f"{s}\t{t}\n")
+        fh.write("".join(f"{s}\t{t}\n" for s, t in d.pairs))

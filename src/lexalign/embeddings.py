@@ -16,7 +16,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .dictionary import single_token
+from .dictionary import first_bad_token, single_token
 from .errors import DataError, EmbeddingParseError, read_lines
 from .options import DEFAULT_NORMALIZE, NORM_STEPS
 
@@ -34,10 +34,8 @@ class Vocabulary(tuple):
 
     def __new__(cls, words):
         vocab = super().__new__(cls, words)
-        # one split over the joined vocabulary gives back the words exactly
-        # when every word is a single token, without a call per word
-        if " ".join(vocab).split() != list(vocab):
-            bad = next(w for w in vocab if not single_token(w))
+        bad = first_bad_token(vocab)
+        if bad is not None:
             raise DataError(f"invalid word {bad!r}: empty or contains whitespace")
         if len(set(vocab)) != len(vocab):
             raise DataError("duplicate words in vocabulary")

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .dictionary import DictionaryPairs, single_token
+from .dictionary import DictionaryPairs, first_bad_token, single_token
 from .errors import DataError, LocatedError, TranslationError, read_lines
 
 logger = logging.getLogger(__name__)
@@ -35,6 +35,9 @@ MAX_WORKERS = 64
 
 
 class TranslationClient(Protocol):
+    """A client may also hold a `table` dict {(word, from, to): translation}
+    of answers translate would give, as ReplayClient and HttpTranslationClient
+    do; a lookup found there is answered from it, without a call or a thread."""
     def translate(self, word: str, from_lang: str, to_lang: str) -> str: ...
 
 
@@ -133,10 +136,9 @@ class HttpTranslationClient:
         self._clock = clock
         self._lock = threading.Lock()
         self._next_slot = 0.0
-        self._cache = {}
         self._cache_file = None
-        if cache_path is not None and os.path.exists(cache_path):
-            self._cache = load_cache(cache_path)
+        exists = cache_path is not None and os.path.exists(cache_path)
+        self.table = load_cache(cache_path) if exists else {}
 
     def close(self) -> None:
         with self._lock:
@@ -165,8 +167,8 @@ class HttpTranslationClient:
     def translate(self, word: str, from_lang: str, to_lang: str) -> str:
         key = (word, from_lang, to_lang)
         with self._lock:
-            if key in self._cache:
-                return self._cache[key]
+            if key in self.table:
+                return self.table[key]
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -197,7 +199,7 @@ class HttpTranslationClient:
                 # line at "\r" as well, so a replay sees what was served
                 translation = translation.replace("\t", " ").replace("\n", " ").replace("\r", " ")
                 with self._lock:
-                    self._cache[key] = translation
+                    self.table[key] = translation
                     if self.cache_path is not None:
                         if self._cache_file is None:
                             self._cache_file = open(self.cache_path, "a", encoding="utf-8",
@@ -238,16 +240,19 @@ def _translate_many(client, jobs, workers: int):
     """Run (word, from, to) jobs, returning (ok, value_or_message) in input order.
 
     Each distinct job is looked up once and its outcome copied to every
-    repeat. min(workers, distinct jobs) loops, 1 <= workers <= MAX_WORKERS,
-    claim job indices from one shared counter, so no future is made per
-    lookup. An exception other than TranslationError, in a loop or in the
-    calling thread (Ctrl-C), stops every loop after its current lookup and
-    propagates.
+    repeat; one the client's table holds is answered in the calling thread.
+    min(workers, other jobs) loops, 1 <= workers <= MAX_WORKERS, claim job
+    indices from one shared counter, so no future is made per lookup. An
+    exception other than TranslationError, in a loop or in the calling
+    thread (Ctrl-C), stops every loop after its current lookup and propagates.
     """
     if not 1 <= workers <= MAX_WORKERS:
         raise DataError(f"workers must be between 1 and {MAX_WORKERS}, got {workers}")
-    outcomes = dict.fromkeys(jobs)
-    unique = list(outcomes)
+    unique = list(dict.fromkeys(jobs))
+    # a job the client's table does not answer (or answers None) is left to translate
+    answers = list(map((getattr(client, "table", None) or {}).get, unique))
+    outcomes = dict(zip(unique, zip(itertools.repeat(True), answers)))
+    misses = [job for job, answer in zip(unique, answers) if answer is None]
     # next() on a count is one C call, so no two loops get the same index
     claim = itertools.count()
     stop = threading.Event()
@@ -256,9 +261,9 @@ def _translate_many(client, jobs, workers: int):
         try:
             while not stop.is_set():
                 i = next(claim)
-                if i >= len(unique):
+                if i >= len(misses):
                     return
-                job = unique[i]
+                job = misses[i]
                 try:
                     outcomes[job] = True, client.translate(*job)
                 except TranslationError as exc:
@@ -267,9 +272,9 @@ def _translate_many(client, jobs, workers: int):
             stop.set()
             raise
 
-    loops = min(workers, len(unique))
+    loops = min(workers, len(misses))
     if loops > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=loops) as pool:
             try:
                 list(pool.map(drain, range(loops)))
             except BaseException:  # such as Ctrl-C: the loops stop after their lookup
@@ -277,7 +282,7 @@ def _translate_many(client, jobs, workers: int):
                 raise
     else:
         drain(0)
-    return [outcomes[job] for job in jobs]
+    return list(map(outcomes.__getitem__, jobs))
 
 
 def translate_wordlist(client, words, src_lang: str, tgt_lang: str, workers: int = 1):
@@ -290,25 +295,24 @@ def translate_wordlist(client, words, src_lang: str, tgt_lang: str, workers: int
     words = list(words)
     if not words:
         raise DataError("empty word list")
-    for w in words:
-        if not single_token(w):
-            raise DataError(f"word list entries must be single tokens, got {w!r}")
+    bad = first_bad_token(words)
+    if bad is not None:
+        raise DataError(f"word list entries must be single tokens, got {bad!r}")
     summary = TranslateSummary(requested=len(words))
     results = _translate_many(client, [(w, src_lang, tgt_lang) for w in words], workers)
-    pairs = []
-    first_error = None
+    translated, translations, first_error = [], [], None
     for word, (ok, value) in zip(words, results):
-        if not ok:
+        if ok:
+            translated.append(word)
+            translations.append(value.strip())
+        else:
             summary.failed.append(word)
             first_error = first_error or value
-            continue
-        translation = value.strip()
-        if not translation:
-            summary.dropped_empty += 1
-        elif not single_token(translation):
-            summary.dropped_multi_token += 1
-        else:
-            pairs.append((word, translation))
+    pairs = tuple(zip(translated, translations))
+    if first_bad_token(translations) is not None:
+        pairs = tuple(pair for pair in pairs if single_token(pair[1]))
+        summary.dropped_empty = translations.count("")
+        summary.dropped_multi_token = len(translations) - len(pairs) - summary.dropped_empty
     summary.kept = len(pairs)
     if first_error is not None:
         logger.warning("translate %s->%s: %d of %d lookups failed, the first with: %s",
@@ -316,8 +320,7 @@ def translate_wordlist(client, words, src_lang: str, tgt_lang: str, workers: int
     logger.info("translate %s->%s: requested=%d kept=%d multi_token=%d empty=%d failed=%d",
                 src_lang, tgt_lang, summary.requested, summary.kept,
                 summary.dropped_multi_token, summary.dropped_empty, len(summary.failed))
-    return DictionaryPairs(src_lang, tgt_lang, tuple(pairs),
-                           provenance="translated"), summary
+    return DictionaryPairs(src_lang, tgt_lang, pairs, provenance="translated"), summary
 
 
 def reverse_filter(client, d: DictionaryPairs, fold_case: bool = False, workers: int = 1):

@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -173,3 +174,30 @@ class TestContainer:
     def test_source_words_first_appearance_order(self):
         full = d([("b", "1"), ("a", "2"), ("b", "3"), ("c", "4")])
         assert full.source_words() == ["b", "a", "c"]
+
+    @pytest.mark.parametrize("pairs", [
+        [("a", "1"), ("b", "2")],
+        [],
+        [("a", "1"), ("b", "2", "3")],
+        [("a", "1"), ("b",)],
+        [("a", "1"), ()],
+        [("a", "1"), 5],
+        [None],
+        [["a", "1"], ("b", "2")],
+        ["ab", "cd"],
+        [("a", "1"), "abc"],
+        [("a", "1"), {"b": 0, "c": 0}],
+        [("a", "1"), namedtuple("Pair", "s t")("b", "2")],
+    ], ids=["tuples", "empty", "3-tuple", "1-tuple", "0-tuple", "int", "none", "list",
+            "2-char-strings", "3-char-string", "dict", "namedtuple"])
+    def test_pairs_become_what_unpacking_each_gives(self, pairs):
+        try:
+            expected = tuple((s, t) for s, t in pairs)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                DictionaryPairs("en", "tr", pairs)
+            assert str(raised.value) == str(exc)
+        else:
+            built = DictionaryPairs("en", "tr", pairs)
+            assert built.pairs == expected
+            assert all(type(p) is tuple for p in built.pairs)

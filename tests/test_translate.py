@@ -321,11 +321,51 @@ class TestWorkerCap:
         return sizes
 
     def test_cap_is_accepted(self, pools):
-        client = ReplayClient(forward_table({"a": "x", "b": "y"}))
-        pairs, _ = translate_wordlist(client, ["a", "b"], "en", "uz",
+        # a client without a table, so every lookup goes to the pool
+        words = [f"w{i}" for i in range(translate.MAX_WORKERS + 1)]
+        client = RecordingClient(forward_table({w: f"t{w}" for w in words}))
+        pairs, _ = translate_wordlist(client, words, "en", "uz",
                                       workers=translate.MAX_WORKERS)
-        assert pairs.pairs == (("a", "x"), ("b", "y"))
+        assert pairs.pairs == tuple((w, f"t{w}") for w in words)
         assert pools == [translate.MAX_WORKERS]
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_a_table_that_answers_every_job_starts_no_pool(self, pools, workers):
+        client = RecordingClient({})
+        client.table = {(f"w{i}", "en", "uz"): f"t{i}" for i in range(20)}
+        jobs = [(f"w{i % 20}", "en", "uz") for i in range(50)]
+        results = translate._translate_many(client, jobs, workers)
+        assert results == [(True, f"t{i % 20}") for i in range(50)]
+        assert client.calls == [] and pools == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_a_partial_table_sends_only_its_misses(self, pools, workers):
+        answers = {(f"w{i}", "en", "uz"): f"t{i}" for i in range(10)}
+        client = RecordingClient(answers)
+        client.table = {job: answers[job] for job in list(answers)[::2]}
+        jobs = [(f"w{i % 11}", "en", "uz") for i in range(30)]
+        misses = [("w1", "en", "uz"), ("w3", "en", "uz"), ("w5", "en", "uz"),
+                  ("w7", "en", "uz"), ("w9", "en", "uz"), ("w10", "en", "uz")]
+        results = translate._translate_many(client, jobs, workers)
+        assert results == [(True, f"t{i % 11}") if i % 11 < 10 else
+                           (False, "no cached translation for 'w10' en->uz")
+                           for i in range(30)]
+        # the pool runs its loops inline, so the first loop claims every miss
+        assert client.calls == misses
+        assert pools == ([min(workers, len(misses))] if workers > 1 else [])
+
+    def test_a_warm_http_cache_starts_no_pool_and_posts_nothing(self, pools, tmp_path):
+        path = tmp_path / "cache.tsv"
+        for word, translation in (("good", "yaxshi"), ("bad", "yomon")):
+            append_cache(path, word, "en", "uz", translation)
+            append_cache(path, translation, "uz", "en", word)
+        session = FakeSession([])
+        with HttpTranslationClient("http://svc", session=session, cache_path=path,
+                                   sleep=lambda s: None) as client:
+            pairs, _ = translate_wordlist(client, ["good", "bad"], "en", "uz", workers=4)
+            kept, _ = reverse_filter(client, pairs, workers=4)
+        assert kept.pairs == (("good", "yaxshi"), ("bad", "yomon"))
+        assert session.calls == [] and pools == []
 
     @pytest.mark.parametrize("workers", [0, -1, translate.MAX_WORKERS + 1, 10 ** 9])
     def test_out_of_range_rejected_before_any_pool(self, pools, workers):
@@ -609,6 +649,25 @@ class TestDispatch:
                 expected.append((False, str(exc)))
         for workers in (1, 2, 8):
             assert translate._translate_many(client, jobs, workers) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(words=st.lists(st.sampled_from([f"w{i}" for i in range(12)]), max_size=40),
+           known=st.sets(st.sampled_from([f"w{i}" for i in range(12)])),
+           held=st.sets(st.sampled_from([f"w{i}" for i in range(12)])))
+    def test_a_partial_table_matches_serial_loop(self, words, known, held):
+        answers = {(w, "en", "uz"): f"t-{w}" for w in known}
+        jobs = [(w, "en", "uz") for w in words]
+        expected = []
+        for job in jobs:
+            try:
+                expected.append((True, ReplayClient(answers).translate(*job)))
+            except TranslationError as exc:
+                expected.append((False, str(exc)))
+        for workers in (1, 2, 8):
+            client = RecordingClient(answers)
+            client.table = {(w, "en", "uz"): f"t-{w}" for w in known & held}
+            assert translate._translate_many(client, jobs, workers) == expected
+            assert sorted(client.calls) == sorted(set(jobs) - set(client.table))
 
     def test_each_job_claimed_once_under_contention(self):
         table = {(f"w{i}", "en", "uz"): f"t{i}" for i in range(3000)}

@@ -183,6 +183,12 @@ COMMANDS = [
     ("dict-build-bad-rps", ["dict-build", "--words", "{fix}/words.txt", "--cache",
                             "{fix}/cache.tsv", "--src-lang", "en", "--tgt-lang", "tr",
                             "--rps", "0", "--out", "{dir}/en-tr.tsv"]),
+    ("dict-build-multi-token-word", ["dict-build", "--words", "{fix}/multi-token.words",
+                                     "--cache", "{fix}/cache.tsv", "--src-lang", "en",
+                                     "--tgt-lang", "tr", "--out", "{dir}/en-tr.tsv"]),
+    ("dict-build-workers-4", ["dict-build", "--words", "{fix}/words.txt",
+                              "--cache", "{fix}/cache.tsv", "--src-lang", "en",
+                              "--tgt-lang", "tr", "--workers", "4", "--out", "{dir}/en-tr.tsv"]),
     ("dict-clean", ["dict-clean", "--in", "{fix}/en-tr.tsv", "--out", "{dir}/clean.tsv"]),
     ("dict-clean-skip", ["dict-clean", "--in", "{fix}/defects/columns.tsv",
                          "--on-bad-lines", "skip", "--out", "{dir}/clean.tsv"]),
@@ -460,6 +466,11 @@ def make_fixture(fix: Path) -> None:
         _write_vectors(fix / "midpoint" / f"{lang}.vec", words[lang][:30],
                        rng.uniform(0.9, 1.0, size=(30, 4)) * 1.7e308)
     _write_pairs(fix / "midpoint" / "tr-en.tsv", zip(words["tr"][:20], words["en"][:20]))
+
+    # written after every file above, so those keep their bytes: a word list
+    # whose second entry is two tokens
+    (fix / "multi-token.words").write_text(f"{words['en'][0]}\na b\n{words['en'][1]}\n",
+                                           encoding="utf-8")
 
 
 def _fill(text: str, fix: Path, out: Path, cmd_id: str) -> str:
