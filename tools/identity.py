@@ -467,8 +467,7 @@ def make_fixture(fix: Path) -> None:
                        rng.uniform(0.9, 1.0, size=(30, 4)) * 1.7e308)
     _write_pairs(fix / "midpoint" / "tr-en.tsv", zip(words["tr"][:20], words["en"][:20]))
 
-    # written after every file above, so those keep their bytes: a word list
-    # whose second entry is two tokens
+    # a word list whose second entry is two tokens
     (fix / "multi-token.words").write_text(f"{words['en'][0]}\na b\n{words['en'][1]}\n",
                                            encoding="utf-8")
 
