@@ -140,4 +140,5 @@ def load_dictionary(path, src_lang: str = "src", tgt_lang: str = "tgt",
 def save_dictionary(d: DictionaryPairs, path) -> None:
     """Write tab-separated pairs; loading the file back is lossless."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(f"{s}\t{t}\n" for s, t in d.pairs))
+        for s, t in d.pairs:
+            fh.write(f"{s}\t{t}\n")

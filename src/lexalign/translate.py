@@ -308,11 +308,9 @@ def translate_wordlist(client, words, src_lang: str, tgt_lang: str, workers: int
         else:
             summary.failed.append(word)
             first_error = first_error or value
-    pairs = tuple(zip(translated, translations))
-    if first_bad_token(translations) is not None:
-        pairs = tuple(pair for pair in pairs if single_token(pair[1]))
-        summary.dropped_empty = translations.count("")
-        summary.dropped_multi_token = len(translations) - len(pairs) - summary.dropped_empty
+    pairs = tuple(pair for pair in zip(translated, translations) if single_token(pair[1]))
+    summary.dropped_empty = translations.count("")
+    summary.dropped_multi_token = len(translations) - len(pairs) - summary.dropped_empty
     summary.kept = len(pairs)
     if first_error is not None:
         logger.warning("translate %s->%s: %d of %d lookups failed, the first with: %s",

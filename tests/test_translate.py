@@ -101,7 +101,7 @@ class TestTranslateWordlist:
 
     def test_workers_keep_order(self):
         table = forward_table({f"w{i}": f"t{i}" for i in range(40)})
-        client = ReplayClient(table)
+        client = RecordingClient(table)  # no table attribute: every lookup goes to the pool
         words = [f"w{i}" for i in range(40)]
         pairs, _ = translate_wordlist(client, words, "en", "uz", workers=4)
         assert [s for s, _ in pairs.pairs] == words
