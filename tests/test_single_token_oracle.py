@@ -2,7 +2,7 @@
 
 first_bad_token answers from one split of the joined words and calls
 single_token word by word only when some word is bad. reference_filter is
-translate_wordlist's result loop as it was before, one single_token call per
+translate_wordlist's result loop as it was before, with its counts kept per
 translation, and reference_clean is clean_dictionary as it was; both must
 give the same pairs and counts. Words are drawn from letters and whitespace
 that str.split splits on, such as "\\x1c" and "\\u3000", so a word may be
@@ -26,7 +26,7 @@ WORDS = st.one_of(LETTERS, LETTERS, LETTERS,
 
 
 def reference_filter(words, results):
-    """translate_wordlist's result loop before the batched check."""
+    """translate_wordlist's result loop before its counts were taken over the list."""
     pairs, failed, empty, multi = [], [], 0, 0
     for word, (ok, value) in zip(words, results):
         if not ok:
