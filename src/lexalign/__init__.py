@@ -31,8 +31,7 @@ _EXPORTS = {
     **dict.fromkeys(["AlignedSpace", "MultiSpace", "apply_map", "align_orthogonal",
                      "align_multistep", "meemi_bilingual", "meemi_multilingual"], "align"),
     **dict.fromkeys(["EvalReport", "induce", "precision_at_k", "render_report",
-                     "reports_from_json", "cosine_scores", "rank_by_score", "topk"],
-                    "induction"),
+                     "cosine_scores", "rank_by_score", "topk"], "induction"),
     **dict.fromkeys(["PipelineConfig", "run_pipeline"], "pipeline"),
 }
 

@@ -214,7 +214,7 @@ def _multistep(spaces: dict[str, VocabEmbedding], hub: str, dictionaries: dict,
     if reduce_dim is not None and not 1 <= reduce_dim <= d:
         raise DataError(f"reduce_dim must be in [1, {d}], got {reduce_dim}")
     pm = build_paired_matrices(spaces[lang], spaces[hub], orient(pairs, lang, hub))
-    x, z, used = pm.X, pm.Z, pm.used_pairs
+    x, z, pairs_used = pm.X, pm.Z, len(pm)
     del pm
 
     wx = whitening_transform(x)
@@ -223,7 +223,7 @@ def _multistep(spaces: dict[str, VocabEmbedding], hub: str, dictionaries: dict,
     # exist at once, not all four
     x = x @ wx.matrix
     z = z @ wz.matrix
-    u, s, v = cross_covariance_svd(PairedMatrices(x, z, used))
+    u, s, v = cross_covariance_svd(PairedMatrices(x, z))
     del x, z  # the paired rows go before the first output is allocated
     scale = LinearMap(np.diag(s ** reweight_p), "unconstrained")
     dewhite_other = LinearMap(v.T @ spd_inverse(wz.matrix) @ v, "composite")
@@ -238,7 +238,7 @@ def _multistep(spaces: dict[str, VocabEmbedding], hub: str, dictionaries: dict,
         for chain in chains.values():
             chain.append(truncate)
     logger.info("multistep %s/%s: pairs_used=%d reweight_p=%g reduce_dim=%s",
-                lang, hub, len(used), reweight_p, reduce_dim)
+                lang, hub, pairs_used, reweight_p, reduce_dim)
     aligned = {}
     for side in (lang, hub):
         moved = spaces.pop(side)

@@ -23,7 +23,6 @@ class DictionaryPairs:
     src_lang: str
     tgt_lang: str
     pairs: tuple[tuple[str, str], ...]
-    provenance: str = "file"
 
     def __post_init__(self):
         pairs = tuple(self.pairs)  # 2-tuples already are checked in C, not unpacked
@@ -41,8 +40,7 @@ class DictionaryPairs:
 
 def transpose(d: DictionaryPairs) -> DictionaryPairs:
     """Swap the two sides of every pair."""
-    return DictionaryPairs(d.tgt_lang, d.src_lang,
-                           tuple((t, s) for s, t in d.pairs), d.provenance)
+    return DictionaryPairs(d.tgt_lang, d.src_lang, tuple((t, s) for s, t in d.pairs))
 
 
 def orient(d: DictionaryPairs, src_lang: str, tgt_lang: str) -> DictionaryPairs:
@@ -88,8 +86,7 @@ def merge_dictionaries(a: DictionaryPairs, b: DictionaryPairs,
     if (a.src_lang, a.tgt_lang) != (b.src_lang, b.tgt_lang):
         raise DataError(f"language pair mismatch: {a.src_lang}-{a.tgt_lang}"
                         f" vs {b.src_lang}-{b.tgt_lang}")
-    merged = DictionaryPairs(a.src_lang, a.tgt_lang, tuple(dict.fromkeys(a.pairs + b.pairs)),
-                             provenance="merged")
+    merged = DictionaryPairs(a.src_lang, a.tgt_lang, tuple(dict.fromkeys(a.pairs + b.pairs)))
     return clean_dictionary(merged) if reapply_token_filter else merged
 
 
@@ -106,8 +103,8 @@ def split_dictionary(d: DictionaryPairs, test_size: int, seed: int):
     held_out = set(random.Random(seed).sample(sources, test_size))
     train = tuple(p for p in d.pairs if p[0] not in held_out)
     test = tuple(p for p in d.pairs if p[0] in held_out)
-    return (DictionaryPairs(d.src_lang, d.tgt_lang, train, provenance="split-train"),
-            DictionaryPairs(d.src_lang, d.tgt_lang, test, provenance="split-test"))
+    return (DictionaryPairs(d.src_lang, d.tgt_lang, train),
+            DictionaryPairs(d.src_lang, d.tgt_lang, test))
 
 
 def load_dictionary(path, src_lang: str = "src", tgt_lang: str = "tgt",
@@ -134,7 +131,7 @@ def load_dictionary(path, src_lang: str = "src", tgt_lang: str = "tgt",
         pairs.append((cols[0], cols[1]))
     if skipped:
         logger.warning("%s: skipped %d malformed lines", path, skipped)
-    return DictionaryPairs(src_lang, tgt_lang, tuple(pairs), provenance="file")
+    return DictionaryPairs(src_lang, tgt_lang, tuple(pairs))
 
 
 def save_dictionary(d: DictionaryPairs, path) -> None:

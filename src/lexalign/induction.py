@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -333,16 +333,8 @@ def precision_at_k(src_space, tgt_space, test: "DictionaryPairs", ks=(1, 5, 10),
     return report
 
 
-def reports_from_json(text: str) -> list[EvalReport]:
-    """Inverse of render_report(..., "json"). Each object must hold every
-    EvalReport field (a missing one raises KeyError, defaults are not filled
-    in); other keys are ignored."""
-    return [EvalReport(**{f.name: d[f.name] for f in fields(EvalReport)})
-            for d in json.loads(text)]
-
-
 def render_report(reports, fmt: str = "table") -> str:
-    """Render reports as "json" (lossless round trip), "tsv" (one row per
+    """Render reports as "json" (every EvalReport field), "tsv" (one row per
     report and k), or "table" (methods as rows, language-pair/k columns,
     percentages with one decimal). Deterministic: same reports, same bytes.
     An empty report list yields just the header."""

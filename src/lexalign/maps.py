@@ -13,7 +13,7 @@ import contextlib
 import ctypes
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class PairedMatrices:
 
     X: np.ndarray
     Z: np.ndarray
-    used_pairs: tuple[tuple[str, str], ...]
+    _: KW_ONLY
     oov_src: int = 0
     oov_tgt: int = 0
 
@@ -87,11 +87,10 @@ class PairedMatrices:
         Z = np.asarray(self.Z, dtype=np.float64)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "used_pairs", tuple(self.used_pairs))
         if X.ndim != 2 or Z.ndim != 2:
             raise DataError("paired matrices must be 2-d")
-        if not (X.shape[0] == Z.shape[0] == len(self.used_pairs)):
-            raise DataError("X, Z and used_pairs disagree on the pair count")
+        if X.shape[0] != Z.shape[0]:
+            raise DataError("X and Z disagree on the pair count")
         if X.shape[1] != Z.shape[1]:
             raise DataError(f"paired matrices disagree on width: {X.shape[1]} vs {Z.shape[1]}")
 
@@ -107,7 +106,7 @@ def build_paired_matrices(src_emb, tgt_emb, pairs) -> PairedMatrices:
                         f"embeddings are {src_emb.language}->{tgt_emb.language}")
     src_index = src_emb.word_index
     tgt_index = tgt_emb.word_index
-    xi, zi, used = [], [], []
+    xi, zi = [], []
     oov_src = oov_tgt = 0
     for pair in pairs.pairs:
         i, j = src_index.get(pair[0]), tgt_index.get(pair[1])
@@ -116,11 +115,10 @@ def build_paired_matrices(src_emb, tgt_emb, pairs) -> PairedMatrices:
         if i is not None and j is not None:
             xi.append(i)
             zi.append(j)
-            used.append(pair)
-    if not used:
+    if not xi:
         raise DataError("no dictionary pair has both words in vocabulary")
-    return PairedMatrices(src_emb.matrix[xi], tgt_emb.matrix[zi], tuple(used),
-                          oov_src, oov_tgt)
+    return PairedMatrices(src_emb.matrix[xi], tgt_emb.matrix[zi],
+                          oov_src=oov_src, oov_tgt=oov_tgt)
 
 
 def cross_covariance_svd(pm: PairedMatrices):

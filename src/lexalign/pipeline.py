@@ -190,23 +190,18 @@ def _serve(calls, indices, fd: int) -> None:
         log.handlers[0].emit = events.append
         warnings.showwarning = lambda message, category, filename, lineno, *_: \
             events.append((message, category, filename, lineno))
-        with open(fd, "wb") as pipe:  # per call: chunk count and sizes, the pickle, its buffers
+        with open(fd, "wb") as pipe:
             for i in indices:
                 try:
                     answer = (True, calls[i]())
                 except BaseException as exc:
                     answer = (False, exc)
-                buffers = []
-                chunks = [pickle.dumps((events, *answer), 5, buffer_callback=buffers.append),
-                          *(buffer.raw() for buffer in buffers)]
-                pipe.write(b"".join(n.to_bytes(8, "little")
-                                    for n in [len(chunks), *map(len, chunks)]))
-                pipe.writelines(chunks)
+                pickle.dump((events, *answer), pipe, 5)
                 pipe.flush()
                 if not answer[0]:
                     break
                 events.clear()
-                del answer, buffers, chunks  # the result goes before the next call runs
+                del answer  # the result goes before the next call runs
         os._exit(0)
     finally:
         os._exit(1)
@@ -251,17 +246,18 @@ def _forked(calls, names) -> list:
                 results.append(call())
                 continue
             pid, pipe = children[i % n]
-            chunks = [bytearray(int.from_bytes(pipe.read(8), "little"))
-                      for _ in range(int.from_bytes(pipe.read(8), "little"))]
-            answered = chunks and all(pipe.readinto(chunk) == len(chunk) for chunk in chunks)
-            if not answered or i + n >= len(calls):  # the child's last answer
+            try:
+                answer = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child ended mid-answer or before
+                answer = None
+            if answer is None or i + n >= len(calls):  # the child's last answer
                 del children[i % n]
                 pipe.close()
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if not answered:
+            if answer is None:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 raise LexalignError(f"{names[i]}: the process working on it {how}")
-            events, returned, value = pickle.loads(chunks[0], buffers=chunks[1:])
+            events, returned, value = answer
             _replay(events)
             if not returned:
                 raise value

@@ -318,7 +318,7 @@ def translate_wordlist(client, words, src_lang: str, tgt_lang: str, workers: int
     logger.info("translate %s->%s: requested=%d kept=%d multi_token=%d empty=%d failed=%d",
                 src_lang, tgt_lang, summary.requested, summary.kept,
                 summary.dropped_multi_token, summary.dropped_empty, len(summary.failed))
-    return DictionaryPairs(src_lang, tgt_lang, pairs, provenance="translated"), summary
+    return DictionaryPairs(src_lang, tgt_lang, pairs), summary
 
 
 def reverse_filter(client, d: DictionaryPairs, fold_case: bool = False, workers: int = 1):
@@ -345,5 +345,4 @@ def reverse_filter(client, d: DictionaryPairs, fold_case: bool = False, workers:
     logger.info("reverse filter %s->%s: checked=%d kept=%d mismatched=%d failed=%d",
                 d.src_lang, d.tgt_lang, summary.checked, summary.kept,
                 summary.mismatched, len(summary.failed))
-    return DictionaryPairs(d.src_lang, d.tgt_lang, tuple(kept),
-                           provenance="round-trip"), summary
+    return DictionaryPairs(d.src_lang, d.tgt_lang, tuple(kept)), summary

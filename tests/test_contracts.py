@@ -2,7 +2,6 @@
 call below rejects one malformed input with its own error type and message.
 """
 
-import json
 import re
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 from lexalign import (AlignedSpace, DataError, DictionaryPairs, EvalReport,
                       HttpTranslationClient, LinearMap, MultiSpace, PairedMatrices,
                       VocabEmbedding, cross_covariance_svd, induce, least_squares_map,
-                      load_dictionary, precision_at_k, reports_from_json, save_maps,
+                      load_dictionary, precision_at_k, save_maps,
                       whitening_transform)
 from lexalign.maps import spd_inverse
 
@@ -19,10 +18,6 @@ NAN = float("nan")
 PAIRS = (("a", "x"), ("b", "y"))
 EN = VocabEmbedding("en", ("a", "b"), np.eye(2))
 TR = VocabEmbedding("tr", ("x", "y"), np.eye(2))
-NEGATIVE_COUNT_JSON = json.dumps([{"src_lang": "en", "tgt_lang": "tr", "k_values": [1],
-                                   "precision": {"1": 0.5}, "evaluated": -1,
-                                   "skipped_oov_src": 0, "gold_oov_tgt": 0,
-                                   "method_label": ""}])
 
 
 CASES = {
@@ -37,8 +32,6 @@ CASES = {
                       DataError, "k values must be positive"),
     "report-negative-count": (lambda p: EvalReport("en", "tr", (1,), {1: 0.5}, -1),
                               DataError, "counts must be non-negative"),
-    "report-json-negative-count": (lambda p: reports_from_json(NEGATIVE_COUNT_JSON),
-                                   DataError, "counts must be non-negative"),
     "precision-oov-policy": (lambda p: precision_at_k(EN, TR, DictionaryPairs("en", "tr", PAIRS),
                                                       oov_policy="bogus"),
                              ValueError, "oov_policy must be one of"),
@@ -48,11 +41,13 @@ CASES = {
     "map-1d": (lambda p: LinearMap(np.ones(3), "unconstrained"), DataError, "must be 2-d"),
     "whitening-map-not-square": (lambda p: LinearMap(np.ones((2, 3)), "whitening"),
                                  DataError, "whitening map must be square"),
-    "paired-1d": (lambda p: PairedMatrices(np.ones(2), np.ones((2, 2)), PAIRS),
+    "paired-1d": (lambda p: PairedMatrices(np.ones(2), np.ones((2, 2))),
                   DataError, "must be 2-d"),
-    "paired-count": (lambda p: PairedMatrices(np.ones((2, 2)), np.ones((3, 2)), PAIRS),
+    "paired-count": (lambda p: PairedMatrices(np.ones((2, 2)), np.ones((3, 2))),
                      DataError, "disagree on the pair count"),
-    "paired-width": (lambda p: PairedMatrices(np.ones((2, 2)), np.ones((2, 3)), PAIRS),
+    "paired-positional-count": (lambda p: PairedMatrices(np.ones((2, 2)), np.ones((2, 2)), 1),
+                                TypeError, "positional arguments"),
+    "paired-width": (lambda p: PairedMatrices(np.ones((2, 2)), np.ones((2, 3))),
                      DataError, "disagree on width"),
     "least-squares-no-rows": (lambda p: least_squares_map(np.ones((0, 2)), np.ones((0, 2))),
                               DataError, "at least one row"),
@@ -68,7 +63,7 @@ CASES = {
     "whitening-overflow": (lambda p: whitening_transform([[1e160, 2e160], [3e160, -1e160]]),
                            DataError, "A^T A overflows"),
     "cross-covariance-inf": (lambda p: cross_covariance_svd(PairedMatrices(
-                                 [[np.inf, 0.0], [0.0, 1.0]], np.ones((2, 2)), PAIRS)),
+                                 [[np.inf, 0.0], [0.0, 1.0]], np.ones((2, 2)))),
                              DataError, "non-finite values in the cross-covariance"),
     "spd-inverse-negative": (lambda p: spd_inverse(-np.eye(2)),
                              DataError, "not positive definite"),

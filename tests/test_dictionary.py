@@ -8,8 +8,8 @@ from lexalign import (DataError, DictionaryFormatError, DictionaryPairs,
                       save_dictionary, split_dictionary, transpose)
 
 
-def d(pairs, src="en", tgt="tr", provenance="file"):
-    return DictionaryPairs(src, tgt, tuple(pairs), provenance)
+def d(pairs, src="en", tgt="tr"):
+    return DictionaryPairs(src, tgt, tuple(pairs))
 
 
 class TestClean:
@@ -37,7 +37,6 @@ class TestMerge:
         b = d([("b", "2"), ("c", "3")])
         merged = merge_dictionaries(a, b)
         assert merged.pairs == (("a", "1"), ("b", "2"), ("c", "3"))
-        assert merged.provenance == "merged"
 
     def test_language_mismatch(self):
         with pytest.raises(DataError):
@@ -84,8 +83,6 @@ class TestSplit:
         train, test = split_dictionary(full, test_size=7, seed=1)
         assert len(test) == 7
         assert len(train) == 23
-        assert train.provenance == "split-train"
-        assert test.provenance == "split-test"
 
     def test_test_size_bounds(self):
         full = d([("a", "1"), ("b", "2")])

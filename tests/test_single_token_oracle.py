@@ -92,10 +92,10 @@ def test_translate_wordlist_rejects_the_first_bad_input_word(words):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(WORDS, WORDS), max_size=12))
 def test_clean_dictionary_keeps_what_the_per_pair_check_keeps(pairs):
-    d = DictionaryPairs("en", "uz", tuple(pairs), provenance="merged")
+    d = DictionaryPairs("en", "uz", tuple(pairs))
     cleaned = clean_dictionary(d)
     assert cleaned.pairs == reference_clean(d)
-    assert (cleaned.src_lang, cleaned.tgt_lang, cleaned.provenance) == ("en", "uz", "merged")
+    assert (cleaned.src_lang, cleaned.tgt_lang) == ("en", "uz")
 
 
 @settings(max_examples=200, deadline=None)

@@ -168,6 +168,37 @@ def test_no_file_descriptor_outlives_a_call(tmp_path, two_cpus):
     assert no_child_left()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("answer", [lambda: (np.zeros((1000, 1000)), lambda: 0),
+                                    lambda: lambda: 0],
+                         ids=["after-a-large-array", "at-once"])
+def test_an_answer_that_cannot_be_pickled_names_its_input(two_cpus, answer):
+    """The child exits mid-answer, its 8 MB array already in the pipe, or
+    before its answer starts: either way its input is named."""
+    before = open_fds()
+    with pytest.raises(LexalignError) as caught:
+        _forked([lambda: 0, answer], ["a", "b"])
+    assert str(caught.value) == "b: the process working on it exited with status 1"
+    assert open_fds() == before
+    assert no_child_left()
+
+
+def test_a_child_killed_mid_answer_names_its_input(two_cpus, monkeypatch):
+    """A child killed halfway through writing its answer leaves a pickle that
+    stops inside an array: its input is still named."""
+    def torn(answer, pipe, protocol):
+        data = pickle.dumps(answer, protocol)
+        pipe.write(data[:len(data) // 2])
+        pipe.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(pipeline.pickle, "dump", torn)
+    with pytest.raises(LexalignError) as caught:
+        _forked([lambda: 0, lambda: np.zeros((1000, 1000))], ["a", "b"])
+    assert str(caught.value) == "b: the process working on it was killed by signal 9"
+    assert no_child_left()
+
+
 def serial_write(items):
     for space, vec_path, map_path in items:
         save_embeddings(space.embedding, vec_path)

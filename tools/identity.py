@@ -8,7 +8,8 @@ BASE and HEAD with `git worktree`, and runs COMMANDS below in each checkout
 at OPENBLAS_NUM_THREADS=1. Both sides read the same fixture and write to the
 same output path, so paths inside manifests and messages match. It then
 compares the sha256 of every file written, and each command's stdout, stderr
-and exit code.
+and exit code. Last it prints the line count of src/lexalign/*.py at each
+revision, counted as `wc -l` counts (newline bytes).
 
 A difference is named by the file's path under the output directory (the
 command id is its first part, as in `run-orth/run/manifest.json`) or by
@@ -544,7 +545,7 @@ def main(argv=None) -> int:
                         help="declare the differences whose names match GLOB as intended")
     args = parser.parse_args(argv)
     tmp = Path(tempfile.mkdtemp(prefix="lexalign-identity-"))
-    fix, out, trees = tmp / "fixture", tmp / "out", []
+    fix, out, trees, src_lines = tmp / "fixture", tmp / "out", [], []
     try:
         make_fixture(fix)
         sides = []
@@ -552,6 +553,8 @@ def main(argv=None) -> int:
             tree = tmp / name
             _worktree("add", "--detach", str(tree), rev)
             trees.append(tree)
+            src_lines.append(sum(path.read_bytes().count(b"\n")
+                                 for path in (tree / "src" / "lexalign").glob("*.py")))
             sides.append(run_side(tree, fix, out))
             shutil.rmtree(out)
     finally:
@@ -570,6 +573,7 @@ def main(argv=None) -> int:
             print(f"NOT FOUND: no difference matches --expect {glob!r}")
     print(f"{same_files} files, {same_commands} commands identical"
           + (f"; {len(diffs)} differences" if diffs else ""))
+    print(f"src lines: {src_lines[0]} -> {src_lines[1]}")
     return 1 if failed else 0
 
 
