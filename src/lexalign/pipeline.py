@@ -19,7 +19,6 @@ import pickle
 import platform
 import signal
 import sys
-import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import partial
@@ -181,55 +180,37 @@ def _convert(kind, value, key: str):
 
 def _serve(calls, indices, fd: int) -> None:
     """In a child: run calls[i] for each i of indices in turn, and send down the pipe
-    fd, for each, (the records of the package's loggers and the warnings it raised, in
-    the order they came, whether it returned, the result or exception), pickled with
-    protocol 5. Stop after an exception; exit."""
+    fd, for each, (the records of the package's loggers in the order they came,
+    whether it returned, the result or exception), pickled with protocol 5. Stop
+    after an exception; exit. No call that _forked runs raises a Python warning; one
+    raised as an exception under an "error" filter is sent as its exception."""
     try:
-        events, log = [], logging.getLogger(__package__)
+        records, log = [], logging.getLogger(__package__)
         log.handlers, log.propagate = [logging.Handler()], False
-        log.handlers[0].emit = events.append
-        warnings.showwarning = lambda message, category, filename, lineno, *_: \
-            events.append((message, category, filename, lineno))
+        log.handlers[0].emit = records.append
         with open(fd, "wb") as pipe:
             for i in indices:
                 try:
                     answer = (True, calls[i]())
                 except BaseException as exc:
                     answer = (False, exc)
-                pickle.dump((events, *answer), pipe, 5)
+                pickle.dump((records, *answer), pipe, 5)
                 pipe.flush()
                 if not answer[0]:
                     break
-                events.clear()
+                records.clear()
                 del answer  # the result goes before the next call runs
         os._exit(0)
     finally:
         os._exit(1)
 
 
-def _replay(events) -> None:
-    """Emit a child's log records and warnings here, as if raised here: a warning goes
-    through the filters and the registry of the module that raised it, so one shown
-    here already is not shown again."""
-    for event in events:
-        if isinstance(event, logging.LogRecord):
-            logging.getLogger(event.name).handle(event)
-            continue
-        message, category, filename, lineno = event
-        module = next((vars(m) for m in list(sys.modules.values())
-                       if getattr(m, "__file__", None) == filename), None)
-        warnings.warn_explicit(message, category, filename, lineno,
-                               module and module["__name__"],
-                               module and module.setdefault("__warningregistry__", {}))
-
-
 def _forked(calls, names) -> list:
     """[call() for call in calls], spread over this process and at most one child per
     further CPU it may run on (none off Linux): with n processes, call i runs in
     process i % n, this one being process 0, and each child runs its calls one after
-    another (see _serve). Results, log records, warnings and the first exception come
-    back in call order; every child is reaped; one that ends unanswered is named by
-    names[i]."""
+    another (see _serve). Results, log records and the first exception come back in
+    call order; every child is reaped; one that ends unanswered is named by names[i]."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n = max(1, min(cpus, len(calls)))
     children = {}  # process number -> (pid, read end of its pipe)
@@ -257,8 +238,9 @@ def _forked(calls, names) -> list:
             if answer is None:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 raise LexalignError(f"{names[i]}: the process working on it {how}")
-            events, returned, value = answer
-            _replay(events)
+            records, returned, value = answer
+            for record in records:
+                logging.getLogger(record.name).handle(record)
             if not returned:
                 raise value
             results.append(value)

@@ -16,6 +16,11 @@ raises a DataError unless the result is finite. Every product, sum or solve
 of finite values that can overflow goes through it, so any other function
 that calls np.errstate is a second, hand-written copy of that check and
 fails here.
+
+No module imports warnings. The spaces loaded and written in child processes
+(pipeline._forked) send back their results and log records but no Python
+warnings, so a module that starts to warn must also make those children send
+their warnings back.
 """
 
 import ast
@@ -106,3 +111,17 @@ def test_only_the_overflow_guard_and_listed_functions_call_errstate():
     found = [name for path in sorted(SRC.glob("*.py"))
              for name in calling_functions(path, calls_errstate)]
     assert sorted(set(found)) == sorted(ERRSTATE_CALLERS)
+
+
+def imported_modules(path):
+    """The top-level name of every absolute import in path, nested imports included."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_no_module_imports_warnings():
+    assert [path.stem for path in sorted(SRC.glob("*.py"))
+            if "warnings" in imported_modules(path)] == []

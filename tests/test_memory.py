@@ -9,6 +9,7 @@ the fits by what each extra dictionary pair costs once an output exists.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lexalign import (DEFAULT_NORMALIZE, DictionaryPairs, LinearMap, VocabEmbedd
                       align_orthogonal, load_embeddings, meemi_bilingual, precision_at_k,
                       save_embeddings, save_maps)
 from lexalign.cli import main
-from lexalign.pipeline import fit_method, load_space
+from lexalign.pipeline import fit_method, load_space, load_spaces
 
 from conftest import peak_bytes
 
@@ -46,6 +47,19 @@ def test_loading_holds_one_matrix(vector_files, load):
     peaks = {dim: peak_bytes(lambda: load(path)) for dim, path in vector_files.items()}
     matrix_bytes = ROWS * DIM * 8
     assert peaks[2 * DIM] - peaks[DIM] < 1.25 * matrix_bytes
+
+
+def test_a_space_loaded_in_a_child_costs_one_copy(vector_files, monkeypatch):
+    # with two CPUs the second space is parsed in a child and unpickled here
+    # straight into its array's buffer: no more than loading it here costs
+    files = [(vector_files[2 * DIM], lang) for lang in ("en", "tr")]
+    peaks = {}
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        load_spaces(files)  # one-time allocations count at neither setting
+        peaks[len(cpus)] = peak_bytes(lambda: load_spaces(files))
+    assert peaks[2] <= peaks[1] + ROWS * 2 * DIM * 8 / 4
 
 
 def spaces(seed):

@@ -9,9 +9,11 @@ import signal
 import time
 import warnings
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexalign import (AlignedSpace, DataError, DictionaryFormatError, EmbeddingParseError,
                       LexalignError, LinearMap, LocatedError, PipelineStageError,
@@ -266,23 +268,89 @@ def test_every_process_runs_its_share_of_the_calls_in_turn(monkeypatch):
     assert no_child_left()
 
 
-def warn(i):
-    warnings.warn(f"call {i}")
-    warnings.warn("every call")  # one site and text: the registry shows it once
-    return i
+def test_a_warning_raised_as_an_error_in_a_child_is_raised_at_its_call(two_cpus):
+    """Under an "error" filter a child's warning is its call's exception: the
+    serial loop's class and message, raised before the next call runs."""
+    ran = []
+
+    def call(i):
+        ran.append(i)
+        if i:
+            warnings.warn(f"call {i}", DeprecationWarning)
+        return i
+
+    calls = [partial(call, i) for i in range(3)]
+    raised = {}
+    for name, run in (("serial", lambda: [call() for call in calls]),
+                      ("forked", lambda: _forked(calls, ["a", "b", "c"]))):
+        ran.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Warning) as caught:
+                run()
+        raised[name] = (type(caught.value), str(caught.value), 2 in ran)
+    assert raised["forked"] == raised["serial"] == (DeprecationWarning, "call 1", False)
+    assert no_child_left()
 
 
-def test_warnings_are_those_of_a_serial_loop(two_cpus, capfd):
-    calls = [partial(warn, i) for i in range(3)]
+RAISES = {
+    "data": lambda i: DataError(f"call {i} failed"),
+    "parse": lambda i: EmbeddingParseError(f"call {i}: bad value", code="value", line=i + 2,
+                                           path=f"{i}.vec"),
+    "value": lambda i: ValueError(f"call {i}"),
+}
+# what one call does: log each (logger, message) pair, then return the int,
+# return the array or raise the RAISES error named
+plans = st.tuples(
+    st.lists(st.tuples(st.sampled_from(["lexalign.pipeline", "lexalign.embeddings"]),
+                       st.text("abc ", max_size=5)), max_size=2),
+    st.one_of(st.integers(), st.integers(0, 2**32 - 1).map(
+        lambda seed: np.random.default_rng(seed).normal(size=(3, 2))),
+        st.sampled_from(sorted(RAISES))))
 
-    def shown(run):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            assert run() == [0, 1, 2]
-        return [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
-    serial = shown(lambda: [call() for call in calls])
-    assert [message for message, *_ in serial] == ["call 0", "every call", "call 1", "call 2"]
-    assert shown(lambda: _forked(calls, ["a", "b", "c"])) == serial
-    assert capfd.readouterr().err == ""  # the child printed none of them
+def planned(i, plan):
+    logged, then = plan
+    for name, message in logged:
+        logging.getLogger(name).info("call %d: %s", i, message)
+    if isinstance(then, str):
+        raise RAISES[then](i)
+    return then
+
+
+def outcome(run, records):
+    """What run() gave, as comparable values, and the records it logged."""
+    records.clear()
+    try:
+        value = ("returned", [(type(r), r.tobytes() if isinstance(r, np.ndarray) else r)
+                              for r in run()])
+    except Exception as exc:
+        value = ("raised", type(exc), str(exc), vars(exc))
+    return value, [(r.name, r.levelno, r.getMessage()) for r in records]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@settings(max_examples=25, deadline=None)
+@given(plan=st.lists(plans, min_size=1, max_size=6), cpus=st.integers(1, 4))
+def test_forked_calls_are_a_serial_loop(plan, cpus):
+    """Results or the first exception, and the log records in order, are those
+    of [call() for call in calls], on one to four CPUs (at most three children)."""
+    calls = [partial(planned, i, p) for i, p in enumerate(plan)]
+    records, log = [], logging.getLogger("lexalign")
+    handler = logging.Handler()
+    handler.emit = records.append
+    level, before = log.level, open_fds()
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        serial = outcome(lambda: [call() for call in calls], records)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                               create=True):
+            forked = outcome(lambda: _forked(calls, [str(i) for i in range(len(calls))]),
+                             records)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+    assert forked == serial
+    assert open_fds() == before
     assert no_child_left()
