@@ -8,9 +8,11 @@ separated by single spaces, UTF-8 encoded, "\\n" line endings.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import logging
 import os
 import stat
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -25,6 +27,9 @@ logger = logging.getLogger(__name__)
 # rows per np.linalg.norm call in row_norms: the x*x temporary stays this
 # small, and each row's sum does not depend on the block it is in
 NORM_ROWS = 256
+# the fewest values split_rows gives a thread: below it, starting one costs
+# more than it saves, so a 5000 x 300 space stays on one thread
+SPLIT_VALUES = 1 << 21
 
 
 class Vocabulary(tuple):
@@ -373,6 +378,31 @@ def finite(compute, message: str):
     return result
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on (1 off Linux)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def split_rows(matrix: np.ndarray, work) -> None:
+    """work(lo, hi) over contiguous row ranges that cover matrix, one per CPU
+    this process may run on but none of fewer than SPLIT_VALUES values (a
+    smaller matrix is the one call work(0, len(matrix))). Ranges after the
+    first run in threads of their own, in copies of this context, so a
+    caller's np.errstate (a context variable in numpy 2) holds there; all are
+    joined before return, and the earliest range's exception is raised."""
+    n = min(usable_cpus(), matrix.size // SPLIT_VALUES)
+    if n < 2:
+        work(0, len(matrix))
+        return
+    bounds = [len(matrix) * i // n for i in range(n + 1)]
+    with ThreadPoolExecutor(n - 1) as pool:  # leaving it joins every thread
+        futures = [pool.submit(contextvars.copy_context().run, work, lo, hi)
+                   for lo, hi in zip(bounds[1:], bounds[2:])]
+        work(0, bounds[1])
+    for future in futures:
+        future.result()
+
+
 def row_norms(matrix: np.ndarray, words=None) -> np.ndarray:
     """np.linalg.norm(matrix, axis=1), computed NORM_ROWS rows at a time so no
     full-size temporary exists; the bits are those of the one-call form. A
@@ -400,22 +430,32 @@ def normalize(emb: VocabEmbedding, steps, *, copy: bool = True) -> VocabEmbeddin
     second full-size matrix exists; it is only for a matrix nobody else
     holds, such as one just loaded, since emb's values no longer match its
     recipe afterwards, and it drops the norms emb has cached. The result's
-    bits are the same either way."""
+    bits are the same either way, and on one thread or several: the copy, the
+    row norms, the division and the subtraction of the mean run over
+    split_rows' row ranges. The column mean and every check run once, here:
+    the earliest overflowing row, else the earliest zero-length one, is named."""
     steps = tuple(steps)
     for step in steps:
         if step not in NORM_STEPS:
             raise ValueError(f"unknown normalization step {step!r}, expected one of {NORM_STEPS}")
     if not copy:
         emb.__dict__.pop("norms", None)  # they are stale once emb.matrix changes
-    matrix = np.array(emb.matrix, copy=True) if copy else emb.matrix
+    words, matrix = emb.words, np.empty_like(emb.matrix) if copy else emb.matrix
+    if copy:  # empty_like keeps the memory order that np.array(copy=True) keeps
+        split_rows(matrix, lambda lo, hi: np.copyto(matrix[lo:hi], emb.matrix[lo:hi]))
+
+    def unit_norms(lo, hi):
+        norms[lo:hi] = row_norms(matrix[lo:hi], words[lo:hi] if hi - lo < len(words) else words)
+
     for step in steps:
         if step == "unit":
-            norms = row_norms(matrix, emb.words)
+            norms = np.empty(len(matrix))
+            split_rows(matrix, unit_norms)
             zero = np.flatnonzero(norms == 0.0)
             if zero.size:
-                raise DataError(
-                    f"zero-length row at 'unit' step: word {emb.words[zero[0]]!r}")
-            matrix /= norms[:, None]
+                raise DataError(f"zero-length row at 'unit' step: word {words[zero[0]]!r}")
+            split_rows(matrix, lambda lo, hi: np.divide(matrix[lo:hi], norms[lo:hi, None],
+                                                        out=matrix[lo:hi]))
         else:
             mean = finite(lambda: matrix.mean(axis=0),
                           "a column sum overflows at the 'center' step")
@@ -423,5 +463,6 @@ def normalize(emb: VocabEmbedding, steps, *, copy: bool = True) -> VocabEmbeddin
             big = np.abs(mean) >= 2.0 ** 970
             finite(lambda: matrix[:, big] - mean[big],
                    "a value minus its column mean overflows at the 'center' step")
-            matrix -= mean
-    return VocabEmbedding(emb.language, emb.words, matrix, emb.norm_recipe + steps)
+            split_rows(matrix, lambda lo, hi: np.subtract(matrix[lo:hi], mean,
+                                                          out=matrix[lo:hi]))
+    return VocabEmbedding(emb.language, words, matrix, emb.norm_recipe + steps)

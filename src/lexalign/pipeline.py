@@ -33,7 +33,7 @@ from .align import MultiSpace, check_method, fit_method
 from .align import align_orthogonal, meemi_bilingual  # noqa: F401
 from .dictionary import (DictionaryPairs, clean_dictionary, load_dictionary, orient,
                          split_dictionary)
-from .embeddings import check_steps, load_embeddings, normalize, save_embeddings
+from .embeddings import check_steps, load_embeddings, normalize, save_embeddings, usable_cpus
 from .errors import DataError, LexalignError, PipelineStageError
 from .induction import precision_at_k, render_report
 from .maps import save_maps
@@ -211,8 +211,7 @@ def _forked(calls, names) -> list:
     process i % n, this one being process 0, and each child runs its calls one after
     another (see _serve). Results, log records and the first exception come back in
     call order; every child is reaped; one that ends unanswered is named by names[i]."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = max(1, min(cpus, len(calls)))
+    n = max(1, min(usable_cpus(), len(calls)))
     children = {}  # process number -> (pid, read end of its pipe)
     try:
         for child in range(1, n):

@@ -1,5 +1,11 @@
 """Bitwise identity of the row-blocked retrieval and normalization kernels
-with their full-matrix formulas, and the memory they allocate."""
+with their full-matrix formulas, and the memory they allocate; normalize
+split over threads gives the bits and the errors of one thread."""
+
+import contextlib
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexalign import (DEFAULT_NORMALIZE, DataError, DictionaryPairs, VocabEmbedding,
                       embeddings, induce, induction, normalize, precision_at_k, rank_by_score)
-from lexalign.embeddings import NORM_ROWS, NORM_STEPS
+from lexalign.embeddings import NORM_ROWS, NORM_STEPS, split_rows
 from lexalign.induction import _EPS, _unit_rows
 
 from conftest import peak_bytes
@@ -130,6 +136,107 @@ def test_normalize_equals_full_matrix_reference(matrix, steps):
     result = normalize(emb, steps)
     assert result.matrix.tobytes() == expected.tobytes()
     assert result.norm_recipe == tuple(steps)
+
+
+@contextlib.contextmanager
+def split_over(cpus, values):
+    """normalize splits a matrix of n values into min(cpus, n // values) row
+    ranges, as on a host with that many CPUs."""
+    with mock.patch.object(embeddings, "SPLIT_VALUES", values), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        yield
+
+
+@st.composite
+def defective_matrices(draw):
+    """matrices() in C or Fortran order, with rows set to zero, to 1e200
+    (finite, but the squared length overflows) or to +-1.7e308 (column sums
+    and differences may overflow) at drawn places, possibly several ranges."""
+    matrix = draw(matrices())
+    for value in draw(st.lists(st.sampled_from([0.0, 1e200, 1.7e308, -1.7e308]), max_size=4)):
+        matrix[draw(st.integers(0, len(matrix) - 1))] = value
+    return np.asarray(matrix, order=draw(st.sampled_from("CF")))
+
+
+def normalized(matrix, steps, copy):
+    """What normalize gives on a copy of matrix: the result's bits, memory
+    order and recipe, or the error's type and message."""
+    emb = embedding(matrix.copy(order="K"))
+    try:
+        result = normalize(emb, steps, copy=copy)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return result.matrix.tobytes(order="A"), result.matrix.flags.f_contiguous, result.norm_recipe
+
+
+@settings(max_examples=80, deadline=None)
+@given(defective_matrices(), st.lists(st.sampled_from(NORM_STEPS), max_size=4), st.booleans(),
+       st.integers(1, 4), st.integers(1, 200))
+def test_split_normalize_equals_one_thread(matrix, steps, copy, cpus, values):
+    serial = normalized(matrix, steps, copy)
+    with split_over(cpus, values):
+        split = normalized(matrix, steps, copy)
+        emb = embedding(matrix.copy(order="K"))
+        with contextlib.suppress(DataError):
+            normalize(emb, steps)
+    assert split == serial
+    assert emb.matrix.tobytes(order="A") == matrix.tobytes(order="A")  # copy=True leaves it
+
+
+def test_split_normalize_names_the_earliest_bad_row_across_ranges():
+    matrix = np.random.default_rng(2).normal(size=(400, 10))
+    for row in (30, 150, 390):  # three of four ranges
+        matrix[row] = 0.0
+    expected = "zero-length row at 'unit' step: word 'w30'"
+    for cpus in (1, 4):
+        with split_over(cpus, 10), pytest.raises(DataError, match=expected):
+            normalize(embedding(matrix), ["unit"])
+    for row in (120, 250, 399):  # overflow comes before any zero-length row
+        matrix[row] = 1e200
+    for cpus in (1, 4):
+        with split_over(cpus, 10), pytest.raises(DataError, match="word 'w120' is too large"):
+            normalize(embedding(matrix), ["unit"])
+    matrix[[10, 200, 300], 3] = 1.7e308  # a column sum overflows
+    for cpus in (1, 4):
+        with split_over(cpus, 10), pytest.raises(DataError, match="a column sum overflows"):
+            normalize(embedding(matrix), ["center", "unit"])
+
+
+def test_split_rows_joins_its_threads_and_raises_the_earliest_error():
+    before = threading.active_count()
+    seen = []
+
+    def work(lo, hi):
+        seen.append((lo, hi, threading.active_count()))
+        if lo:
+            raise ValueError(lo)
+
+    with split_over(4, 10), pytest.raises(ValueError) as info:
+        split_rows(np.zeros((400, 10)), work)
+    assert info.value.args == (100,)  # ranges 1, 2 and 3 raised
+    assert sorted((lo, hi) for lo, hi, _ in seen) == [(0, 100), (100, 200), (200, 300),
+                                                      (300, 400)]
+    assert max(count for *_, count in seen) > before
+    assert threading.active_count() == before
+
+    matrix = np.random.default_rng(3).normal(size=(400, 10))
+    with split_over(4, 10):
+        normalize(embedding(matrix), DEFAULT_NORMALIZE)
+        assert threading.active_count() == before
+        matrix[350] = 1e200  # the last range, in a thread of its own
+        with pytest.raises(DataError, match="'w350' is too large"):
+            normalize(embedding(matrix), DEFAULT_NORMALIZE)
+        assert threading.active_count() == before
+
+
+def test_a_callers_errstate_holds_in_every_range():
+    # the inf row divides inf by its inf norm, in the last of four ranges
+    matrix = np.random.default_rng(4).normal(size=(400, 10))
+    matrix[390, 2] = np.inf
+    for cpus in (1, 4):
+        with split_over(cpus, 10), np.errstate(all="raise"), \
+                pytest.raises(FloatingPointError, match="invalid value"):
+            normalize(embedding(matrix), ["unit"])
 
 
 def test_retrieval_and_normalization_allocate_no_full_size_temporary():

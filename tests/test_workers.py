@@ -6,6 +6,7 @@ import logging
 import os
 import pickle
 import signal
+import threading
 import time
 import warnings
 from functools import partial
@@ -15,12 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexalign import (AlignedSpace, DataError, DictionaryFormatError, EmbeddingParseError,
-                      LexalignError, LinearMap, LocatedError, PipelineStageError,
-                      TranslationError, VocabEmbedding, save_embeddings, save_maps)
-from lexalign import pipeline
+from lexalign import (DEFAULT_NORMALIZE, AlignedSpace, DataError, DictionaryFormatError,
+                      DictionaryPairs, EmbeddingParseError, LexalignError, LinearMap,
+                      LocatedError, PipelineStageError, TranslationError, VocabEmbedding,
+                      save_embeddings, save_maps)
+from lexalign import embeddings, pipeline
 from lexalign.cli import main
-from lexalign.pipeline import _forked, load_space, load_spaces, write_spaces
+from lexalign.pipeline import _forked, fit_files, load_space, load_spaces, write_spaces
 
 ERRORS = {
     "lexalign": LexalignError("plain"),
@@ -144,6 +146,36 @@ def test_one_cpu_forks_nothing(tmp_path, monkeypatch):
     spaces = load_spaces(files)
     write_spaces([(AlignedSpace(emb), tmp_path / f"{emb.language}.out", None) for emb in spaces])
     assert [path.name for path in sorted(tmp_path.glob("*.out"))] == ["en.out", "tr.out"]
+
+
+def test_forks_after_a_split_normalize_see_one_thread(tmp_path, two_cpus, monkeypatch):
+    """The parent's load splits its normalize over two threads (each space has
+    240 values), and every fork after it, in write_spaces and the next
+    fit_files, finds them joined."""
+    monkeypatch.setattr(embeddings, "SPLIT_VALUES", 100)
+    fork, row_norms, forks, norms = os.fork, embeddings.row_norms, [], []
+
+    def counted_fork():
+        forks.append(threading.active_count())
+        return fork()
+
+    def counted_norms(*args):
+        norms.append(threading.active_count())
+        return row_norms(*args)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(embeddings, "row_norms", counted_norms)
+    before = threading.active_count()
+    files = [(vectors(tmp_path / f"{lang}.vec", lang, seed), lang)
+             for seed, lang in enumerate(("en", "tr"))]
+    pairs = {"tr": DictionaryPairs("en", "tr", tuple((f"en{i}", f"tr{i}") for i in range(30)))}
+    for _ in range(2):
+        space = fit_files("orthogonal", files[0], files[1:], pairs, DEFAULT_NORMALIZE)
+        write_spaces([(space[lang], tmp_path / f"{lang}.out", None) for lang in ("en", "tr")])
+    assert max(norms) == before + 1  # the parent's normalize ran in two threads
+    assert forks == [before] * 4
+    assert threading.active_count() == before
+    assert no_child_left()
 
 
 def aligned(seed):

@@ -40,6 +40,9 @@ LANGS = ("en", "tr", "kk", "uz")
 SEED = 0  # of the fixture
 N_WORDS, DIM = 400, 24
 N_LIST = 122  # the dict-build word list
+# the "split" spaces: 4.5M values each, two ranges of the 2**21 values or more
+# that normalize gives a thread
+N_SPLIT, DIM_SPLIT = 15000, 300
 TRAIN = range(300)
 TEST = range(300, 400)
 
@@ -266,6 +269,11 @@ COMMANDS = [
                                     "--pair", "tr:{fix}/tr.vec:{fix}/en-tr.tsv",
                                     "--pair", "kk:{fix}/kk.vec:{fix}/en-kk.tsv",
                                     "--pair", "uz:{fix}/defects/value.vec:{fix}/en-uz.tsv"]),
+    # two spaces large enough that normalize splits its row passes over two
+    # threads, on a host with two CPUs or more
+    ("align-split-rows", ["align", "--ref", "{fix}/split/en.vec", "--other", "{fix}/split/tr.vec",
+                          "--dict", "{fix}/split/en-tr.tsv", "--normalize", "unit,center,unit",
+                          "--out", "{dir}/tr.vec", "--out-ref", "{dir}/en.vec"]),
     # vectors through a pipe
     ("pipe-good", ["induce", "--space", "/dev/stdin", "--lang", "en", "--word", "en1"],
      "{fix}/en.vec"),
@@ -294,9 +302,9 @@ for path in sys.argv[1:]:
 LIBRARY = {"load-maps": LOAD_MAPS, "resave-maps": RESAVE_MAPS}
 
 
-def _words(lang: str) -> list[str]:
+def _words(lang: str, n: int = N_WORDS) -> list[str]:
     stem = {"en": "en", "tr": "söz", "kk": "сөз", "uz": "so'z"}[lang]
-    return [f"{stem}{i}" for i in range(N_WORDS)]
+    return [f"{stem}{i}" for i in range(n)]
 
 
 def _write_vectors(path: Path, words, matrix) -> None:
@@ -467,6 +475,17 @@ def make_fixture(fix: Path) -> None:
         _write_vectors(fix / "midpoint" / f"{lang}.vec", words[lang][:30],
                        rng.uniform(0.9, 1.0, size=(30, 4)) * 1.7e308)
     _write_pairs(fix / "midpoint" / "tr-en.tsv", zip(words["tr"][:20], words["en"][:20]))
+
+    # drawn after every file above, so those keep their bytes: two spaces of
+    # small integers, which keep the files short and quick to write
+    (fix / "split").mkdir()
+    for lang in ("en", "tr"):
+        matrix = rng.integers(-9, 10, size=(N_SPLIT, DIM_SPLIT))
+        rows = "".join(f"{w} {' '.join(map(str, row))}\n"
+                       for w, row in zip(_words(lang, N_SPLIT), matrix.tolist()))
+        (fix / "split" / f"{lang}.vec").write_text(f"{N_SPLIT} {DIM_SPLIT}\n{rows}",
+                                                   encoding="utf-8")
+    _write_pairs(fix / "split" / "en-tr.tsv", zip(_words("en", 2000), _words("tr", 2000)))
 
     # a word list whose second entry is two tokens
     (fix / "multi-token.words").write_text(f"{words['en'][0]}\na b\n{words['en'][1]}\n",
