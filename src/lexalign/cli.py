@@ -371,16 +371,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    logging.basicConfig(stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s",
-                        level=logging.DEBUG if args.verbose else logging.INFO)
-    try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(stream=sys.stderr,
+                            format="%(levelname)s %(name)s: %(message)s",
+                            level=logging.DEBUG if args.verbose else logging.INFO)
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

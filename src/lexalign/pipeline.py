@@ -33,42 +33,44 @@ from .align import MultiSpace, check_method, fit_method
 from .align import align_orthogonal, meemi_bilingual  # noqa: F401
 from .dictionary import (DictionaryPairs, clean_dictionary, load_dictionary, orient,
                          split_dictionary)
-from .embeddings import check_steps, load_embeddings, normalize, save_embeddings, usable_cpus
+from .embeddings import load_embeddings, normalize, save_embeddings, usable_cpus
 from .errors import DataError, LexalignError, PipelineStageError
 from .induction import precision_at_k, render_report
 from .maps import save_maps
-from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, OOV_POLICIES, ORTHOGONAL
+from .options import (DEFAULT_NORMALIZE, DICT_DIRECTIONS, METHODS, NORM_STEPS, OOV_POLICIES,
+                      ORTHOGONAL)
 
 logger = logging.getLogger(__name__)
 
 INCOMPLETE_MARKER = "INCOMPLETE"
+NONEMPTY = {"nonempty": True}  # a field's metadata: the rule _convert holds its value to
 
 
 @dataclass
 class Reference:
-    lang: str
-    path: str
+    lang: str = field(metadata=NONEMPTY)
+    path: str = field(metadata=NONEMPTY)
 
 
 @dataclass
 class Target:
-    lang: str
-    path: str
-    dict: str
-    dict_direction: str = "ref2other"
+    lang: str = field(metadata=NONEMPTY)
+    path: str = field(metadata=NONEMPTY)
+    dict: str = field(metadata=NONEMPTY)
+    dict_direction: str = field(default="ref2other", metadata={"choices": DICT_DIRECTIONS})
 
 
 @dataclass
 class Split:
-    test_size: int
+    test_size: int = field(metadata={"least": 1})
     seed: int | None = None
 
 
 @dataclass
 class Eval:
-    test: str | None = None
-    ks: list[int] = field(default_factory=lambda: [1, 5, 10])
-    oov_policy: str = "skip"
+    test: str | None = field(default=None, metadata=NONEMPTY)
+    ks: list[int] = field(default_factory=lambda: [1, 5, 10], metadata={**NONEMPTY, "least": 1})
+    oov_policy: str = field(default="skip", metadata={"choices": OOV_POLICIES})
     label: str | None = None
 
 
@@ -76,67 +78,40 @@ class Eval:
 class PipelineConfig:
     """Validated run configuration; build one with from_dict. The field
     annotations, nested dataclasses included, are the JSON schema of a run
-    config: from_dict checks every key against them."""
+    config, and each field's metadata the rules its value keeps: from_dict
+    checks every key against them."""
 
     reference: Reference
-    targets: list[Target]
-    out_dir: str
-    method: str = ORTHOGONAL
-    normalize: list[str] = field(default_factory=lambda: list(DEFAULT_NORMALIZE))
-    reweight_p: float = 0.5
-    reduce_dim: int | None = None
+    targets: list[Target] = field(metadata=NONEMPTY)
+    out_dir: str = field(metadata=NONEMPTY)
+    method: str = field(default=ORTHOGONAL, metadata={"choices": METHODS})
+    normalize: list[str] = field(default_factory=lambda: list(DEFAULT_NORMALIZE),
+                                 metadata={"choices": NORM_STEPS})
+    reweight_p: float = field(default=0.5, metadata={"least": 0})
+    reduce_dim: int | None = field(default=None, metadata={"least": 1})
     sources: list[str] | None = field(default_factory=list)
     split: Split | None = None
     eval: Eval | None = None
     seed: int | None = None
     lowercase: bool = False
-    max_words: int | None = None
+    max_words: int | None = field(default=None, metadata={"least": 1})
     clean_dicts: bool = True
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        """Check raw against the annotations, then the rules a type cannot
-        state. raw is not modified. Raises DataError."""
-        if isinstance(raw, dict) and "targets" in raw:
-            if not isinstance(raw["targets"], list) or not raw["targets"]:
-                raise DataError("targets must be a non-empty list")
-            if not all(isinstance(entry, dict) for entry in raw["targets"]):
-                raise DataError("a target entry must be a JSON object")
-        cfg = _convert(cls, raw, "")
-        for key, value in [("out_dir", cfg.out_dir), ("reference.lang", cfg.reference.lang),
-                           ("reference.path", cfg.reference.path),
-                           *[(f"targets.{name}", getattr(t, name)) for t in cfg.targets
-                             for name in ("lang", "path", "dict")],
-                           ("eval.test", cfg.eval and cfg.eval.test)]:
-            if value == "":
-                raise DataError(f"config key {key} must not be an empty string")
-        if any(t.dict_direction not in DICT_DIRECTIONS for t in cfg.targets):
-            raise DataError(f"dict_direction must be one of {DICT_DIRECTIONS}")
-        # before check_method, which refuses any reduce_dim with a method other than multistep
-        if cfg.reduce_dim is not None and cfg.reduce_dim < 1:
-            raise DataError("reduce_dim must be positive")
+        """Check raw against the annotations and field rules, then the rules
+        that join keys. raw is not modified. Raises DataError."""
+        cfg = _convert(cls, raw, "", {})
         cfg.sources = check_method(cfg.method, cfg.reference.lang, [t.lang for t in cfg.targets],
                                    cfg.sources or [], cfg.reduce_dim)
-        cfg.normalize = list(check_steps(cfg.normalize))
-        if cfg.reweight_p < 0.0:
-            raise DataError("reweight_p must be >= 0")
-        if cfg.max_words is not None and cfg.max_words < 1:
-            raise DataError("max_words must be positive")
-        if cfg.split:
-            if cfg.split.test_size < 1:
-                raise DataError("split test_size must be positive")
-            if cfg.split.seed is None:
-                if cfg.seed is None:
-                    raise DataError("a split is configured but no seed is given")
-                cfg.split.seed = cfg.seed
+        if cfg.split and cfg.split.seed is None:
+            if cfg.seed is None:
+                raise DataError("a split is configured but no seed is given")
+            cfg.split.seed = cfg.seed
         if cfg.eval:
             if "label" not in raw["eval"]:
                 cfg.eval.label = cfg.method
             cfg.eval.ks = sorted(set(cfg.eval.ks))
-            if not cfg.eval.ks or cfg.eval.ks[0] < 1:
-                raise DataError("eval ks must be positive integers")
-            if cfg.eval.oov_policy not in OOV_POLICIES:
-                raise DataError(f"eval oov_policy must be one of {OOV_POLICIES}")
             if cfg.eval.test is None and cfg.split is None:
                 raise DataError("eval needs either a test dictionary or a split")
         return cfg
@@ -146,15 +121,17 @@ class PipelineConfig:
         return asdict(self)
 
 
-def _convert(kind, value, key: str):
+def _convert(kind, value, key: str, rule):
     """value checked against the annotation kind and built into it: X | None
     (X written first), list[X], a config dataclass (a JSON object with no
     unknown and no missing key), a finite float (an int widens) or an exact
-    int, str or bool (a bool is not an int). key names value in the
-    DataError raised on a mismatch; list items share their list's key."""
+    int, str or bool (a bool is not an int), then held to rule, a field's
+    metadata: not empty if "nonempty", at least "least", one of "choices". A
+    list's items keep its rule and its key, which names value in the DataError
+    raised on a mismatch."""
     args = get_args(kind)
     if type(None) in args:
-        return None if value is None else _convert(args[0], value, key)
+        return None if value is None else _convert(args[0], value, key, rule)
     if is_dataclass(kind):
         if not isinstance(value, dict):
             raise DataError(f"{key or 'the config'} must be a JSON object, "
@@ -167,15 +144,23 @@ def _convert(kind, value, key: str):
             if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
                 raise DataError(f"config is missing required key {prefix + f.name!r}")
         hints = get_type_hints(kind)
-        return kind(**{f.name: _convert(hints[f.name], value[f.name], prefix + f.name)
+        return kind(**{f.name: _convert(hints[f.name], value[f.name], prefix + f.name, f.metadata)
                        for f in fields(kind) if f.name in value})
     if get_origin(kind) is list and isinstance(value, list):
-        return [_convert(args[0], item, key) for item in value]
+        if not value and rule.get("nonempty"):
+            raise DataError(f"config key {key} must not be an empty list")
+        return [_convert(args[0], item, key, rule) for item in value]
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return float(value)
-    if kind in (int, str, bool) and type(value) is kind:
-        return value
-    raise DataError(f"config key {key} has a value of the wrong type: {value!r}")
+        value = float(value)
+    elif kind not in (int, str, bool) or type(value) is not kind:
+        raise DataError(f"config key {key} has a value of the wrong type: {value!r}")
+    if value == "" and rule.get("nonempty"):
+        raise DataError(f"config key {key} must not be an empty string")
+    if "least" in rule and value < rule["least"]:
+        raise DataError(f"config key {key} must be at least {rule['least']}, got {value!r}")
+    if "choices" in rule and value not in rule["choices"]:
+        raise DataError(f"config key {key} must be one of {rule['choices']}, got {value!r}")
+    return value
 
 
 def _serve(calls, indices, fd: int) -> None:
@@ -266,7 +251,10 @@ def load_spaces(files, steps=(), max_words=None, lowercase=False) -> list:
 
 def read_dictionary(path, ref_lang: str, lang: str, direction: str) -> DictionaryPairs:
     """The dictionary file as ref_lang -> lang pairs when direction is
-    ref2other, as lang -> ref_lang pairs otherwise."""
+    ref2other, as lang -> ref_lang pairs when it is other2ref."""
+    if direction not in DICT_DIRECTIONS:
+        raise DataError(f"dictionary direction must be one of {DICT_DIRECTIONS}, "
+                        f"got {direction!r}")
     langs = (ref_lang, lang) if direction == "ref2other" else (lang, ref_lang)
     return load_dictionary(path, *langs)
 

@@ -1,12 +1,15 @@
-"""Property tests: PipelineConfig.from_dict on mutated configs, and the
-README key table against the config dataclasses it documents."""
+"""Property tests: PipelineConfig.from_dict on mutated configs, each field
+rule just broken, and the README key table against the config dataclasses it
+documents."""
 
 import copy
+import math
 import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexalign import DataError, PipelineConfig
@@ -26,18 +29,26 @@ def json_type(kind) -> str:
     return {str: "string", int: "integer", float: "number", bool: "boolean"}[kind]
 
 
-def schema(kind, prefix="") -> dict:
-    """Dotted key -> JSON type for every field of a config dataclass, and of
-    the dataclasses nested in it."""
-    rows, hints = {}, get_type_hints(kind)
+def walk(kind, prefix=""):
+    """(dotted key, field, annotation, innermost annotation) for every field
+    of a config dataclass, and of the dataclasses nested in it."""
+    hints = get_type_hints(kind)
     for f in fields(kind):
-        rows[prefix + f.name] = json_type(hints[f.name])
         inner = hints[f.name]
         while get_args(inner):
             inner = get_args(inner)[0]
+        yield prefix + f.name, f, hints[f.name], inner
         if is_dataclass(inner):
-            rows.update(schema(inner, f"{prefix}{f.name}."))
-    return rows
+            yield from walk(inner, f"{prefix}{f.name}.")
+
+
+def schema(kind) -> dict:
+    """Dotted key -> JSON type for every field of a config dataclass."""
+    return {key: json_type(hint) for key, _, hint, _ in walk(kind)}
+
+
+# dotted key -> the field's metadata, the rules its value keeps
+RULES = {key: f.metadata for key, f, _, _ in walk(PipelineConfig) if f.metadata}
 
 
 # every key name of the schema, at any level, and one it does not have
@@ -101,11 +112,64 @@ def test_from_dict_accepts_or_raises_data_error_and_leaves_its_input(base, data)
         assert PipelineConfig.from_dict(canonical).canonical() == canonical
 
 
-def test_readme_key_table_is_the_config_schema():
+def readme_key_table() -> dict:
+    """Dotted key -> (JSON type, meaning) from the README's key table."""
     section = README.read_text(encoding="utf-8").split("## Pipeline config keys")[1]
     section = section.split("\n## ")[0]
-    table = dict(re.findall(r"^\| `([\w.]+)` \| ([^|]+?) \|", section, re.MULTILINE))
-    assert table == schema(PipelineConfig)
+    return {key: (kind, meaning) for key, kind, meaning in re.findall(
+        r"^\| `([\w.]+)` \| ([^|]+?) \| ([^|]+?) \|", section, re.MULTILINE)}
+
+
+def test_readme_key_table_is_the_config_schema():
+    table = readme_key_table()
+    assert {key: kind for key, (kind, _) in table.items()} == schema(PipelineConfig)
+    for key, rule in RULES.items():
+        meaning = table[key][1]
+        assert "least" not in rule or f"at least {rule['least']}" in meaning, key
+        assert all(f"`{choice}`" in meaning for choice in rule.get("choices", ())), key
+        assert not rule.get("nonempty") or "non-empty" in meaning, key
+
+
+def valid_config() -> dict:
+    return {"reference": {"lang": "en", "path": "en.vec"},
+            "targets": [{"lang": "tr", "path": "tr.vec", "dict": "en-tr.tsv"}],
+            "out_dir": "out", "split": {"test_size": 1, "seed": 0},
+            "eval": {"test": "test.tsv"}}
+
+
+def just_outside(rule, kind, inner):
+    """Values of the annotation kind that break each of rule's parts."""
+    bad = []
+    if "least" in rule:
+        bad.append(rule["least"] - 1 if inner is int else math.nextafter(rule["least"], -1))
+    if "choices" in rule:
+        bad.append(rule["choices"][0] + "x")
+    bad = [[value] for value in bad] if get_origin(kind) is list else bad
+    if rule.get("nonempty"):
+        bad.append([] if get_origin(kind) is list else "")
+    return bad
+
+
+def test_each_field_rule_just_broken_is_a_data_error_that_names_its_key():
+    raw = valid_config()
+    PipelineConfig.from_dict(raw)
+    kinds = {key: (hint, inner) for key, _, hint, inner in walk(PipelineConfig)}
+    for key, rule in RULES.items():
+        hint, inner = kinds[key]
+        kind = get_args(hint)[0] if type(None) in get_args(hint) else hint
+        for value in just_outside(rule, kind, inner):
+            broken = copy.deepcopy(raw)
+            *parents, name = key.split(".")
+            where = broken
+            for parent in parents:
+                where = where[parent][0] if isinstance(where[parent], list) else where[parent]
+            where[name] = value
+            with pytest.raises(DataError, match=f"^config key {re.escape(key)} must "):
+                PipelineConfig.from_dict(broken)
+    # every key the README gives a bound, a non-empty rule or a choice of values has a rule
+    told = {key for key, (_, meaning) in readme_key_table().items()
+            if re.search(r"at least \d|non-empty|`[^`]+`(, | or )`", meaning)}
+    assert told <= set(RULES)
 
 
 def test_null_label_and_null_sources_keep_their_meaning():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import requests
 
-from lexalign import (AlignedSpace, DictionaryPairs, MultiSpace, PipelineConfig,
+from lexalign import (AlignedSpace, DataError, DictionaryPairs, MultiSpace, PipelineConfig,
                       PipelineStageError, VocabEmbedding, load_dictionary, load_embeddings,
                       load_maps, meemi_bilingual, run_pipeline, save_dictionary,
                       save_embeddings, save_maps)
@@ -418,9 +418,10 @@ class TestCli:
     @pytest.mark.parametrize("change, message", [
         (lambda cfg: None, "config must be a JSON object, got NoneType"),
         (lambda cfg: {**cfg, "reference": "en.vec"}, "reference must be a JSON object"),
-        (lambda cfg: {**cfg, "targets": 5}, "targets must be a non-empty list"),
-        (lambda cfg: {**cfg, "targets": ["x"]}, "a target entry must be a JSON object"),
-    ], ids=["null", "reference-string", "targets-number", "target-string"])
+        (lambda cfg: {**cfg, "targets": 5}, "config key targets has a value of the wrong type"),
+        (lambda cfg: {**cfg, "targets": ["x"]}, "targets must be a JSON object, got str"),
+        (lambda cfg: {**cfg, "targets": []}, "config key targets must not be an empty list"),
+    ], ids=["null", "reference-string", "targets-number", "target-string", "targets-empty"])
     def test_run_config_of_wrong_shape_exits_two(self, rotation_files, tmp_path, caplog,
                                                  change, message):
         cfg_path = tmp_path / "config.json"
@@ -674,6 +675,13 @@ def test_read_dictionary_names_the_columns_by_direction(tmp_path, direction, lan
     path.write_text("a\tb\n", encoding="utf-8")
     pairs = read_dictionary(path, "en", "tr", direction)
     assert (pairs.src_lang, pairs.tgt_lang, pairs.pairs) == (*langs, (("a", "b"),))
+
+
+def test_read_dictionary_refuses_an_unknown_direction(tmp_path):
+    path = tmp_path / "d.tsv"
+    path.write_text("a\tb\n", encoding="utf-8")
+    with pytest.raises(DataError, match="direction must be one of .* got 'sideways'"):
+        read_dictionary(path, "en", "tr", "sideways")
 
 
 @pytest.mark.parametrize("command, method, direction", [
@@ -1071,18 +1079,23 @@ def test_run_meemi_multi_sources_default_to_the_reference_alone(tmp_path):
 
 @pytest.mark.parametrize("key, value, message", [
     ("targets", lambda cfg: [{**cfg["targets"][0], "dict_direction": "sideways"}],
-     "dict_direction must be one of"),
-    ("reweight_p", -1, "reweight_p must be >= 0"),
-    ("reduce_dim", 0, "reduce_dim must be positive"),
-    ("max_words", 0, "max_words must be positive"),
-    ("method", "bogus", "method must be one of"),
-    ("split", {"test_size": 0, "seed": 1}, "split test_size must be positive"),
-    ("eval", lambda cfg: {**cfg["eval"], "ks": [0]}, "eval ks must be positive integers"),
-    ("eval", lambda cfg: {**cfg["eval"], "ks": []}, "eval ks must be positive integers"),
+     "config key targets.dict_direction must be one of ('ref2other', 'other2ref'), "
+     "got 'sideways'"),
+    ("reweight_p", -1, "config key reweight_p must be at least 0, got -1.0"),
+    ("reduce_dim", 0, "config key reduce_dim must be at least 1, got 0"),
+    ("max_words", 0, "config key max_words must be at least 1, got 0"),
+    ("method", "bogus", "config key method must be one of"),
+    ("normalize", ["unit", "scale"],
+     "config key normalize must be one of ('unit', 'center'), got 'scale'"),
+    ("split", {"test_size": 0, "seed": 1}, "config key split.test_size must be at least 1, got 0"),
+    ("eval", lambda cfg: {**cfg["eval"], "ks": [5, 0]},
+     "config key eval.ks must be at least 1, got 0"),
+    ("eval", lambda cfg: {**cfg["eval"], "ks": []},
+     "config key eval.ks must not be an empty list"),
     ("eval", lambda cfg: {**cfg["eval"], "oov_policy": "guess"},
-     "eval oov_policy must be one of"),
-], ids=["dict_direction", "reweight_p", "reduce_dim", "max_words", "method", "split-test_size",
-        "eval-ks-zero", "eval-ks-empty", "eval-oov_policy"])
+     "config key eval.oov_policy must be one of ('skip', 'fail'), got 'guess'"),
+], ids=["dict_direction", "reweight_p", "reduce_dim", "max_words", "method", "normalize",
+        "split-test_size", "eval-ks-zero", "eval-ks-empty", "eval-oov_policy"])
 def test_run_set_out_of_range_value_exits_two_and_writes_nothing(rotation_files, tmp_path,
                                                                  caplog, key, value, message):
     cfg = base_config(rotation_files, tmp_path / "x")
