@@ -20,8 +20,8 @@ from .dictionary import (clean_dictionary, load_dictionary, merge_dictionaries,
                          save_dictionary, split_dictionary)
 from .errors import DataError, ExternalServiceError, LexalignError, LocatedError, \
     PipelineStageError, TranslationError, describe, read_lines
-from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, MEEMI, METHODS, ONE_PAIR_METHODS, \
-    OOV_POLICIES, ORTHOGONAL
+from .options import DEFAULT_NORMALIZE, DICT_DIRECTIONS, MEEMI, METHODS, NORM_STEPS, \
+    ONE_PAIR_METHODS, OOV_POLICIES, ORTHOGONAL
 from .translate import HttpTranslationClient, MAX_WORKERS, ReplayClient, reverse_filter, \
     translate_wordlist
 
@@ -47,10 +47,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_steps(text: str) -> tuple:
-    from .embeddings import check_steps
     if text in ("", "none"):
         return ()
-    return check_steps(part.strip() for part in text.split(","))
+    steps = tuple(part.strip() for part in text.split(","))
+    bad = [step for step in steps if step not in NORM_STEPS]
+    if bad:
+        raise DataError(f"unknown normalization steps {bad}, expected some of {NORM_STEPS}")
+    return steps
 
 
 def _parse_ks(text: str) -> tuple:

@@ -358,15 +358,6 @@ def save_embeddings(emb: VocabEmbedding, path, decimals: int = 6) -> None:
             fh.write(b"".join(out))
 
 
-def check_steps(steps) -> tuple:
-    """steps as a tuple, or DataError when one is not in NORM_STEPS."""
-    steps = tuple(steps)
-    bad = [s for s in steps if s not in NORM_STEPS]
-    if bad:
-        raise DataError(f"unknown normalization steps {bad}, expected some of {NORM_STEPS}")
-    return steps
-
-
 def finite(compute, message: str):
     """compute() run with numpy's floating-point warnings off; DataError(message)
     unless every array it returns (one, or a tuple of them) is finite. The one

@@ -272,16 +272,9 @@ def spd_inverse(M: np.ndarray) -> np.ndarray:
 # Values per formatted block in save_maps, in whole rows: the block's
 # temporaries stay below save_embeddings' block temporaries.
 _MAP_VALUES = 1 << 12
-# uint32 words per value in _format_g17's output
-_SLOT = 7
-# value classes in _format_g17: a decimal exponent of -4 ... -1 (classes
-# 0 ... 3), a zero, or a value Python formats
-_ZERO_CLASS, _PYTHON_CLASS = 4, 5
-
-
-def _words(text: str) -> np.ndarray:
-    """text's bytes as uint32 words, 4 characters each ("\0" pads)."""
-    return np.frombuffer(text.encode("latin-1"), np.uint8).view(np.uint32)
+# bytes per value in _format_g17: the longest "%.17g" of a finite double,
+# as "-2.2250738585072014e-308", and a separator
+_G17_WIDTH = 25
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,31 +284,14 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-@functools.cache
-def _g17_tables():
-    """The lookup tables of _format_g17, built on its first use: the exact
-    powers 10**p (0 <= p <= 22) and their Veltkamp halves, then its words."""
-    pow10 = np.array([float(10 ** p) for p in range(23)])
-    # the four ASCII digits of each integer below 10**4, then each again with
-    # its trailing zeros as "\0"
-    digits = np.arange(10 ** 4)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1)[:, ::-1].astype(bool)
-    text = (digits + ord("0")).astype(np.uint8)
-    groups = np.concatenate([text, np.where(trailing, 0, text)]).view(np.uint32).ravel()
-    # by (separator, sign, class) and by (class, leading digit)
-    heads = _words("".join(sep + sign + ("0." if cls < _ZERO_CLASS else "0\0")
-                           for sep in "\0 " for sign in "\0-" for cls in range(6)))
-    leads = _words("".join(("0" * (3 - cls)).ljust(3, "\0") + digit if cls < _ZERO_CLASS
-                           else "\0" * 4 for cls in range(6) for digit in "0123456789"))
-    return (pow10, *_split(pow10), groups, heads, leads)
+# the exact powers 10**p (0 <= p <= 22) and their Veltkamp halves
+_POW10 = np.array([float(10 ** p) for p in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
 
 
-def _format_g17(block: np.ndarray, out: np.ndarray) -> None:
-    """Write block's rows into out[:, :-1], each value as the bytes of
-    "%.17g" % v in 7 uint32 words with "\0" as padding: the separator ("\0"
-    in the first column, " " elsewhere), the sign and "0." or "0"; the zeros
-    after the point and the leading digit; four words of four digits, whose
-    trailing zeros at the end are padding; and a word of padding.
+def _format_g17(block: np.ndarray) -> list[bytes]:
+    """Each row of block as ASCII bytes "v1 ... v_d\n", every value formatted
+    as "%.17g" % v would.
 
     Why this is exact: for 1e-4 <= |x| < 1 take E = floor(log10|x|) as numpy
     computes it and p = 16 - E, so 16 <= p <= 21 and 10**p is an exact
@@ -330,8 +306,11 @@ def _format_g17(block: np.ndarray, out: np.ndarray) -> None:
     as "0" or "-0". Every other value (hi at 10**16 or 10**17, as for 1e-4,
     0.001, 0.01 and 0.1, a log10 off by one next to a power of ten, or a value
     outside that range or not finite) is formatted by Python in its slot.
+
+    Each value has _G17_WIDTH bytes with zero bytes as padding: the sign, "0."
+    (or "0"), three places for the zeros, N's digits written right to left
+    (trailing zeros stay padding), a byte of padding and the separator.
     """
-    pow10, pow10_hi, pow10_lo, groups, heads, leads = _g17_tables()
     rows, cols = block.shape
     x = block.ravel()
     a = np.abs(x)
@@ -341,50 +320,40 @@ def _format_g17(block: np.ndarray, out: np.ndarray) -> None:
     e = np.floor(np.log10(a)).astype(np.intp)
     p = 16 - e
     a_hi, a_lo = _split(a)
-    hi = a * pow10.take(p)
-    b_hi = pow10_hi.take(p)
+    hi = a * _POW10.take(p)
+    b_hi = _POW10_HI.take(p)
     lo = a_hi * b_hi - hi
     lo += a_lo * b_hi
-    b_lo = pow10_lo.take(p)
+    b_lo = _POW10_LO.take(p)
     lo += a_hi * b_lo
     lo += a_lo * b_lo
     fast = inside & (hi > 1e16) & (hi < 1e17)
     n = hi.astype(np.int64)
     n += np.rint(lo).astype(np.int64)
-    cls = np.add(e, 4, out=e)
-    cls[~fast] = _PYTHON_CLASS
-    cls[zero] = _ZERO_CLASS
-    n[~fast] = 0  # a zero prints only its head; Python's text overwrites the rest
-    n = n.view(np.uint64)
-    top = n // 10 ** 8
-    low = n - top * 10 ** 8
-    lead = top // 10 ** 8
-    mid = top - lead * 10 ** 8
-    g1 = mid // 10 ** 4
-    g3 = low // 10 ** 4
-    g = [d.view(np.int64) for d in (g1, mid - g1 * 10 ** 4, g3, low - g3 * 10 ** 4)]
-    # a group whose following groups are all zero drops its trailing zeros
-    zeros_after = np.ones(len(x), bool)
-    for k in (3, 2, 1, 0):
-        zero_group = g[k] == 0
-        g[k] += zeros_after * 10 ** 4
-        zeros_after &= zero_group
-    words = out[:, :cols]
-    key = (np.signbit(x) * 6 + cls).reshape(rows, cols)
-    key[:, 1:] += 12
-    words[..., 0] = heads.take(key)
-    lead = lead.view(np.int64)
-    lead += cls * 10
-    words[..., 1] = leads.take(lead).reshape(rows, cols)
-    for k in range(4):
-        words[..., 2 + k] = groups.take(g[k]).reshape(rows, cols)
-    words[..., 6] = 0
-    python = np.flatnonzero(cls == _PYTHON_CLASS)
+    n[~fast] = 0  # a zero prints only "0"; Python's text overwrites the rest
+    buf = np.zeros((len(x), _G17_WIDTH), np.uint8)
+    buf[:, 0] = np.signbit(x) * ord("-")
+    buf[:, 1] = ord("0")
+    buf[:, 2] = fast * ord(".")
+    for k in range(3):  # -E - 1 zeros, none for a zero (E is 0 there)
+        buf[:, 3 + k] = (e < -1 - k) * ord("0")
+    seen = np.zeros(len(x), bool)  # a digit other than 0 here or to the right
+    for col in range(22, 5, -1):
+        q = n // 10
+        digit = (n - q * 10).astype(np.uint8)
+        seen |= digit != 0
+        digit += ord("0")
+        digit *= seen
+        buf[:, col] = digit
+        n = q
+    python = np.flatnonzero(~(fast | zero))
     if python.size:
-        text = b"".join((b"%.17g" % v).ljust(4 * _SLOT - 1, b"\0") for v in x[python].tolist())
-        chars = out.view(np.uint8)
-        chars[python // cols, python % cols, 1:] = \
-            np.frombuffer(text, np.uint8).reshape(len(python), -1)
+        text = b"".join((b"%.17g" % v).ljust(_G17_WIDTH - 1, b"\0") for v in x[python].tolist())
+        buf[python, :-1] = np.frombuffer(text, np.uint8).reshape(len(python), -1)
+    buf[:, -1] = ord(" ")
+    buf = buf.reshape(rows, -1)
+    buf[:, -1] = ord("\n")
+    return _row_bytes(buf, np.zeros(rows, bool))
 
 
 def save_maps(maps, path) -> None:
@@ -394,25 +363,22 @@ def save_maps(maps, path) -> None:
     The bytes are those of "%.17g" % v per value. Blocks of rows are formatted
     in numpy (see _format_g17 for why that is exact). Python formats each
     value that is not zero and lies below 1e-4 or at 1 or more in magnitude,
-    and the rare one next to a power of ten whose log10 misleads.
+    and the rare one next to a power of ten whose log10 misleads. A map with
+    no rows or no columns, which load_maps would refuse, raises DataError
+    before the file is opened.
     """
     maps = list(maps)
     if not maps:
         raise DataError("no maps to save")
-    newline = _words("\n\0\0\0")[0]
+    for m in maps:
+        if not m.matrix.size:
+            raise DataError(f"cannot save a map of shape {m.matrix.shape}: it has no values")
     with open(path, "wb") as fh:
         for m in maps:
             fh.write(f"{m.kind} {m.d_in} {m.d_out}\n".encode())
             step = max(1, _MAP_VALUES // m.d_out)
-            # one slot past each row's values holds its newline
-            out = np.zeros((min(step, m.d_in), m.d_out + 1, _SLOT), np.uint32)
-            out[:, -1, 0] = newline
             for start in range(0, m.d_in, step):
-                block = np.ascontiguousarray(m.matrix[start:start + step])
-                rows = out[:len(block)]
-                _format_g17(block, rows)
-                fh.write(b"".join(_row_bytes(rows.view(np.uint8).reshape(len(block), -1),
-                                             np.zeros(len(block), bool))))
+                fh.write(b"".join(_format_g17(m.matrix[start:start + step])))
 
 
 def load_maps(path) -> list[LinearMap]:

@@ -326,6 +326,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute the configured run and return the manifest (also written to
     out_dir/manifest.json). Raises PipelineStageError on any stage failure,
     leaving the INCOMPLETE marker in place."""
+    # looked up per run: perfbench/tracer.py wraps it as an attribute of lexalign.dictionary
+    from .dictionary import save_dictionary
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     marker = out / INCOMPLETE_MARKER
@@ -351,7 +353,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 pairs = clean_dictionary(pairs)
             if cfg.split:
                 train, test = split_dictionary(pairs, cfg.split.test_size, cfg.split.seed)
-                from .dictionary import save_dictionary
                 save_dictionary(train, emit(f"{ref_lang}-{lang}.train.tsv"))
                 save_dictionary(test, emit(f"{ref_lang}-{lang}.test.tsv"))
                 train_dicts[lang], test_dicts[lang] = train, test

@@ -75,6 +75,16 @@ class TestMapIO:
             with pytest.raises(DataError, match=f"^{path}: line 1: bad map header"):
                 load_maps(path)
 
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)], ids=["no-columns", "no-rows"])
+    def test_map_without_values_is_refused_before_the_file_is_opened(self, tmp_path, shape):
+        """load_maps refuses a header with a zero size, so save_maps does not
+        write one."""
+        path = tmp_path / "empty.map"
+        with pytest.raises(DataError, match=rf"^cannot save a map of shape \({shape[0]}, "):
+            save_maps([LinearMap(np.eye(2), "orthogonal"), LinearMap(np.zeros(shape),
+                                                                     "unconstrained")], path)
+        assert not path.exists()
+
     def test_truncated_block(self, tmp_path):
         """A truncated block, like any other defect in a map file, is a
         DataError that names the file and the line."""

@@ -90,6 +90,9 @@ COMMANDS = [
     ("align-orth-no-normalize", ["align", "--ref", "{fix}/en.vec", "--other", "{fix}/uz.vec",
                                  "--dict", "{fix}/en-uz.tsv", "--normalize", "none",
                                  "--out", "{dir}/uz.vec"]),
+    ("align-normalize-unknown", ["align", "--ref", "{fix}/en.vec", "--other", "{fix}/tr.vec",
+                                 "--dict", "{fix}/en-tr.tsv", "--normalize", "unit,foo",
+                                 "--out", "{dir}/tr.vec"]),
     ("reduce-dim-orth", ["align", "--ref", "{fix}/en.vec", "--other", "{fix}/tr.vec",
                          "--dict", "{fix}/en-tr.tsv", "--reduce-dim", "3",
                          "--out", "{dir}/tr.vec"]),
